@@ -38,6 +38,8 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     raw = Path(path).read_bytes()
+    if len(raw) < 8:
+        raise CheckpointError(f"{path}: {len(raw)} bytes, shorter than the 8-byte header")
     if raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {raw[:4]!r}")
     (version,) = struct.unpack_from("<I", raw, 4)

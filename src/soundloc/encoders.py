@@ -58,13 +58,6 @@ class EncoderConfig:
         return self.patch_size * self.patch_size * self.channels
 
 
-@dataclass
-class SpatialFeatures:
-    """Per-cell features plus their pooled summary for one image."""
-    grid: Tensor        # (grid, grid, embed_dim)
-    global_feat: Tensor  # (embed_dim,)
-
-
 class ImageEncoder(Module):
     """Patchify, embed, one attention block, final layer norm.
 
@@ -110,12 +103,6 @@ class ImageEncoder(Module):
         x = ad.layer_norm(x, self.lnf_g, self.lnf_b)
         return x, x.mean(axis=1)
 
-    def encode(self, image: Tensor) -> SpatialFeatures:
-        g = self.cfg.grid_size
-        grid, pooled = self.forward(image.reshape((1,) + image.shape))
-        return SpatialFeatures(grid=grid.reshape(g, g, self.cfg.embed_dim),
-                               global_feat=pooled.reshape(self.cfg.embed_dim))
-
 
 class AudioEncoder(Module):
     """Fixed filterbank features followed by a learned linear map.
@@ -125,7 +112,6 @@ class AudioEncoder(Module):
     """
 
     feature_dim = audiofeat.N_BANDS
-    n_frames = audiofeat.N_FRAMES
     clip_len = audiofeat.CLIP_LEN
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
@@ -136,7 +122,8 @@ class AudioEncoder(Module):
         self.proj_w = self.param("proj_w", np.eye(n))
         self.proj_b = self.param("proj_b", np.zeros(n))
 
-    def forward_batch(self, clips: np.ndarray) -> Tensor:
+    def forward(self, clips: np.ndarray) -> Tensor:
+        """(B, 8000) samples -> (B, 8, 16) per-frame band features."""
         clips = np.asarray(clips, dtype=np.float64)
         if clips.ndim != 2 or clips.shape[1] != self.clip_len:
             raise ContractViolation(
@@ -144,16 +131,11 @@ class AudioEncoder(Module):
         feats = np.stack([audiofeat.frame_energies(c) for c in clips])
         return ad.constant(feats, dtype=self.proj_w.dtype) @ self.proj_w + self.proj_b
 
-    def encode(self, clip: np.ndarray) -> Tensor:
-        """(8000,) samples -> (8, 16) per-frame band features."""
-        out = self.forward_batch(np.asarray(clip)[None, :])
-        return out.reshape(self.n_frames, self.feature_dim)
-
 
 class TextEncoder(Module):
     """Causal pre-norm transformer over already-embedded token vectors.
 
-    Consumes (T, d) sequences (prompt vectors live in embedding space, so
+    Consumes (B, T, d) sequences (prompt vectors live in embedding space, so
     there is no vocabulary), reads out the final position, projects and
     L2-normalizes.  Strictly causal: position t never sees positions > t.
     """
@@ -172,7 +154,8 @@ class TextEncoder(Module):
         self.lnf_b = self.param("lnf_b", np.zeros(d))
         self.proj = self.param("proj", normal_init(rng, (d, d)))
 
-    def forward_batch(self, tokens: Tensor, return_hidden: bool = False):
+    def forward(self, tokens: Tensor, return_hidden: bool = False):
+        """(B, T, d) sequences -> unit-norm (B, d) embeddings."""
         if tokens.ndim != 3 or tokens.shape[2] != self.cfg.embed_dim:
             raise ContractViolation(
                 f"token batch must be (B, T, {self.cfg.embed_dim}), got {tokens.shape}")
@@ -191,8 +174,3 @@ class TextEncoder(Module):
         if return_hidden:
             return emb, hidden
         return emb
-
-    def encode(self, tokens: Tensor) -> Tensor:
-        """(T, d) sequence -> unit-norm (d,) embedding."""
-        out = self.forward_batch(tokens.reshape((1,) + tokens.shape))
-        return out.reshape(self.cfg.embed_dim)

@@ -11,23 +11,14 @@ re-encoding the masked image or by mask-weighted pooling of the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractViolation, Tensor
-from .encoders import ImageEncoder, SpatialFeatures
+from .encoders import ImageEncoder
 from .layers import Module, TransformerBlock, normal_init
 
 POOL_EPS = 1e-8
-
-
-@dataclass
-class MaskGrid:
-    """Soft masks for one (image, condition) pair at both resolutions."""
-    feature_mask: Tensor   # (grid, grid), entries in (0, 1)
-    image_mask: Tensor     # (image, image), entries in (0, 1)
 
 
 class MaskDecoder(Module):
@@ -36,9 +27,6 @@ class MaskDecoder(Module):
     The conditioning path starts as the identity (scale 1, shift 0
     regardless of the condition vector), so an untrained decoder treats
     every condition alike; training shapes the dependence.
-
-    ``decode_count`` counts single-mask decodes and exists so tests can
-    verify that pairwise similarity tables really decode every pair.
     """
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator):
@@ -51,7 +39,6 @@ class MaskDecoder(Module):
         self.block = self.child("block", TransformerBlock(d, heads, rng, mlp_ratio=1))
         self.head_w = self.param("head_w", normal_init(rng, (d, 1)))
         self.head_b = self.param("head_b", np.zeros(1))
-        self.decode_count = 0
 
     def decode_logits(self, grid: Tensor, cond: Tensor) -> Tensor:
         """(B, cells, d) features + (B, d) conditions -> (B, cells) logits."""
@@ -62,59 +49,29 @@ class MaskDecoder(Module):
         scale = (cond @ self.scale_w + self.scale_b).reshape(b, 1, self.d)
         shift = (cond @ self.shift_w + self.shift_b).reshape(b, 1, self.d)
         x = self.block.forward(grid * scale + shift)
-        self.decode_count += b
         return (x @ self.head_w + self.head_b).reshape(b, grid.shape[1])
 
 
-def decode_mask(feats: SpatialFeatures, cond: Tensor, decoder: MaskDecoder,
-                image_size: int) -> MaskGrid:
-    """Decode one image's features under one condition vector."""
-    g = feats.grid.shape[0]
-    logits = decoder.decode_logits(feats.grid.reshape(1, g * g, decoder.d),
-                                   cond.reshape(1, decoder.d))
-    logits = logits.reshape(g, g)
-    return MaskGrid(feature_mask=ad.sigmoid(logits),
-                    image_mask=ad.sigmoid(ad.resize_bilinear(logits, image_size, image_size)))
-
-
-def grounded_embedding_image(image: Tensor, image_mask: Tensor,
-                             encoder: ImageEncoder) -> Tensor:
-    """Re-encode the mask-weighted image; unit-norm pooled embedding."""
-    if image.shape[:2] != image_mask.shape:
+def masked_reencode(images: Tensor, image_masks: Tensor, encoder: ImageEncoder) -> Tensor:
+    """Re-encode mask-weighted images: (N, S, S, C) + (N, S, S) -> (N, d), unit rows."""
+    if images.shape[:3] != image_masks.shape:
         raise ContractViolation(
-            f"image {image.shape} and mask {image_mask.shape} are not aligned")
-    h, w = image_mask.shape
-    masked = image * image_mask.reshape(h, w, 1)
-    return ad.l2_normalize(encoder.encode(masked).global_feat, axis=-1)
-
-
-def grounded_embedding_feature(feats: SpatialFeatures, feature_mask: Tensor) -> Tensor:
-    """Mask-weighted mean of grid cells; unit-norm.
-
-    Scale-free in the mask: multiplying the mask by any k > 0 cancels in
-    the ratio.  A mask with zero total mass degenerates to the plain mean
-    direction of the grid (the limit of an everywhere-tiny mask).
-    """
-    g = feats.grid.shape[0]
-    if feature_mask.shape != (g, g):
-        raise ContractViolation(
-            f"feature mask must be ({g}, {g}), got {feature_mask.shape}")
-    cells = feats.grid.reshape(g * g, feats.grid.shape[-1])
-    mass = float(feature_mask.data.sum())
-    if mass <= 0.0:
-        return ad.l2_normalize(cells.mean(axis=0), axis=-1)
-    weights = feature_mask.reshape(g * g, 1)
-    pooled = (cells * weights).sum(axis=0) * (1.0 / max(mass, POOL_EPS))
+            f"images {images.shape} and masks {image_masks.shape} are not aligned")
+    _, pooled = encoder.forward(images * image_masks.reshape(image_masks.shape + (1,)))
     return ad.l2_normalize(pooled, axis=-1)
 
 
-def masked_pool_batch(grids: Tensor, feature_masks: Tensor) -> Tensor:
-    """Batched mask-weighted pooling: (N, cells, d) + (N, cells) -> (N, d), unit rows.
+def masked_pool(grids: Tensor, feature_masks: Tensor) -> Tensor:
+    """Mask-weighted mean of grid cells: (N, cells, d) + (N, cells) -> (N, d), unit rows.
 
-    Assumes strictly positive mask mass (true for sigmoid masks); the
-    scalar path above covers the degenerate zero-mass case.
+    Scale-free in the mask: multiplying a mask by any k > 0 cancels in the
+    ratio.  The mass is floored at ``POOL_EPS``, so the mask should have
+    positive mass (true for sigmoid masks).
     """
-    w = feature_masks.reshape(feature_masks.shape[0], feature_masks.shape[1], 1)
+    if feature_masks.shape != grids.shape[:2]:
+        raise ContractViolation(
+            f"masks {feature_masks.shape} do not match grids {grids.shape}")
+    w = feature_masks.reshape(feature_masks.shape + (1,))
     num = (grids * w).sum(axis=1)
     denom = ad.relu(w.sum(axis=1) - POOL_EPS) + POOL_EPS   # max(mass, eps), differentiably
     return ad.l2_normalize(num / denom, axis=-1)

@@ -16,7 +16,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -110,17 +110,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        enc = EncoderConfig(**d.pop("encoder", {}))
-        prm = PromptConfig(**d.pop("prompt", {}))
-        lw = LossWeights(**d.pop("loss", {}))
-        gen_d = dict(d.pop("generator", {}))
+        d = _known_keys(cls, d, "run config")
+        blocks = {name: _known_keys(kind, d.pop(name, {}), f"{name} block")
+                  for name, kind in _BLOCKS.items()}
+        gen = blocks["generator"]
         for key in ("single_radius", "multi_radius"):
-            if key in gen_d:
-                gen_d[key] = tuple(gen_d[key])
-        gen = GeneratorConfig(**gen_d)
-        opt = OptimConfig(**d.pop("optimizer", {}))
-        return cls(encoder=enc, prompt=prm, loss=lw, generator=gen, optimizer=opt, **d)
+            if key in gen:
+                gen[key] = tuple(gen[key])
+        return cls(**{name: _BLOCKS[name](**kw) for name, kw in blocks.items()}, **d)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n")
@@ -128,6 +125,20 @@ class RunConfig:
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+_BLOCKS = {"encoder": EncoderConfig, "prompt": PromptConfig, "loss": LossWeights,
+           "generator": GeneratorConfig, "optimizer": OptimConfig}
+
+
+def _known_keys(kind, d, where: str) -> dict:
+    """A copy of ``d`` after checking it is a mapping of ``kind``'s field names."""
+    if not isinstance(d, dict):
+        raise ContractViolation(f"{where} must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(kind)})
+    if unknown:
+        raise ContractViolation(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return dict(d)
 
 
 @dataclass
@@ -160,6 +171,16 @@ def parameter_checksum(params: dict[str, Tensor]) -> str:
         h.update(name.encode())
         h.update(params[name].data.tobytes())
     return h.hexdigest()
+
+
+def split_scenes(cfg: RunConfig) -> tuple[list[SceneSample], list[SceneSample]]:
+    """The run's training scenes, split by its seed into (train, validation)."""
+    scenes = synth.make_batch(cfg.generator, cfg.train_samples, "train",
+                              base_seed=cfg.seed)
+    split_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
+    perm = split_rng.permutation(len(scenes))
+    n_val = int(round(cfg.val_fraction * len(scenes)))
+    return [scenes[i] for i in perm[n_val:]], [scenes[i] for i in perm[:n_val]]
 
 
 def build_model(cfg: RunConfig) -> SoundLocalizer:
@@ -261,13 +282,7 @@ def train(cfg: RunConfig, write_artifacts: bool = True
         out.mkdir(parents=True, exist_ok=True)
         cfg.save(out / "config.json")
 
-    scenes = synth.make_batch(cfg.generator, cfg.train_samples, "train",
-                              base_seed=cfg.seed)
-    split_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
-    perm = split_rng.permutation(len(scenes))
-    n_val = int(round(cfg.val_fraction * len(scenes)))
-    val_scenes = [scenes[i] for i in perm[:n_val]]
-    train_scenes = [scenes[i] for i in perm[n_val:]]
+    train_scenes, val_scenes = split_scenes(cfg)
     if not train_scenes:
         raise ContractViolation("validation split left no training samples")
 
@@ -313,12 +328,7 @@ def train(cfg: RunConfig, write_artifacts: bool = True
     _snap_float32(model)
     log.frozen_checksum_after = parameter_checksum(model.encoder_parameters())
 
-    # Canonical post-snap loss on a fixed batch; a reloaded checkpoint
-    # must reproduce this number.
-    probe = (val_scenes or train_scenes)[: cfg.batch_size]
-    with ad.no_grad():
-        _, parts = batch_loss(model, *stack_batch(probe), cfg.loss)
-    log.final_loss = parts["total"]
+    log.final_loss = _probe_loss(model, cfg, train_scenes, val_scenes)
     log.wall_clock_sec = time.perf_counter() - t_start
 
     if write_artifacts:
@@ -329,13 +339,12 @@ def train(cfg: RunConfig, write_artifacts: bool = True
 
 def final_loss_of(model: SoundLocalizer, cfg: RunConfig) -> float:
     """Recompute the canonical post-training loss (see ``train``)."""
-    scenes = synth.make_batch(cfg.generator, cfg.train_samples, "train",
-                              base_seed=cfg.seed)
-    split_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
-    perm = split_rng.permutation(len(scenes))
-    n_val = int(round(cfg.val_fraction * len(scenes)))
-    val_scenes = [scenes[i] for i in perm[:n_val]]
-    train_scenes = [scenes[i] for i in perm[n_val:]]
+    return _probe_loss(model, cfg, *split_scenes(cfg))
+
+
+def _probe_loss(model: SoundLocalizer, cfg: RunConfig, train_scenes: list[SceneSample],
+                val_scenes: list[SceneSample]) -> float:
+    """Loss on a fixed batch; a reloaded checkpoint must reproduce it bit for bit."""
     probe = (val_scenes or train_scenes)[: cfg.batch_size]
     with ad.no_grad():
         _, parts = batch_loss(model, *stack_batch(probe), cfg.loss)

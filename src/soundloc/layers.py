@@ -6,6 +6,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .checkpoint import CheckpointError
 
 
 class Module:
@@ -31,10 +32,6 @@ class Module:
                 out[f"{cname}.{k}"] = v
         return out
 
-    def set_trainable(self, flag: bool) -> None:
-        for p in self.parameters().values():
-            p.requires_grad = flag
-
     def to_dtype(self, dtype) -> None:
         for p in self.parameters().values():
             p.data = p.data.astype(dtype)
@@ -42,17 +39,20 @@ class Module:
     def num_params(self) -> int:
         return sum(p.size for p in self.parameters().values())
 
-    def load_state(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copy ``state`` into the parameters; names and shapes must match exactly."""
         own = self.parameters()
+        missing = [k for k in own if k not in state]
+        unexpected = [k for k in state if k not in own]
+        misshaped = [f"{k} {tuple(state[k].shape)} where the model has {own[k].shape}"
+                     for k in own if k in state and tuple(state[k].shape) != own[k].shape]
+        problems = [f"{label}: {', '.join(names)}" for label, names in (
+            ("missing", missing), ("unexpected", unexpected), ("mis-shaped", misshaped))
+            if names]
+        if problems:
+            raise CheckpointError("state does not fit the model; " + "; ".join(problems))
         for name, tensor in own.items():
-            key = prefix + name
-            if key not in state:
-                raise KeyError(f"checkpoint missing parameter {key!r}")
-            arr = state[key]
-            if tuple(arr.shape) != tensor.shape:
-                raise ValueError(f"shape mismatch for {key!r}: "
-                                 f"{arr.shape} vs {tensor.shape}")
-            tensor.data = arr.astype(tensor.dtype)
+            tensor.data = state[name].astype(tensor.dtype)
 
 
 def normal_init(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:

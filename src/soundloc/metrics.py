@@ -193,12 +193,15 @@ def max_f1(samples: list[EvalSample]) -> Optional[float]:
     n_pos = sum(1 for s in samples if s.flags.positive)
     if n_pos == 0:
         return None
+    ranked = sorted(samples, key=lambda s: -s.confidence)
     best = 0.0
-    for t in sorted({s.confidence for s in samples}, reverse=True):
-        tp = sum(1 for s in samples if s.confidence >= t and s.flags.positive)
-        fp = sum(1 for s in samples if s.confidence >= t and not s.flags.positive)
-        fn = n_pos - tp
-        best = max(best, 2 * tp / (2 * tp + fp + fn))
+    tp = fp = 0
+    for k, s in enumerate(ranked):
+        tp += s.flags.positive
+        fp += not s.flags.positive
+        # Score a threshold only once its whole group of tied confidences is in.
+        if k + 1 == len(ranked) or ranked[k + 1].confidence != s.confidence:
+            best = max(best, 2 * tp / (2 * tp + fp + (n_pos - tp)))
     return best
 
 

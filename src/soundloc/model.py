@@ -122,7 +122,7 @@ class SoundLocalizer(Module):
     def perceive(self, images: np.ndarray, audios: np.ndarray) -> Perception:
         images_t = ad.constant(np.asarray(images, dtype=self.dtype))
         grid, pooled = self.image_encoder.forward(images_t)
-        audio_feats = self.audio_encoder.forward_batch(audios)
+        audio_feats = self.audio_encoder.forward(audios)
         return Perception(images=images_t, grid=grid, pooled=pooled,
                           audio_feats=audio_feats)
 
@@ -136,21 +136,21 @@ class SoundLocalizer(Module):
         """
         cfg = self.prompt_cfg
         if cfg.fusion_mode == "fused":
-            context = self.meta_net.forward_batch(
+            context = self.meta_net.forward(
                 prompting.fuse_features(pooled_i, audio_pooled_j))
-            return self.text_encoder.forward_batch(context)
-        context = self.meta_net.forward_batch(pooled_i)
+            return self.text_encoder.forward(context)
+        context = self.meta_net.forward(pooled_i)
         if cfg.fusion_mode == "ensemble":
             total = None
             for pos in range(1, cfg.context_length + 2):
                 variant = PromptConfig(context_length=cfg.context_length,
                                        va_position=pos, meta_mode=cfg.meta_mode)
-                tokens = prompting.assemble_prompt_batch(context, va_j, variant)
-                emb = self.text_encoder.forward_batch(tokens)
+                tokens = prompting.assemble_prompt(context, va_j, variant)
+                emb = self.text_encoder.forward(tokens)
                 total = emb if total is None else total + emb
             return total * (1.0 / (cfg.context_length + 1))
-        tokens = prompting.assemble_prompt_batch(context, va_j, cfg)
-        return self.text_encoder.forward_batch(tokens)
+        tokens = prompting.assemble_prompt(context, va_j, cfg)
+        return self.text_encoder.forward(tokens)
 
     def decode_pairs(self, percept: Perception, idx_i: np.ndarray,
                      idx_j: np.ndarray) -> PairDecode:
@@ -162,7 +162,7 @@ class SoundLocalizer(Module):
             conditions = self.prompt_embeddings(
                 percept.pooled[idx_i], None, apool[idx_j])
         else:
-            va = self.tokenizer.forward_batch(percept.audio_feats)
+            va = self.tokenizer.forward(percept.audio_feats)
             conditions = self.prompt_embeddings(
                 percept.pooled[idx_i], va[idx_j], None)
         logits = self.decoder.decode_logits(percept.grid[idx_i], conditions)
@@ -184,11 +184,9 @@ class SoundLocalizer(Module):
         diag = np.arange(b) * b + np.arange(b)
         targets = ad.l2_normalize(dec.conditions[diag], axis=-1)        # (B, d)
 
-        v_feat = grounding.masked_pool_batch(percept.grid[idx_i], dec.feature_masks)
-        masked = percept.images[idx_i] * dec.image_masks.reshape(
-            b * b, self.enc_cfg.image_size, self.enc_cfg.image_size, 1)
-        _, pooled_masked = self.image_encoder.forward(masked)
-        v_img = ad.l2_normalize(pooled_masked, axis=-1)
+        v_feat = grounding.masked_pool(percept.grid[idx_i], dec.feature_masks)
+        v_img = grounding.masked_reencode(percept.images[idx_i], dec.image_masks,
+                                          self.image_encoder)
 
         d = self.enc_cfg.embed_dim
         s_img = (v_img.reshape(b, b, d) * targets.reshape(1, b, d)).sum(axis=-1)

@@ -9,7 +9,6 @@ per-token variant with M independent bottlenecks exists for ablations.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,18 +44,6 @@ class PromptConfig:
             raise ContractViolation(f"meta_mode must be one of {META_MODES}")
 
 
-@dataclass
-class PromptSequence:
-    """M context tokens with the audio token spliced in at ``va_index``."""
-    tokens: Tensor            # (M+1, d)
-    va_index: int
-
-    def __post_init__(self):
-        n = self.tokens.shape[0]
-        if not 0 <= self.va_index < n:
-            raise ContractViolation(f"va_index {self.va_index} outside [0, {n})")
-
-
 class MetaNet(Module):
     """Base context vectors plus an image-conditioned additive correction.
 
@@ -90,7 +77,7 @@ class MetaNet(Module):
             self.w2 = self.param("w2", normal_init(rng, (n_ctx, h, d)))
             self.b2 = self.param("b2", np.zeros((n_ctx, 1, d)))
 
-    def forward_batch(self, feats: Tensor) -> Tensor:
+    def forward(self, feats: Tensor) -> Tensor:
         """(B, d) image features -> (B, M, d) conditioned context tokens."""
         if feats.ndim != 2 or feats.shape[1] != self.d:
             raise ContractViolation(f"meta-net input must be (B, {self.d}), got {feats.shape}")
@@ -104,11 +91,6 @@ class MetaNet(Module):
         x = feats.reshape(1, b, self.d)
         pi = ad.relu(x @ self.w1 + self.b1) @ self.w2 + self.b2           # (M, B, d)
         return self.base.reshape(1, m, self.d) + ad.transpose(pi, (1, 0, 2))
-
-    def forward(self, feat: Tensor) -> Tensor:
-        """(d,) image feature -> (M, d) context tokens."""
-        out = self.forward_batch(feat.reshape(1, self.d))
-        return out.reshape(self.n_ctx, self.d)
 
 
 class AudioTokenizer(Module):
@@ -138,13 +120,7 @@ class AudioTokenizer(Module):
                 f"audio features must end in dim {self.in_dim}, got {feats.shape}")
         return ad.relu(feats @ self.w1 + self.b1) @ self.w2 + self.b2
 
-    def pooling_weights(self, feats: Tensor) -> Tensor:
-        """(B, frames, in_dim) -> (B, frames) nonnegative weights summing to 1."""
-        h = self.frame_repr(feats)
-        logits = (h @ self.key_w + self.key_b) @ self.query   # (B, frames, 1)
-        return ad.softmax(logits.reshape(logits.shape[:-1]), axis=-1)
-
-    def forward_batch(self, feats: Tensor) -> Tensor:
+    def forward(self, feats: Tensor) -> Tensor:
         """(B, frames, in_dim) -> (B, d) audio tokens."""
         if feats.ndim != 3:
             raise ContractViolation(f"expected (B, frames, in_dim), got {feats.shape}")
@@ -153,37 +129,16 @@ class AudioTokenizer(Module):
         w = ad.softmax(logits, axis=-2)                       # (B, frames, 1)
         return (w * h).sum(axis=-2)
 
-    def forward(self, feats: Tensor) -> Tensor:
-        """(frames, in_dim) -> (d,) audio token."""
-        out = self.forward_batch(feats.reshape((1,) + feats.shape))
-        return out.reshape(self.d)
-
     def pooled_mean(self, feats: Tensor) -> Tensor:
         """Mean of per-frame representations; the audio side of feature fusion."""
         return self.frame_repr(feats).mean(axis=-2)
 
 
-def assemble_prompt(context: Tensor, va: Tensor, cfg: PromptConfig) -> PromptSequence:
-    """Insert the audio token so exactly ``va_position - 1`` context tokens precede it."""
-    m = cfg.context_length
-    if context.shape != (m, va.shape[-1]):
-        raise ContractViolation(
-            f"context must be ({m}, d), got {context.shape} with va {va.shape}")
-    p = cfg.va_position
-    va_row = va.reshape(1, va.shape[-1])
-    if m == 0:
-        return PromptSequence(tokens=va_row, va_index=0)
-    parts = []
-    if p > 1:
-        parts.append(context[: p - 1])
-    parts.append(va_row)
-    if p <= m:
-        parts.append(context[p - 1:])
-    return PromptSequence(tokens=ad.concat(parts, axis=0), va_index=p - 1)
+def assemble_prompt(context: Tensor, va: Tensor, cfg: PromptConfig) -> Tensor:
+    """(B, M, d) context + (B, d) audio tokens -> (B, M+1, d) prompts.
 
-
-def assemble_prompt_batch(context: Tensor, va: Tensor, cfg: PromptConfig) -> Tensor:
-    """Batched insertion: (B, M, d) + (B, d) -> (B, M+1, d)."""
+    Exactly ``va_position - 1`` context tokens precede the audio token.
+    """
     m = cfg.context_length
     if context.ndim != 3 or context.shape[1] != m:
         raise ContractViolation(f"context batch must be (B, {m}, d), got {context.shape}")
@@ -206,38 +161,3 @@ def fuse_features(image_feat: Tensor, audio_feat: Tensor) -> Tensor:
         raise ContractViolation(
             f"fuse_features: shapes differ, {image_feat.shape} vs {audio_feat.shape}")
     return image_feat + audio_feat
-
-
-def category_probabilities(x: Tensor, prompt_embeddings: Tensor, tau: float) -> Tensor:
-    """Softmax over cosine similarities between ``x`` and C prompt embeddings.
-
-    ``prompt_embeddings`` is (C, d) as produced by the text encoder (already
-    unit-norm); ``x`` is normalized here so the logits are cosines / tau.
-    """
-    if tau <= 0:
-        raise ContractViolation(f"temperature must be positive, got {tau}")
-    if prompt_embeddings.ndim != 2:
-        raise ContractViolation(
-            f"prompt embeddings must be (C, d), got {prompt_embeddings.shape}")
-    xn = ad.l2_normalize(x.reshape(1, x.shape[-1]), axis=-1)
-    en = ad.l2_normalize(prompt_embeddings, axis=-1)
-    sims = (xn @ ad.transpose(en, (1, 0))).reshape(prompt_embeddings.shape[0])
-    return ad.softmax(sims * (1.0 / tau), axis=-1)
-
-
-def cross_entropy(y: np.ndarray, p: Tensor) -> Tensor:
-    """-sum(y * log p) for a one-hot target; tiny probabilities are clamped."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != p.shape:
-        raise ContractViolation(f"cross_entropy: shapes differ, {y.shape} vs {p.shape}")
-    if not (np.all((y == 0) | (y == 1)) and y.sum() == 1):
-        raise ContractViolation("cross_entropy: target must be one-hot")
-    if abs(float(p.data.sum()) - 1.0) > 1e-6:
-        raise ContractViolation(
-            f"cross_entropy: probabilities sum to {float(p.data.sum())}, not 1")
-    floor = 1e-12
-    if float(p.data[int(np.argmax(y))]) < floor:
-        warnings.warn("cross_entropy: true-class probability clamped at 1e-12",
-                      RuntimeWarning, stacklevel=2)
-    safe = ad.masked_fill(p, p.data < floor, floor)
-    return -(ad.constant(y) * ad.log(safe)).sum()

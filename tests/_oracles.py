@@ -194,6 +194,18 @@ def loc_acc_loops(samples, threshold=0.5):
     return ciou_loops(positives, threshold)
 
 
+# -- mask-grounded pooling ----------------------------------------------------
+
+def masked_pool_loops(cells, mask):
+    """Unit-norm mask-weighted mean of (cells, d) features; scalar loops."""
+    n, d = len(cells), len(cells[0])
+    mass = sum(float(w) for w in mask)
+    pooled = [sum(float(cells[i][k]) * float(mask[i]) for i in range(n)) / mass
+              for k in range(d)]
+    norm = math.sqrt(sum(v * v for v in pooled))
+    return [v / norm for v in pooled]
+
+
 # -- image resizing ----------------------------------------------------------
 
 def bilinear_loops(img, out_h, out_w):

@@ -302,7 +302,7 @@ def test_criterion_5_causal_prefix_invariance():
             for _ in range(50):
                 ctx = ad.constant(rng.normal(size=(m, d)))
                 va = ad.constant(rng.normal(size=d))
-                tokens = assemble_prompt(ctx, va, pcfg).tokens.data
+                tokens = assemble_prompt(ctx[None], va[None], pcfg)[0].data
                 t = tokens.shape[0]
                 if t == 1:
                     # A one-token prompt has no suffix to perturb, so the
@@ -314,10 +314,8 @@ def test_criterion_5_causal_prefix_invariance():
                     k = int(rng.integers(1, t))
                     other = tokens.copy()
                     other[k:] += rng.normal(size=(t - k, d))
-                _, hid_a = enc.forward_batch(ad.constant(tokens[None]),
-                                             return_hidden=True)
-                _, hid_b = enc.forward_batch(ad.constant(other[None]),
-                                             return_hidden=True)
+                _, hid_a = enc.forward(ad.constant(tokens[None]), return_hidden=True)
+                _, hid_b = enc.forward(ad.constant(other[None]), return_hidden=True)
                 for ha, hb in zip(hid_a, hid_b):
                     checked += 1
                     if not np.array_equal(ha.data[0, :k], hb.data[0, :k]):
@@ -346,12 +344,12 @@ def test_criterion_6_prompt_mechanics():
     va = ad.constant(np.full(d, -1.0))
     bad_orders = []
     for p, printed in PRINTED_ORDERS.items():
-        seq = assemble_prompt(ctx, va, PromptConfig(context_length=4,
-                                                    va_position=p))
+        tokens = assemble_prompt(ctx[None], va[None], PromptConfig(context_length=4,
+                                                                   va_position=p))[0].data
         labels = "".join(
             "[V_A]" if row[0] == -1.0 else f"[V_{int(row[0])}]"
-            for row in seq.tokens.data)
-        if labels != printed or seq.va_index != p - 1:
+            for row in tokens)
+        if labels != printed or not np.array_equal(tokens[p - 1], va.data):
             bad_orders.append(p)
     widths_ok = all(
         MetaNet(4, dim, np.random.default_rng(0)).hidden == dim // 16

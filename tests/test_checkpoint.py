@@ -1,11 +1,13 @@
 """Checkpoint container round-trips and corruption handling."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from soundloc.checkpoint import MAGIC, VERSION, CheckpointError, load_checkpoint, save_checkpoint
+from soundloc.grounding import MaskDecoder
 
 
 @pytest.fixture
@@ -70,6 +72,13 @@ def test_unknown_version_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_file_shorter_than_header_rejected(tmp_path):
+    path = tmp_path / "m.splt"
+    path.write_bytes(MAGIC + b"\x01")
+    with pytest.raises(CheckpointError, match="8-byte header"):
+        load_checkpoint(path)
+
+
 def test_truncated_payload_rejected(tmp_path, params):
     path = tmp_path / "m.splt"
     save_checkpoint(path, params)
@@ -89,3 +98,17 @@ def test_insertion_order_is_preserved(tmp_path):
     path = tmp_path / "m.splt"
     save_checkpoint(path, {"z": np.zeros(1, np.float32), "a": np.ones(1, np.float32)})
     assert list(load_checkpoint(path)) == ["z", "a"]
+
+
+@pytest.mark.parametrize("change,problem", [
+    (lambda st: st.update(extra=np.zeros(1)), "unexpected: extra"),
+    (lambda st: st.pop("head_b"), "missing: head_b"),
+    (lambda st: st.update(head_w=np.zeros((4, 1))),
+     "mis-shaped: head_w (4, 1) where the model has (8, 1)"),
+], ids=["extra", "missing", "misshaped"])
+def test_load_state_rejects_a_state_that_does_not_fit(change, problem):
+    dec = MaskDecoder(8, 2, np.random.default_rng(0))
+    state = {k: t.data.copy() for k, t in dec.parameters().items()}
+    change(state)
+    with pytest.raises(CheckpointError, match=re.escape(problem)):
+        dec.load_state(state)

@@ -147,22 +147,22 @@ class TestAudioEncoder:
         enc = AudioEncoder(cfg, _rng())
         rng = np.random.default_rng(43)
         clip = rng.standard_normal(8000)
-        out = enc.encode(clip)
+        out = enc.forward(clip[None])[0]
         assert np.array_equal(out.data, audiofeat.frame_energies(clip))
 
     def test_batch_shape_and_validation(self, cfg):
         enc = AudioEncoder(cfg, _rng())
-        out = enc.forward_batch(np.zeros((3, 8000)))
+        out = enc.forward(np.zeros((3, 8000)))
         assert out.shape == (3, 8, 16)
         with pytest.raises(ContractViolation):
-            enc.forward_batch(np.zeros((3, 4000)))
+            enc.forward(np.zeros((3, 4000)))
 
 
 class TestTextEncoder:
     def test_unit_norm_output(self, cfg):
         enc = TextEncoder(cfg, _rng())
         tokens = Tensor(np.random.default_rng(44).standard_normal((5, 7, 64)) * 0.02)
-        out = enc.forward_batch(tokens)
+        out = enc.forward(tokens)
         assert out.shape == (5, 64)
         assert np.allclose(np.linalg.norm(out.data, axis=-1), 1.0, atol=1e-12)
 
@@ -175,8 +175,8 @@ class TestTextEncoder:
         for cut in (1, 4, 8):
             junk = base.copy()
             junk[:, cut:, :] = rng.standard_normal((2, 9 - cut, 64)) * 50.0
-            _, h0 = enc.forward_batch(Tensor(base), return_hidden=True)
-            _, h1 = enc.forward_batch(Tensor(junk), return_hidden=True)
+            _, h0 = enc.forward(Tensor(base), return_hidden=True)
+            _, h1 = enc.forward(Tensor(junk), return_hidden=True)
             for a, b in zip(h0, h1):
                 assert np.array_equal(a.data[:, :cut, :], b.data[:, :cut, :])
 
@@ -191,20 +191,22 @@ class TestTextEncoder:
         base = rng.standard_normal((1, 5, 64)) * 0.02
         other = base.copy()
         other[0, -1, 3] += 0.5
-        a = enc.forward_batch(Tensor(base)).data
-        b = enc.forward_batch(Tensor(other)).data
+        a = enc.forward(Tensor(base)).data
+        b = enc.forward(Tensor(other)).data
         assert np.abs(a - b).max() > 1e-6
 
     def test_sequence_length_bounds(self, cfg):
         enc = TextEncoder(cfg, _rng())
         with pytest.raises(ContractViolation):
-            enc.forward_batch(Tensor(np.zeros((1, 33, 64))))
+            enc.forward(Tensor(np.zeros((1, 33, 64))))
         with pytest.raises(ContractViolation):
-            enc.forward_batch(Tensor(np.zeros((1, 5, 32))))
+            enc.forward(Tensor(np.zeros((1, 5, 32))))
 
     def test_single_and_batch_agree(self, cfg):
+        """A sequence encoded alone (B = 1) matches its row in a larger batch."""
         enc = TextEncoder(cfg, _rng())
-        tokens = np.random.default_rng(47).standard_normal((6, 64)) * 0.02
-        single = enc.encode(Tensor(tokens)).data
-        batched = enc.forward_batch(Tensor(tokens[None]))[0].data
-        assert np.allclose(single, batched, atol=1e-12)
+        tokens = np.random.default_rng(47).standard_normal((3, 6, 64)) * 0.02
+        batched = enc.forward(Tensor(tokens)).data
+        for i in range(3):
+            single = enc.forward(Tensor(tokens[i:i + 1]))[0].data
+            assert np.allclose(single, batched[i], atol=1e-12)

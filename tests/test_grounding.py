@@ -12,25 +12,30 @@ import pytest
 
 from soundloc import autodiff as ad
 from soundloc.autodiff import ContractViolation
-from soundloc.encoders import EncoderConfig, ImageEncoder, SpatialFeatures
-from soundloc.grounding import (
-    MaskDecoder,
-    decode_mask,
-    grounded_embedding_feature,
-    grounded_embedding_image,
-    masked_pool_batch,
-)
+from soundloc.encoders import EncoderConfig, ImageEncoder
+from soundloc.grounding import MaskDecoder, masked_pool, masked_reencode
 from soundloc.model import SoundLocalizer
 from soundloc.prompting import PromptConfig
 
-from _oracles import bilinear_loops
+from _oracles import bilinear_loops, masked_pool_loops
 
 
-def _feats(g, d, seed):
-    rng = np.random.default_rng(seed)
-    grid = rng.normal(size=(g, g, d))
-    return SpatialFeatures(grid=ad.constant(grid),
-                           global_feat=ad.constant(grid.mean(axis=(0, 1))))
+def _grid(cells, d, seed):
+    """One image's (1, cells, d) grid features."""
+    return ad.constant(np.random.default_rng(seed).normal(size=(1, cells, d)))
+
+
+def _count_decodes(monkeypatch) -> list[int]:
+    """Record the batch size of every ``MaskDecoder.decode_logits`` call."""
+    counted = []
+    real = MaskDecoder.decode_logits
+
+    def spy(self, grid, cond):
+        counted.append(grid.shape[0])
+        return real(self, grid, cond)
+
+    monkeypatch.setattr(MaskDecoder, "decode_logits", spy)
+    return counted
 
 
 class TestMaskDecoder:
@@ -54,15 +59,6 @@ class TestMaskDecoder:
         b = dec.decode_logits(grid, ad.constant(rng.normal(size=(1, 8)))).data
         assert np.abs(a - b).max() > 1e-6
 
-    def test_decode_count_tracks_batch(self):
-        dec = MaskDecoder(8, 2, np.random.default_rng(8))
-        grid = ad.constant(np.zeros((5, 4, 8)))
-        cond = ad.constant(np.zeros((5, 8)))
-        dec.decode_logits(grid, cond)
-        assert dec.decode_count == 5
-        dec.decode_logits(grid, cond)
-        assert dec.decode_count == 10
-
     @pytest.mark.parametrize("grid_shape,cond_shape", [
         ((4, 8), (1, 8)),        # grid not batched
         ((1, 4, 8), (8,)),       # condition not batched
@@ -76,13 +72,21 @@ class TestMaskDecoder:
 
 
 class TestDecodeMask:
+    """Masks from ``SoundLocalizer.decode_pairs`` for one (image, audio) pair,
+    on a tiny model whose 8x8 images give a 2x2 cell grid."""
+
+    def _decode(self, seed):
+        model = SoundLocalizer(EncoderConfig(embed_dim=16, image_size=8, patch_size=4,
+                                             text_heads=2), PromptConfig(), seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        percept = model.perceive(rng.uniform(size=(1, 8, 8, 3)), rng.normal(size=(1, 8000)))
+        return model.decode_pairs(percept, np.arange(1), np.arange(1))
+
     def test_output_ranges_and_shapes(self):
-        dec = MaskDecoder(8, 2, np.random.default_rng(10))
-        feats = _feats(2, 8, 11)
-        mask = decode_mask(feats, ad.constant(np.zeros(8)), dec, image_size=4)
-        assert mask.feature_mask.shape == (2, 2)
-        assert mask.image_mask.shape == (4, 4)
-        for arr in (mask.feature_mask.data, mask.image_mask.data):
+        dec = self._decode(10)
+        assert dec.feature_masks.shape == (1, 4)
+        assert dec.image_masks.shape == (1, 8, 8)
+        for arr in (dec.feature_masks.data, dec.image_masks.data):
             assert np.all(arr > 0) and np.all(arr < 1)
 
     def test_upsample_then_sigmoid_order(self):
@@ -90,19 +94,14 @@ class TestDecodeMask:
         upsample(sigmoid(logits)); verified against the loop-based
         bilinear oracle on the decoder's actual 2x2 logits.
         """
-        dec = MaskDecoder(8, 2, np.random.default_rng(12))
-        feats = _feats(2, 8, 13)
-        cond = ad.constant(np.random.default_rng(14).normal(size=8))
-        mask = decode_mask(feats, cond, dec, image_size=4)
-
-        logits = dec.decode_logits(feats.grid.reshape(1, 4, 8),
-                                   cond.reshape(1, 8)).data.reshape(2, 2)
-        expected = 1.0 / (1.0 + np.exp(-bilinear_loops(logits, 4, 4)))
-        np.testing.assert_allclose(mask.image_mask.data, expected,
-                                   atol=1e-12, rtol=0)
+        dec = self._decode(12)
+        image_mask = dec.image_masks.data[0]
+        logits = dec.logits.data.reshape(2, 2)
+        expected = 1.0 / (1.0 + np.exp(-bilinear_loops(logits, 8, 8)))
+        np.testing.assert_allclose(image_mask, expected, atol=1e-12, rtol=0)
         # The other composition order gives a genuinely different mask.
-        other = bilinear_loops(1.0 / (1.0 + np.exp(-logits)), 4, 4)
-        assert np.abs(mask.image_mask.data - other).max() > 1e-9
+        other = bilinear_loops(1.0 / (1.0 + np.exp(-logits)), 8, 8)
+        assert np.abs(image_mask - other).max() > 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -116,69 +115,63 @@ def model():
 
 
 class TestGroundedEmbeddingImage:
+    """``masked_reencode`` on a batch of one image."""
+
     def _image(self, seed=21):
-        return ad.constant(np.random.default_rng(seed).uniform(size=(32, 32, 3)))
+        return ad.constant(np.random.default_rng(seed).uniform(size=(1, 32, 32, 3)))
 
     def test_full_mask_is_plain_embedding(self, encoder):
         img = self._image()
-        v = grounded_embedding_image(img, ad.constant(np.ones((32, 32))), encoder)
-        plain = ad.l2_normalize(encoder.encode(img).global_feat, axis=-1)
+        v = masked_reencode(img, ad.constant(np.ones((1, 32, 32))), encoder)
+        plain = ad.l2_normalize(encoder.forward(img)[1], axis=-1)
         np.testing.assert_allclose(v.data, plain.data, atol=1e-12, rtol=0)
 
     def test_zero_mask_is_blank_image_embedding(self, encoder):
-        v = grounded_embedding_image(self._image(), ad.constant(np.zeros((32, 32))),
-                                     encoder)
+        v = masked_reencode(self._image(), ad.constant(np.zeros((1, 32, 32))), encoder)
         blank = ad.l2_normalize(
-            encoder.encode(ad.constant(np.zeros((32, 32, 3)))).global_feat, axis=-1)
+            encoder.forward(ad.constant(np.zeros((1, 32, 32, 3))))[1], axis=-1)
         np.testing.assert_allclose(v.data, blank.data, atol=1e-12, rtol=0)
 
     def test_unit_norm(self, encoder):
-        mask = ad.constant(np.random.default_rng(22).uniform(size=(32, 32)))
-        v = grounded_embedding_image(self._image(23), mask, encoder)
+        mask = ad.constant(np.random.default_rng(22).uniform(size=(1, 32, 32)))
+        v = masked_reencode(self._image(23), mask, encoder)
         assert abs(np.linalg.norm(v.data) - 1.0) < 1e-9
 
     def test_misaligned_mask_rejected(self, encoder):
         with pytest.raises(ContractViolation):
-            grounded_embedding_image(self._image(), ad.constant(np.ones((16, 16))),
-                                     encoder)
+            masked_reencode(self._image(), ad.constant(np.ones((1, 16, 16))), encoder)
 
 
 class TestGroundedEmbeddingFeature:
+    """``masked_pool`` on one 4x4 grid of 8-dim cells."""
+
     def test_one_hot_mask_selects_cell(self):
-        feats = _feats(4, 8, 30)
-        mask = np.zeros((4, 4))
-        mask[1, 2] = 1.0
-        v = grounded_embedding_feature(feats, ad.constant(mask)).data
-        cell = feats.grid.data[1, 2]
+        grid = _grid(16, 8, 30)
+        mask = np.zeros((1, 16))
+        mask[0, 6] = 1.0
+        v = masked_pool(grid, ad.constant(mask)).data[0]
+        cell = grid.data[0, 6]
         np.testing.assert_allclose(v, cell / np.linalg.norm(cell),
                                    atol=1e-12, rtol=0)
 
     def test_uniform_mask_is_mean_direction(self):
-        feats = _feats(4, 8, 31)
-        v = grounded_embedding_feature(feats, ad.constant(np.ones((4, 4)))).data
-        mean = feats.grid.data.reshape(16, 8).mean(axis=0)
+        grid = _grid(16, 8, 31)
+        v = masked_pool(grid, ad.constant(np.ones((1, 16)))).data[0]
+        mean = grid.data[0].mean(axis=0)
         np.testing.assert_allclose(v, mean / np.linalg.norm(mean),
                                    atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("k", [1e-2, 0.5, 3.0, 1e3])
     def test_positive_scaling_invariance(self, k):
-        feats = _feats(4, 8, 32)
-        mask = np.random.default_rng(33).uniform(0.1, 1.0, size=(4, 4))
-        base = grounded_embedding_feature(feats, ad.constant(mask)).data
-        scaled = grounded_embedding_feature(feats, ad.constant(k * mask)).data
+        grid = _grid(16, 8, 32)
+        mask = np.random.default_rng(33).uniform(0.1, 1.0, size=(1, 16))
+        base = masked_pool(grid, ad.constant(mask)).data
+        scaled = masked_pool(grid, ad.constant(k * mask)).data
         np.testing.assert_allclose(scaled, base, atol=1e-9, rtol=0)
-
-    def test_zero_mass_degenerates_to_mean(self):
-        feats = _feats(4, 8, 34)
-        v = grounded_embedding_feature(feats, ad.constant(np.zeros((4, 4)))).data
-        mean = feats.grid.data.reshape(16, 8).mean(axis=0)
-        np.testing.assert_allclose(v, mean / np.linalg.norm(mean),
-                                   atol=1e-12, rtol=0)
 
     def test_mask_shape_checked(self):
         with pytest.raises(ContractViolation):
-            grounded_embedding_feature(_feats(4, 8, 35),
-                                       ad.constant(np.ones((3, 3))))
+            masked_pool(_grid(16, 8, 35), ad.constant(np.ones((1, 9))))
 
 
 class TestMaskedPoolBatch:
@@ -186,18 +179,15 @@ class TestMaskedPoolBatch:
         rng = np.random.default_rng(40)
         grids = rng.normal(size=(5, 16, 8))
         masks = rng.uniform(0.05, 0.95, size=(5, 16))
-        batch = masked_pool_batch(ad.constant(grids), ad.constant(masks)).data
+        batch = masked_pool(ad.constant(grids), ad.constant(masks)).data
         for i in range(5):
-            feats = SpatialFeatures(grid=ad.constant(grids[i].reshape(4, 4, 8)),
-                                    global_feat=ad.constant(np.zeros(8)))
-            single = grounded_embedding_feature(
-                feats, ad.constant(masks[i].reshape(4, 4))).data
-            np.testing.assert_allclose(batch[i], single, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(batch[i], masked_pool_loops(grids[i], masks[i]),
+                                       atol=1e-12, rtol=0)
 
     def test_rows_unit_norm(self):
         rng = np.random.default_rng(41)
-        out = masked_pool_batch(ad.constant(rng.normal(size=(3, 9, 4))),
-                                ad.constant(rng.uniform(0.1, 1, size=(3, 9)))).data
+        out = masked_pool(ad.constant(rng.normal(size=(3, 9, 4))),
+                          ad.constant(rng.uniform(0.1, 1, size=(3, 9)))).data
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0,
                                    atol=1e-9, rtol=0)
 
@@ -209,12 +199,12 @@ class TestSimilarityTables:
         audios = rng.normal(size=(b, 8000))
         return images, audios
 
-    def test_all_pairs_decoded_exactly_once(self, model):
+    def test_all_pairs_decoded_exactly_once(self, model, monkeypatch):
         images, audios = self._batch(3)
         percept = model.perceive(images, audios)
-        before = model.decoder.decode_count
+        counted = _count_decodes(monkeypatch)
         s_img, s_feat, stats, _ = model.similarity_tables(percept)
-        assert model.decoder.decode_count - before == 9
+        assert sum(counted) == 9
         assert s_img.shape == (3, 3) and s_feat.shape == (3, 3)
         assert stats.pair_mean_mask.shape == (3, 3)
 
@@ -243,11 +233,11 @@ class TestSimilarityTables:
             assert np.array_equal(table[0], table[1])
             assert np.array_equal(table[:, 0], table[:, 1])
 
-    def test_predict_masks_diagonal_only(self, model):
+    def test_predict_masks_diagonal_only(self, model, monkeypatch):
         images, audios = self._batch(3, seed=54)
-        before = model.decoder.decode_count
+        counted = _count_decodes(monkeypatch)
         masks = model.predict_masks(images, audios)
-        assert model.decoder.decode_count - before == 3
+        assert sum(counted) == 3
         assert masks.shape == (3, 32, 32)
         assert np.all(masks > 0) and np.all(masks < 1)
 
@@ -263,13 +253,13 @@ class TestFusionModes:
         model = SoundLocalizer(EncoderConfig(),
                                PromptConfig(fusion_mode="fused"), seed=8)
         seen = []
-        orig = model.text_encoder.forward_batch
+        orig = model.text_encoder.forward
 
         def spy(tokens, **kw):
             seen.append(tokens.shape)
             return orig(tokens, **kw)
 
-        model.text_encoder.forward_batch = spy
+        model.text_encoder.forward = spy
         images, audios = self._batch(2)
         model.similarity_tables(model.perceive(images, audios))
         assert all(shape[1] == 4 for shape in seen)
@@ -292,13 +282,13 @@ class TestFusionModes:
         model = SoundLocalizer(EncoderConfig(),
                                PromptConfig(fusion_mode="ensemble"), seed=9)
         seen = []
-        orig = model.text_encoder.forward_batch
+        orig = model.text_encoder.forward
 
         def spy(tokens, **kw):
             seen.append(tokens.shape)
             return orig(tokens, **kw)
 
-        model.text_encoder.forward_batch = spy
+        model.text_encoder.forward = spy
         images, audios = self._batch(2, seed=61)
         s_img, _, _, _ = model.similarity_tables(model.perceive(images, audios))
         assert len(seen) == 5

@@ -368,6 +368,15 @@ class TestCli:
         bad.write_text(json.dumps(d))
         assert main(["train", "--config", str(bad)]) == 2
         assert "contract violation" in capsys.readouterr().err
+        # Unknown keys, at top level and inside every block, are named.
+        for block in (None, "encoder", "prompt", "loss", "generator", "optimizer"):
+            d = RunConfig().to_dict()
+            (d if block is None else d[block])["bogus"] = 1
+            bad.write_text(json.dumps(d))
+            assert main(["train", "--config", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("contract violation: unknown key(s)"), err
+            assert "bogus" in err and err.count("\n") == 1
 
     def test_missing_sibling_config_exits_2(self, tmp_path, capsys):
         ckpt = tmp_path / "model.splt"
@@ -375,13 +384,32 @@ class TestCli:
         assert main(["eval", "--ckpt", str(ckpt),
                      "--benchmark", "s4-analog"]) == 2
 
-    def test_io_errors_exit_3(self, tmp_path, capsys):
+    def test_io_errors_exit_3(self, cli_run, tmp_path, capsys):
         garbled = tmp_path / "config.json"
         garbled.write_text("{not json")
         assert main(["train", "--config", str(garbled)]) == 3
         assert main(["eval", "--ckpt", str(tmp_path / "missing.splt"),
                      "--config", str(tmp_path / "nowhere.json"),
                      "--benchmark", "s4-analog"]) == 3
+        capsys.readouterr()
+        # A checkpoint that does not fit the configured model, and one
+        # shorter than its header: one line on stderr, no traceback.
+        cfg_path, out = cli_run
+        d = RunConfig.load(cfg_path).to_dict()
+        d["prompt"]["context_length"] = 8
+        d["prompt"]["va_position"] = 9
+        wider = tmp_path / "wider.json"
+        wider.write_text(json.dumps(d))
+        short = tmp_path / "short.splt"
+        short.write_bytes(b"SPLT\x01")
+        for ckpt, cfg, reason in (
+                (out / "model.splt", wider, "meta_net.base (4, 64) where the model has (8, 64)"),
+                (short, cfg_path, "shorter than the 8-byte header")):
+            assert main(["eval", "--ckpt", str(ckpt), "--config", str(cfg),
+                         "--benchmark", "s4-analog", "--out", str(tmp_path)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("i/o error: ") and err.count("\n") == 1, err
+            assert reason in err
 
     def test_training_abort_exits_1(self, cli_run, monkeypatch, capsys):
         cfg_path, _ = cli_run

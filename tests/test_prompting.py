@@ -1,40 +1,29 @@
 """Tests for the prompt-learning layer: conditioned context tokens, the
-audio tokenizer, prompt assembly, fusion, and the category-probability /
-cross-entropy pair.
+audio tokenizer, prompt assembly, fusion, and gradient flow from the
+training loss into the prompt parameters.
 
-Derived reference values (softmax of the two-similarity case and its
-cross-entropy) were computed with ``math.exp`` / ``math.log`` on scalars
-and frozen below; the package result must agree with that independent
-evaluation, not merely with itself.
+Every stage is batched; a single sample is a batch of one.
 """
-
-import math
 
 import numpy as np
 import pytest
 
 from soundloc import autodiff as ad
 from soundloc.autodiff import ContractViolation
-from soundloc.encoders import EncoderConfig, TextEncoder
+from soundloc.encoders import EncoderConfig
+from soundloc.harness import batch_loss
+from soundloc.losses import LossWeights
+from soundloc.model import SoundLocalizer
 from soundloc.prompting import (
     AudioTokenizer,
     MetaNet,
     PromptConfig,
-    PromptSequence,
     assemble_prompt,
-    assemble_prompt_batch,
-    category_probabilities,
-    cross_entropy,
     fuse_features,
 )
 
 D = 64
 RNG = lambda s: np.random.default_rng(s)  # noqa: E731
-
-
-# Frozen scalar oracles: softmax([0.8, 0.2]) and -ln of its first entry.
-SOFTMAX_08_02 = (0.6456563062257954, 0.3543436937742045)
-CE_08_02 = 0.43748795048588573
 
 
 class TestPromptConfig:
@@ -59,12 +48,6 @@ class TestPromptConfig:
         with pytest.raises(ContractViolation):
             PromptConfig(**kwargs)
 
-    def test_prompt_sequence_index_bounds(self):
-        toks = ad.constant(np.zeros((5, D)))
-        PromptSequence(tokens=toks, va_index=4)
-        with pytest.raises(ContractViolation):
-            PromptSequence(tokens=toks, va_index=5)
-
 
 class TestMetaNet:
     def test_hidden_width_is_one_sixteenth(self):
@@ -81,8 +64,8 @@ class TestMetaNet:
         net = MetaNet(4, D, RNG(1))
         net.w2.data[:] = 0.0
         net.b2.data[:] = 0.0
-        x = ad.constant(RNG(2).normal(size=D))
-        out = net.forward(x)
+        x = ad.constant(RNG(2).normal(size=(1, D)))
+        out = net.forward(x)[0]
         assert np.array_equal(out.data, net.base.data)
 
     def test_correction_shared_across_rows(self):
@@ -90,37 +73,39 @@ class TestMetaNet:
         # over all M rows: the meta-token is shared.
         net = MetaNet(6, D, RNG(3))
         rng = RNG(4)
-        a = net.forward(ad.constant(rng.normal(size=D))).data
-        b = net.forward(ad.constant(rng.normal(size=D))).data
+        a = net.forward(ad.constant(rng.normal(size=(1, D)))).data[0]
+        b = net.forward(ad.constant(rng.normal(size=(1, D)))).data[0]
         diff = a - b
         for row in diff[1:]:
             np.testing.assert_allclose(row, diff[0], atol=1e-12, rtol=0)
 
     def test_output_minus_base_shared_across_rows(self):
         net = MetaNet(5, D, RNG(5))
-        out = net.forward(ad.constant(RNG(6).normal(size=D))).data
+        out = net.forward(ad.constant(RNG(6).normal(size=(1, D)))).data[0]
         delta = out - net.base.data
         for row in delta[1:]:
             np.testing.assert_allclose(row, delta[0], atol=1e-12, rtol=0)
 
-    def test_forward_matches_forward_batch(self):
-        net = MetaNet(4, D, RNG(7))
+    @pytest.mark.parametrize("mode", ["shared", "per_token"])
+    def test_batch_rows_are_independent(self, mode):
+        # Each row of a batch equals that image's features run alone.
+        net = MetaNet(4, D, RNG(7), mode=mode)
         xs = RNG(8).normal(size=(3, D))
-        batch = net.forward_batch(ad.constant(xs)).data
+        batch = net.forward(ad.constant(xs)).data
         for i in range(3):
-            single = net.forward(ad.constant(xs[i])).data
+            single = net.forward(ad.constant(xs[i:i + 1])).data[0]
             np.testing.assert_allclose(single, batch[i], atol=1e-14, rtol=0)
 
     def test_zero_context_length(self):
         net = MetaNet(0, D, RNG(9))
-        out = net.forward_batch(ad.constant(np.zeros((2, D))))
+        out = net.forward(ad.constant(np.zeros((2, D))))
         assert out.shape == (2, 0, D)
 
     def test_per_token_mode_breaks_sharing(self):
         # Independent per-row bottlenecks: the correction generically
         # differs between rows.
         net = MetaNet(4, D, RNG(10), mode="per_token")
-        out = net.forward(ad.constant(RNG(11).normal(size=D))).data
+        out = net.forward(ad.constant(RNG(11).normal(size=(1, D)))).data[0]
         delta = out - net.base.data
         assert np.abs(delta[0] - delta[1]).max() > 1e-6
 
@@ -128,13 +113,13 @@ class TestMetaNet:
         net = MetaNet(3, D, RNG(12), mode="per_token")
         net.w2.data[:] = 0.0
         net.b2.data[:] = 0.0
-        out = net.forward(ad.constant(RNG(13).normal(size=D)))
+        out = net.forward(ad.constant(RNG(13).normal(size=(1, D))))[0]
         assert np.array_equal(out.data, net.base.data)
 
     def test_input_shape_checked(self):
         net = MetaNet(4, D, RNG(14))
         with pytest.raises(ContractViolation):
-            net.forward_batch(ad.constant(np.zeros((2, D + 1))))
+            net.forward(ad.constant(np.zeros((2, D + 1))))
 
 
 def _transparent_tokenizer(d: int, offset: float = 5.0) -> AudioTokenizer:
@@ -159,19 +144,10 @@ class TestAudioTokenizer:
     def test_identical_frames_pool_to_one_frame(self):
         tok = AudioTokenizer(16, D, RNG(20))
         frame = RNG(21).normal(size=16)
-        feats = ad.constant(np.tile(frame, (8, 1)))
-        pooled = tok.forward(feats).data
+        feats = ad.constant(np.tile(frame, (1, 8, 1)))
+        pooled = tok.forward(feats).data[0]
         single = tok.frame_repr(ad.constant(frame.reshape(1, 16))).data[0]
         np.testing.assert_allclose(pooled, single, atol=1e-12, rtol=0)
-
-    def test_pooling_weights_simplex(self):
-        tok = AudioTokenizer(16, D, RNG(22))
-        for seed in range(5):
-            feats = ad.constant(RNG(100 + seed).normal(size=(3, 8, 16)))
-            w = tok.pooling_weights(feats).data
-            assert w.shape == (3, 8)
-            assert np.all(w >= 0)
-            np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9, rtol=0)
 
     def test_dominant_logit_saturates_pooling(self):
         # Frame 3 gets an attention logit 1e3 above every other frame, so
@@ -181,18 +157,17 @@ class TestAudioTokenizer:
         feats = np.zeros((6, d))
         feats[3, 0] = 1e3
         feats[:, 1] = np.arange(6.0)          # make the frames distinguishable
-        out = tok.forward(ad.constant(feats)).data
+        out = tok.forward(ad.constant(feats[None])).data[0]
         target = tok.frame_repr(ad.constant(feats[3:4])).data[0]
         np.testing.assert_allclose(out, target, atol=1e-6, rtol=0)
-        w = tok.pooling_weights(ad.constant(feats[None])).data[0]
-        assert w[3] > 1.0 - 1e-6
 
-    def test_forward_matches_forward_batch(self):
+    def test_batch_rows_are_independent(self):
+        # Each row of a batch equals that clip's features pooled alone.
         tok = AudioTokenizer(16, D, RNG(23))
         feats = RNG(24).normal(size=(4, 8, 16))
-        batch = tok.forward_batch(ad.constant(feats)).data
+        batch = tok.forward(ad.constant(feats)).data
         for i in range(4):
-            single = tok.forward(ad.constant(feats[i])).data
+            single = tok.forward(ad.constant(feats[i:i + 1])).data[0]
             np.testing.assert_allclose(single, batch[i], atol=1e-14, rtol=0)
 
     def test_pooled_mean_is_frame_mean(self):
@@ -205,44 +180,42 @@ class TestAudioTokenizer:
     def test_feature_dim_checked(self):
         tok = AudioTokenizer(16, D, RNG(27))
         with pytest.raises(ContractViolation):
-            tok.forward(ad.constant(np.zeros((8, 15))))
+            tok.forward(ad.constant(np.zeros((1, 8, 15))))
 
 
 class TestAssemblePrompt:
+    """Each prompt is checked as a batch of one; row ``p - 1`` is ``[V_A]``."""
+
     def _ctx_va(self, m, d=D, seed=30):
         rng = RNG(seed)
-        return ad.constant(rng.normal(size=(m, d))), ad.constant(rng.normal(size=d))
+        return ad.constant(rng.normal(size=(1, m, d))), ad.constant(rng.normal(size=(1, d)))
 
     def test_va_last(self):
         ctx, va = self._ctx_va(4)
-        seq = assemble_prompt(ctx, va, PromptConfig(context_length=4, va_position=5))
-        assert seq.tokens.shape == (5, D)
-        assert seq.va_index == 4
-        assert np.array_equal(seq.tokens.data[:4], ctx.data)
-        assert np.array_equal(seq.tokens.data[4], va.data)
+        tokens = assemble_prompt(ctx, va, PromptConfig(context_length=4, va_position=5))
+        assert tokens.shape == (1, 5, D)
+        assert np.array_equal(tokens.data[0, :4], ctx.data[0])
+        assert np.array_equal(tokens.data[0, 4], va.data[0])
 
     def test_va_first(self):
         ctx, va = self._ctx_va(4)
-        seq = assemble_prompt(ctx, va, PromptConfig(context_length=4, va_position=1))
-        assert seq.va_index == 0
-        assert np.array_equal(seq.tokens.data[0], va.data)
-        assert np.array_equal(seq.tokens.data[1:], ctx.data)
+        tokens = assemble_prompt(ctx, va, PromptConfig(context_length=4, va_position=1)).data[0]
+        assert np.array_equal(tokens[0], va.data[0])
+        assert np.array_equal(tokens[1:], ctx.data[0])
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_all_positions_m4(self, p):
         ctx, va = self._ctx_va(4)
-        seq = assemble_prompt(ctx, va, PromptConfig(context_length=4, va_position=p))
-        assert seq.va_index == p - 1
-        assert np.array_equal(seq.tokens.data[p - 1], va.data)
-        rest = np.delete(seq.tokens.data, p - 1, axis=0)
-        assert np.array_equal(rest, ctx.data)
+        tokens = assemble_prompt(ctx, va, PromptConfig(context_length=4, va_position=p)).data[0]
+        assert np.array_equal(tokens[p - 1], va.data[0])
+        rest = np.delete(tokens, p - 1, axis=0)
+        assert np.array_equal(rest, ctx.data[0])
 
     def test_empty_context(self):
         ctx, va = self._ctx_va(0)
-        seq = assemble_prompt(ctx, va, PromptConfig(context_length=0))
-        assert seq.tokens.shape == (1, D)
-        assert seq.va_index == 0
-        assert np.array_equal(seq.tokens.data[0], va.data)
+        tokens = assemble_prompt(ctx, va, PromptConfig(context_length=0))
+        assert tokens.shape == (1, 1, D)
+        assert np.array_equal(tokens.data[0, 0], va.data[0])
 
     def test_insertion_preserves_tokens_and_order(self):
         # Sweep every (M, p): the result must contain exactly the M context
@@ -251,27 +224,28 @@ class TestAssemblePrompt:
             for p in range(1, m + 2):
                 ctx, va = self._ctx_va(m, d=8, seed=m * 31 + p)
                 cfg = PromptConfig(context_length=m, va_position=p)
-                seq = assemble_prompt(ctx, va, cfg)
-                assert seq.tokens.shape == (m + 1, 8)
-                assert np.array_equal(seq.tokens.data[p - 1], va.data)
-                rest = np.delete(seq.tokens.data, p - 1, axis=0)
-                assert np.array_equal(rest, ctx.data)
+                tokens = assemble_prompt(ctx, va, cfg).data[0]
+                assert tokens.shape == (m + 1, 8)
+                assert np.array_equal(tokens[p - 1], va.data[0])
+                rest = np.delete(tokens, p - 1, axis=0)
+                assert np.array_equal(rest, ctx.data[0])
 
     def test_batch_matches_single(self):
+        # Each row of a batch equals that prompt assembled alone.
         rng = RNG(33)
         ctx = ad.constant(rng.normal(size=(3, 4, D)))
         va = ad.constant(rng.normal(size=(3, D)))
         cfg = PromptConfig(context_length=4, va_position=2)
-        batch = assemble_prompt_batch(ctx, va, cfg).data
+        batch = assemble_prompt(ctx, va, cfg).data
         for i in range(3):
             single = assemble_prompt(
-                ad.constant(ctx.data[i]), ad.constant(va.data[i]), cfg)
-            assert np.array_equal(batch[i], single.tokens.data)
+                ad.constant(ctx.data[i:i + 1]), ad.constant(va.data[i:i + 1]), cfg)
+            assert np.array_equal(batch[i], single.data[0])
 
     def test_context_shape_checked(self):
         _, va = self._ctx_va(4)
         with pytest.raises(ContractViolation):
-            assemble_prompt(ad.constant(np.zeros((3, D))), va,
+            assemble_prompt(ad.constant(np.zeros((1, 3, D))), va,
                             PromptConfig(context_length=4))
 
 
@@ -292,125 +266,22 @@ class TestFuseFeatures:
             fuse_features(ad.constant(np.zeros(D)), ad.constant(np.zeros(D - 1)))
 
 
-class TestCategoryProbabilities:
-    def test_identical_embeddings_uniform(self):
-        e = RNG(50).normal(size=D)
-        embs = ad.constant(np.tile(e, (5, 1)))
-        p = category_probabilities(ad.constant(RNG(51).normal(size=D)), embs, 0.07)
-        np.testing.assert_allclose(p.data, 0.2, atol=1e-12, rtol=0)
-
-    def test_saturation_under_small_temperature(self):
-        # Cosines are bounded by 1, so the 1e3 logit gap comes from the
-        # temperature: sims +1/-1 at tau=2e-3 differ by 1000 after scaling.
-        x = np.zeros(D)
-        x[0] = 1.0
-        embs = np.zeros((2, D))
-        embs[0, 0] = 1.0
-        embs[1, 0] = -1.0
-        p = category_probabilities(ad.constant(x), ad.constant(embs), 2e-3).data
-        assert abs(p[0] - 1.0) < 1e-6
-        assert p[1] < 1e-6
-
-    def test_two_category_scalar_oracle(self):
-        # Unit vectors arranged so the cosines are exactly 0.8 and 0.2;
-        # the result must match the frozen softmax([0.8, 0.2]) values.
-        x = np.zeros(D)
-        x[0] = 1.0
-        embs = np.zeros((2, D))
-        embs[0, 0], embs[0, 1] = 0.8, 0.6
-        embs[1, 0], embs[1, 1] = 0.2, math.sqrt(0.96)
-        p = category_probabilities(ad.constant(x), ad.constant(embs), 1.0).data
-        np.testing.assert_allclose(p, SOFTMAX_08_02, atol=1e-9, rtol=0)
-
-    def test_sums_to_one_and_shift_invariant(self):
-        rng = RNG(52)
-        x = rng.normal(size=D)
-        embs = rng.normal(size=(6, D))
-        tau = 0.07
-        p = category_probabilities(ad.constant(x), ad.constant(embs), tau).data
-        np.testing.assert_allclose(p.sum(), 1.0, atol=1e-9, rtol=0)
-        # Recompute the cosine logits by hand and verify the softmax both
-        # matches the function and ignores a constant logit offset.
-        xn = x / np.linalg.norm(x)
-        en = embs / np.linalg.norm(embs, axis=1, keepdims=True)
-        logits = (en @ xn) / tau
-        direct = ad.softmax(ad.constant(logits), axis=-1).data
-        shifted = ad.softmax(ad.constant(logits + 7.25), axis=-1).data
-        np.testing.assert_allclose(p, direct, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(direct, shifted, atol=1e-12, rtol=0)
-
-    def test_bad_temperature_rejected(self):
-        embs = ad.constant(np.zeros((2, D)))
-        x = ad.constant(np.zeros(D))
-        for tau in (0.0, -1.0):
-            with pytest.raises(ContractViolation):
-                category_probabilities(x, embs, tau)
-
-    def test_embedding_rank_checked(self):
-        with pytest.raises(ContractViolation):
-            category_probabilities(ad.constant(np.zeros(D)),
-                                   ad.constant(np.zeros(D)), 1.0)
-
-
-class TestCrossEntropy:
-    def test_exact_match_is_zero(self):
-        y = np.array([0.0, 1.0, 0.0])
-        p = ad.constant(np.array([0.0, 1.0, 0.0]))
-        assert cross_entropy(y, p).data == 0.0
-
-    def test_uniform_four_way(self):
-        y = np.array([1.0, 0.0, 0.0, 0.0])
-        p = ad.constant(np.full(4, 0.25))
-        assert abs(cross_entropy(y, p).data - math.log(4.0)) < 1e-12
-
-    def test_two_category_oracle_value(self):
-        y = np.array([1.0, 0.0])
-        p = ad.constant(np.array(SOFTMAX_08_02))
-        assert abs(cross_entropy(y, p).data - CE_08_02) < 1e-12
-
-    def test_tiny_true_probability_clamped_with_warning(self):
-        y = np.array([1.0, 0.0])
-        p = ad.constant(np.array([1e-13, 1.0 - 1e-13]))
-        with pytest.warns(RuntimeWarning, match="clamped"):
-            loss = cross_entropy(y, p)
-        assert abs(loss.data - (-math.log(1e-12))) < 1e-9
-
-    @pytest.mark.parametrize("y,p", [
-        (np.array([1.0, 1.0]), np.array([0.5, 0.5])),       # not one-hot
-        (np.array([0.5, 0.5]), np.array([0.5, 0.5])),       # not 0/1
-        (np.array([1.0, 0.0]), np.array([0.7, 0.7])),       # not normalized
-        (np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.5])),  # shape mismatch
-    ])
-    def test_contract_violations(self, y, p):
-        with pytest.raises(ContractViolation):
-            cross_entropy(y, ad.constant(p))
-
-
 class TestGradientFlow:
-    def test_cross_entropy_reaches_prompt_parameters(self):
-        """With the text encoder frozen, backward from the classification
-        loss must deposit nonzero gradients on every meta-net and audio
-        tokenizer parameter while leaving frozen parameters untouched.
+    def test_batch_loss_reaches_prompt_parameters(self):
+        """With the encoders frozen, backward from the training loss must
+        deposit nonzero gradients on every trainable parameter while
+        leaving every encoder parameter untouched.
         """
-        rng = RNG(60)
-        meta = MetaNet(4, D, RNG(61))
-        tok = AudioTokenizer(16, D, RNG(62))
-        text = TextEncoder(EncoderConfig(), RNG(63))
-        text.set_trainable(False)
-
-        cfg = PromptConfig(context_length=4)
-        img_feat = ad.constant(rng.normal(size=D))
-        clips = [ad.constant(rng.normal(size=(8, 16))) for _ in range(2)]
-
-        ctx = meta.forward(img_feat)
-        seqs = [assemble_prompt(ctx, tok.forward(c), cfg).tokens for c in clips]
-        embs = text.forward_batch(ad.stack(seqs, axis=0))
-        probs = category_probabilities(img_feat, embs, 0.07)
-        loss = cross_entropy(np.array([1.0, 0.0]), probs)
+        model = SoundLocalizer(EncoderConfig(), PromptConfig(), seed=60)
+        model.apply_freezing()
+        rng = RNG(61)
+        images = rng.uniform(size=(2, 32, 32, 3))
+        audios = rng.normal(size=(2, 8000))
+        loss, _ = batch_loss(model, images, audios, LossWeights())
         ad.backward(loss)
 
-        for name, p in {**meta.parameters(), **tok.parameters()}.items():
+        for name, p in model.trainable_parameters().items():
             assert p.grad is not None, name
             assert np.any(p.grad != 0), f"all-zero gradient on {name}"
-        for name, p in text.parameters().items():
+        for name, p in model.encoder_parameters().items():
             assert p.grad is None, name
