@@ -7,6 +7,16 @@ DAG once in reverse topological order (deterministic tie-break by
 creation index, so runs are bit-reproducible) and accumulates gradients
 additively across fan-out.
 
+Backward does only the work whose result someone reads:
+
+* a primitive computes an operand's gradient only if that operand
+  requires one when backward runs (frozen weights and constant inputs
+  cost nothing);
+* only leaves (tensors no operation produced) keep ``grad``; an interior
+  node's gradient is released as soon as its own backward has run;
+* a stored gradient may share memory with another tensor's gradient, so
+  nothing may update ``grad`` in place (the optimizer does not).
+
 Design notes that matter for reproducibility:
 
 * softmax and log-softmax subtract the row maximum before
@@ -63,8 +73,9 @@ def _as_array(data, dtype=None) -> np.ndarray:
 class Tensor:
     """A dense n-dimensional array that may participate in the gradient tape.
 
-    ``grad`` is populated (as a numpy array of the same shape) by
-    :func:`backward`; it accumulates across calls until :meth:`zero_grad`.
+    On a leaf, ``grad`` is populated (as a numpy array of the same shape)
+    by :func:`backward`; it accumulates across calls until
+    :meth:`zero_grad`.  Interior nodes do not keep theirs.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "op", "parents", "_bwd", "_id")
@@ -192,24 +203,29 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, "add", (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+                 lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                            _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data - b.data, "sub", (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+                 lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                            _unbroadcast(-g, b.shape) if b.requires_grad else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, "mul", (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape),
-                            _unbroadcast(g * a.data, b.shape)))
+                 lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    return _make(a.data / b.data, "div", (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.shape),
-                            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+    def bwd(g):
+        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+        gb = (_unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+              if b.requires_grad else None)
+        return (ga, gb)
+    return _make(a.data / b.data, "div", (a, b), bwd)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -281,9 +297,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ContractViolation(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+        ga = (_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+              if a.requires_grad else None)
+        gb = (_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+              if b.requires_grad else None)
+        return (ga, gb)
     return _make(np.matmul(a.data, b.data), "matmul", (a, b), bwd)
 
 
@@ -321,11 +339,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     out = xhat * gamma.data + beta.data
 
     def bwd(g):
-        dgamma = _unbroadcast(g * xhat, gamma.shape)
-        dbeta = _unbroadcast(g, beta.shape)
-        dxhat = g * gamma.data
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dgamma = _unbroadcast(g * xhat, gamma.shape) if gamma.requires_grad else None
+        dbeta = _unbroadcast(g, beta.shape) if beta.requires_grad else None
+        dx = None
+        if x.requires_grad:
+            dxhat = g * gamma.data
+            dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         return (dx, dgamma, dbeta)
     return _make(out, "layer_norm", (x, gamma, beta), bwd)
 
@@ -464,11 +484,17 @@ def apply_primitive(kind: str, inputs: Sequence[Tensor], **params) -> Tensor:
 # -- backward pass -----------------------------------------------------------
 
 def backward(root: Tensor) -> None:
-    """Populate ``grad`` on every reachable tensor that requires gradients.
+    """Populate ``grad`` on every reachable leaf that requires gradients.
 
     The root must be a scalar.  Visitation order is reverse topological,
     realized as decreasing creation index (parents are always created
     before children), so gradient accumulation order is deterministic.
+
+    Gradients are computed only for operands that require them.  After
+    the call only leaves hold ``grad`` (added to what they held before);
+    every interior node, the root included, is left with ``grad is None``.
+    A leaf's ``grad`` may share memory with another leaf's, so replace it
+    rather than update it in place.
     """
     if root.size != 1:
         raise ContractViolation(f"backward: root must be scalar, got shape {root.shape}")
@@ -492,12 +518,19 @@ def backward(root: Tensor) -> None:
         if t._bwd is None or t.grad is None:
             continue
         grads = t._bwd(t.grad)
+        t.grad = None
         for p, g in zip(t.parents, grads):
             if not p.requires_grad or g is None:
                 continue
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
-            p.grad = p.grad + g
+            p.grad = _first_grad(p, g) if p.grad is None else p.grad + g
+
+
+def _first_grad(p: Tensor, g: np.ndarray) -> np.ndarray:
+    """``g`` as ``p``'s first gradient, shaped and laid out as ``zeros + g`` would be."""
+    if (g.shape == p.shape and g.dtype == p.dtype
+            and g.flags.c_contiguous and p.data.flags.c_contiguous):
+        return g
+    return np.zeros_like(p.data) + g
 
 
 # -- gradient verification ---------------------------------------------------
@@ -524,12 +557,16 @@ class GradCheckReport:
 
 
 def grad_check(f: Callable[..., Tensor], params: dict[str, Tensor],
-               h: float = 1e-4, tol: float = 1e-4) -> GradCheckReport:
+               h: float = 1e-4, tol: float = 1e-4,
+               coords: Callable[[str, Tensor], Iterable[int]] | None = None
+               ) -> GradCheckReport:
     """Compare reverse-mode gradients of ``f(params)`` to central differences.
 
     ``f`` must map the parameter dict to a scalar tensor.  Relative error
     is ``|a - b| / max(1, |a|, |b|)``; coordinates where a perturbed
     evaluation is non-finite are recorded and skipped rather than fatal.
+    ``coords(name, tensor)`` picks the flat indices probed in each tensor
+    (every index when ``coords`` is None).
     """
     for t in params.values():
         t.zero_grad()
@@ -544,7 +581,7 @@ def grad_check(f: Callable[..., Tensor], params: dict[str, Tensor],
             worst = 0.0
             flat = t.data.reshape(-1)
             gflat = analytic[name].reshape(-1)
-            for i in range(flat.size):
+            for i in (range(flat.size) if coords is None else coords(name, t)):
                 orig = flat[i]
                 flat[i] = orig + h
                 fp = f(params).item()

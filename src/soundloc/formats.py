@@ -3,7 +3,11 @@
 Masks are 8-bit binary PGM ("P5", maxval 255, pixel = round(255 * m)).
 Images are 8-bit binary PPM ("P6").  Audio clips are 32-bit IEEE-754
 little-endian samples behind an 8-byte header: magic ``SPLA`` plus a u32
-sample count.
+sample count, followed by exactly that many samples.
+
+Readers raise :class:`FormatError` for a bad magic, a header field that
+is not a decimal number, and a payload shorter than the header promises
+(for audio, a payload of any other length).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ AUDIO_MAGIC = b"SPLA"
 
 
 class FormatError(Exception):
-    pass
+    """A codec file is malformed: bad magic, bad header or short payload."""
 
 
 def write_pgm(path: str | Path, mask: np.ndarray) -> None:
@@ -36,8 +40,7 @@ def read_pgm(path: str | Path) -> np.ndarray:
     w, h, maxval = fields
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
-    pix = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos).reshape(h, w)
-    return pix.astype(np.float64) / 255.0
+    return _pixels(raw, pos, w * h, path).reshape(h, w).astype(np.float64) / 255.0
 
 
 def write_ppm(path: str | Path, image: np.ndarray) -> None:
@@ -56,8 +59,7 @@ def read_ppm(path: str | Path) -> np.ndarray:
     w, h, maxval = fields
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
-    pix = np.frombuffer(raw, dtype=np.uint8, count=w * h * 3, offset=pos)
-    return pix.reshape(h, w, 3).astype(np.float64) / 255.0
+    return _pixels(raw, pos, w * h * 3, path).reshape(h, w, 3).astype(np.float64) / 255.0
 
 
 def _read_header(raw: bytes, magic: bytes, n_fields: int) -> tuple[list[int], int]:
@@ -71,8 +73,19 @@ def _read_header(raw: bytes, magic: bytes, n_fields: int) -> tuple[list[int], in
         start = pos
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
-        fields.append(int(raw[start:pos]))
+        token = raw[start:pos]
+        if not token.isdigit():
+            raise FormatError(f"header field {token!r} is not a decimal number")
+        fields.append(int(token))
     return fields, pos + 1  # single whitespace byte after maxval
+
+
+def _pixels(raw: bytes, pos: int, count: int, path) -> np.ndarray:
+    """The ``count`` pixel bytes that start at ``pos``."""
+    if len(raw) - pos < count:
+        raise FormatError(f"{path}: {count} pixel bytes expected after the header, "
+                          f"found {max(len(raw) - pos, 0)}")
+    return np.frombuffer(raw, dtype=np.uint8, count=count, offset=pos)
 
 
 def write_audio(path: str | Path, samples: np.ndarray) -> None:
@@ -88,5 +101,10 @@ def read_audio(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:4] != AUDIO_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    count = int(np.frombuffer(raw, dtype="<u4", count=1, offset=4)[0])
+    if len(raw) < 8:
+        raise FormatError(f"{path}: {len(raw)} bytes, shorter than the 8-byte header")
+    count = int.from_bytes(raw[4:8], "little")
+    if len(raw) - 8 != 4 * count:
+        raise FormatError(f"{path}: header says {count} samples, "
+                          f"payload holds {len(raw) - 8} bytes")
     return np.frombuffer(raw, dtype="<f4", count=count, offset=8).astype(np.float64)

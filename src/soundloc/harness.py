@@ -16,7 +16,9 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +59,7 @@ REFERENCE_SCALE = {
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when a non-finite loss stops a run; statistics are on disk."""
+    """Raised when a non-finite loss or gradient stops a run; statistics are on disk."""
 
 
 @dataclass
@@ -110,8 +112,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = _known_keys(cls, d, "run config")
-        blocks = {name: _known_keys(kind, d.pop(name, {}), f"{name} block")
+        d = _checked_fields(cls, d, "run config")
+        blocks = {name: _checked_fields(kind, d.pop(name, {}), f"{name} block")
                   for name, kind in _BLOCKS.items()}
         gen = blocks["generator"]
         for key in ("single_radius", "multi_radius"):
@@ -131,14 +133,40 @@ _BLOCKS = {"encoder": EncoderConfig, "prompt": PromptConfig, "loss": LossWeights
            "generator": GeneratorConfig, "optimizer": OptimConfig}
 
 
-def _known_keys(kind, d, where: str) -> dict:
-    """A copy of ``d`` after checking it is a mapping of ``kind``'s field names."""
+def _checked_fields(kind, d, where: str) -> dict:
+    """A copy of ``d`` after checking it maps ``kind``'s field names to
+    values of their annotated types (blocks are checked on their own)."""
     if not isinstance(d, dict):
         raise ContractViolation(f"{where} must be a JSON object, got {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in fields(kind)})
     if unknown:
         raise ContractViolation(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    hints = typing.get_type_hints(kind)
+    for name, value in d.items():
+        hint = hints[name]
+        if not _fits(value, hint):
+            label = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ContractViolation(
+                f"{where} field {name!r} must be {label.replace('NoneType', 'None')}, "
+                f"got {value!r}")
     return dict(d)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value can stand for a field annotated ``hint``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if is_dataclass(hint):
+        return True
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, a) for a in args)
+    if origin is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(_fits(v, a) for v, a in zip(value, args)))
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, origin or hint)
 
 
 @dataclass
@@ -273,8 +301,8 @@ def train(cfg: RunConfig, write_artifacts: bool = True
     """Full training run; returns the model plus its log.
 
     Artifacts under ``cfg.out_dir``: ``config.json``, ``model.splt``,
-    ``trainlog.json`` (and ``abort_stats.json`` if the loss went
-    non-finite).
+    ``trainlog.json`` (and ``abort_stats.json`` if the loss or a gradient
+    went non-finite).
     """
     t_start = time.perf_counter()
     out = Path(cfg.out_dir)
@@ -319,6 +347,12 @@ def train(cfg: RunConfig, write_artifacts: bool = True
                 raise TrainingAborted(
                     f"non-finite loss at step {step}: {parts}")
             ad.backward(total)
+            bad = [name for name, p in params.items()
+                   if p.grad is not None and not np.isfinite(p.grad).all()]
+            if bad:
+                _dump_abort_stats(out if write_artifacts else None, step, parts, model)
+                raise TrainingAborted(
+                    f"non-finite gradient at step {step}: {', '.join(bad)}")
             opt.step()
             opt.zero_grad()
             log.steps.append({"epoch": epoch, "step": step, **parts})

@@ -141,14 +141,17 @@ class SoundLocalizer(Module):
             return self.text_encoder.forward(context)
         context = self.meta_net.forward(pooled_i)
         if cfg.fusion_mode == "ensemble":
-            total = None
-            for pos in range(1, cfg.context_length + 2):
-                variant = PromptConfig(context_length=cfg.context_length,
-                                       va_position=pos, meta_mode=cfg.meta_mode)
-                tokens = prompting.assemble_prompt(context, va_j, variant)
-                emb = self.text_encoder.forward(tokens)
-                total = emb if total is None else total + emb
-            return total * (1.0 / (cfg.context_length + 1))
+            # All M + 1 audio-token positions go through the text encoder as
+            # one stacked batch; the slices are summed in position order.
+            n, m1 = context.shape[0], cfg.context_length + 1
+            variants = [prompting.assemble_prompt(context, va_j, PromptConfig(
+                context_length=cfg.context_length, va_position=pos, meta_mode=cfg.meta_mode))
+                for pos in range(1, m1 + 1)]
+            emb = self.text_encoder.forward(ad.concat(variants, axis=0))
+            total = emb[:n]
+            for k in range(1, m1):
+                total = total + emb[k * n:(k + 1) * n]
+            return total * (1.0 / m1)
         tokens = prompting.assemble_prompt(context, va_j, cfg)
         return self.text_encoder.forward(tokens)
 

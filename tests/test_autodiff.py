@@ -280,6 +280,46 @@ class TestTapeSemantics:
         assert c.grad is None
         assert np.array_equal(t.grad, [1.0, 2.0])
 
+    def test_interior_gradients_are_released(self):
+        rng = np.random.default_rng(5)
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        gamma = Tensor(np.ones(5), requires_grad=True)
+        h = ad.layer_norm(ad.transpose(a, (1, 0)) @ w, gamma, ad.constant(np.zeros(5)))
+        root = ad.concat([h, h * 2.0], axis=1).mean()
+        ad.backward(root)
+
+        nodes, todo = {}, [root]
+        while todo:
+            t = todo.pop()
+            if t._id not in nodes:
+                nodes[t._id] = t
+                todo.extend(t.parents)
+        interior = [t for t in nodes.values() if t.parents]
+        leaves = [t for t in nodes.values() if not t.parents and t.requires_grad]
+        assert len(interior) > 5 and len(leaves) == 3
+        assert all(t.grad is None for t in interior)
+        for t in leaves:
+            assert t.grad.shape == t.shape and t.grad.flags.c_contiguous
+
+    def test_frozen_operand_costs_no_gradient(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 5)))
+        loss = (x @ w).sum()
+        calls = []
+        real = np.matmul
+
+        def spy(*args, **kw):
+            calls.append(args[0].shape)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        ad.backward(loss)
+        assert len(calls) == 1
+        assert w.grad is None
+        assert np.allclose(x.grad, np.broadcast_to(w.data.sum(axis=1), (2, 3, 4)))
+
 
 class TestNumericBehavior:
     def test_float32_stays_float32_through_ops_and_grads(self):

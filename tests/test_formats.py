@@ -1,7 +1,10 @@
-"""Image and audio codec round-trips, including exact byte layouts."""
+"""Image and audio codec round-trips, including exact byte layouts, and
+malformed files: only ``FormatError`` may come out of a reader."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soundloc import formats
 from soundloc.formats import FormatError
@@ -98,3 +101,71 @@ class TestAudio:
         path.write_bytes(b"WHAT" + b"\x00" * 8)
         with pytest.raises(FormatError):
             formats.read_audio(path)
+
+
+# kind -> (writer, reader, array of the given dims)
+CODECS = {
+    "pgm": (formats.write_pgm, formats.read_pgm, lambda rng, h, w: rng.random((h, w))),
+    "ppm": (formats.write_ppm, formats.read_ppm, lambda rng, h, w: rng.random((h, w, 3))),
+    "spla": (formats.write_audio, formats.read_audio,
+             lambda rng, h, w: rng.standard_normal(h * w)),
+}
+
+
+@pytest.fixture(scope="module")
+def codec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("codec")
+
+
+def _valid_file(path, kind, h, w) -> bytes:
+    write, _, make = CODECS[kind]
+    write(path, make(np.random.default_rng(h * 5 + w), h, w))
+    return path.read_bytes()
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("kind,raw", [
+        ("pgm", b"P5\nxx 4\n255\n"),
+        ("ppm", b"P6\n4 xx\n255\n"),
+        ("pgm", b"P5\n4 4\n255\n" + bytes(15)),
+        ("ppm", b"P6\n2 2\n255\n" + bytes(11)),
+        ("pgm", b"P5\n4 4"),
+        ("pgm", b"P5\n-1 -1\n255\n\x00"),
+        ("spla", b"SPLA\x02\x00"),
+        ("spla", b"SPLA\x02\x00\x00\x00" + bytes(7)),
+        ("spla", b"SPLA\x01\x00\x00\x00" + bytes(8)),
+    ])
+    def test_known_bad_files(self, tmp_path, kind, raw):
+        path = tmp_path / f"bad.{kind}"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError):
+            CODECS[kind][1](path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(sorted(CODECS)), h=st.integers(0, 4), w=st.integers(1, 4),
+           data=st.data())
+    def test_truncated_file_raises_format_error(self, codec_dir, kind, h, w, data):
+        path = codec_dir / f"cut.{kind}"
+        raw = _valid_file(path, kind, h, w)
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        with pytest.raises(FormatError):
+            CODECS[kind][1](path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(CODECS)), h=st.integers(0, 4), w=st.integers(1, 4),
+           data=st.data())
+    def test_mutated_file_reads_or_raises_format_error(self, codec_dir, kind, h, w, data):
+        path = codec_dir / f"mut.{kind}"
+        raw = bytearray(_valid_file(path, kind, h, w))
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(raw) - 1))
+            if data.draw(st.booleans()):
+                raw[at] = data.draw(st.integers(0, 255))
+            else:
+                del raw[at]
+        path.write_bytes(bytes(raw))
+        try:
+            out = CODECS[kind][1](path)
+        except FormatError:
+            return
+        assert out.dtype == np.float64

@@ -15,7 +15,7 @@ from soundloc.autodiff import ContractViolation
 from soundloc.encoders import EncoderConfig, ImageEncoder
 from soundloc.grounding import MaskDecoder, masked_pool, masked_reencode
 from soundloc.model import SoundLocalizer
-from soundloc.prompting import PromptConfig
+from soundloc.prompting import PromptConfig, assemble_prompt
 
 from _oracles import bilinear_loops, masked_pool_loops
 
@@ -277,8 +277,8 @@ class TestFusionModes:
                            PromptConfig(context_length=0, fusion_mode="fused"))
 
     def test_ensemble_averages_positions(self):
-        # Ensemble mode runs one text-encoder pass per insertion point:
-        # M+1 passes per pair batch instead of one.
+        # Ensemble mode stacks the M+1 insertion points of every pair into
+        # one text-encoder call and averages each pair's M+1 embeddings.
         model = SoundLocalizer(EncoderConfig(),
                                PromptConfig(fusion_mode="ensemble"), seed=9)
         seen = []
@@ -290,7 +290,13 @@ class TestFusionModes:
 
         model.text_encoder.forward = spy
         images, audios = self._batch(2, seed=61)
-        s_img, _, _, _ = model.similarity_tables(model.perceive(images, audios))
-        assert len(seen) == 5
-        assert all(shape[1] == 5 for shape in seen)
+        percept = model.perceive(images, audios)
+        s_img, _, _, dec = model.similarity_tables(percept)
+        assert seen == [(5 * 2 * 2, 5, 64)]
         assert np.all(np.abs(s_img.data) <= 1.0 + 1e-9)
+
+        context = model.meta_net.forward(percept.pooled[dec.idx_i])
+        va = model.tokenizer.forward(percept.audio_feats)[dec.idx_j]
+        singles = [orig(assemble_prompt(context, va, PromptConfig(va_position=pos))).data
+                   for pos in range(1, 6)]
+        assert np.abs(dec.conditions.data - np.mean(singles, axis=0)).max() <= 1e-6

@@ -12,13 +12,16 @@ import math
 import numpy as np
 import pytest
 
+from soundloc import autodiff as ad
 from soundloc import formats, harness, metrics, synth
 from soundloc.autodiff import ContractViolation
 from soundloc.cli import main
+from soundloc.encoders import EncoderConfig
 from soundloc.harness import (
     REPORT_COLUMNS,
     RunConfig,
     TrainingAborted,
+    batch_loss,
     benchmark_scenes,
     build_model,
     evaluate,
@@ -30,6 +33,9 @@ from soundloc.harness import (
     token_order_label,
     train,
 )
+from soundloc.losses import LossWeights
+from soundloc.model import SoundLocalizer
+from soundloc.prompting import PromptConfig
 
 
 def _tiny_cfg(out_dir, **overrides) -> RunConfig:
@@ -157,6 +163,31 @@ class TestTraining:
         stats = json.loads((tmp_path / "abort" / "abort_stats.json").read_text())
         assert stats["step"] == 0
         assert all("data_absmax" in v for v in stats["params"].values())
+
+    def test_nonfinite_gradient_aborts_with_stats(self, tmp_path, monkeypatch):
+        cfg = _tiny_cfg(tmp_path / "abort", train_samples=32, warmup=False)
+        real = ad.backward
+
+        def poisoned(root):
+            # Backward as usual, then turn the first leaf gradient found to NaN.
+            real(root)
+            todo, seen = [root], set()
+            while todo:
+                t = todo.pop()
+                if t._id in seen:
+                    continue
+                seen.add(t._id)
+                if not t.parents and t.grad is not None:
+                    t.grad = np.full_like(t.grad, np.nan)
+                    return
+                todo.extend(t.parents)
+
+        monkeypatch.setattr(ad, "backward", poisoned)
+        with pytest.raises(TrainingAborted, match="non-finite gradient at step 0"):
+            train(cfg)
+        stats = json.loads((tmp_path / "abort" / "abort_stats.json").read_text())
+        assert stats["step"] == 0
+        assert [v.get("grad_finite") for v in stats["params"].values()].count(False) == 1
 
 
 class TestEvaluate:
@@ -377,6 +408,18 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("contract violation: unknown key(s)"), err
             assert "bogus" in err and err.count("\n") == 1
+        # Values of the wrong type, at top level and inside blocks, are named.
+        for block, key, value in ((None, "batch_size", "16"), (None, "epochs", 2.5),
+                                  ("encoder", "frozen", "no"), ("prompt", "va_position", "x"),
+                                  ("generator", "single_radius", [7, "11"]),
+                                  ("optimizer", "lr", True)):
+            d = RunConfig().to_dict()
+            (d if block is None else d[block])[key] = value
+            bad.write_text(json.dumps(d))
+            assert main(["train", "--config", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("contract violation:"), err
+            assert f"'{key}'" in err and err.count("\n") == 1
 
     def test_missing_sibling_config_exits_2(self, tmp_path, capsys):
         ckpt = tmp_path / "model.splt"
@@ -430,3 +473,34 @@ class TestCli:
         cfg_path, _ = cli_run
         assert main(["ablate", "--config", str(cfg_path),
                      "--dimension", "epochs", "--values", ""]) == 2
+
+
+class TestBatchLossGradient:
+    """The whole-pipeline gradient oracle: reverse-mode gradients of the
+    training loss against central differences, through the all-pairs
+    decode, the upsample, the masked re-encode and both InfoNCE tables."""
+
+    @pytest.mark.parametrize("meta", ["shared", "per_token"])
+    @pytest.mark.parametrize("fusion", ["none", "fused", "ensemble"])
+    def test_batch_loss_matches_central_differences(self, fusion, meta):
+        model = SoundLocalizer(EncoderConfig(embed_dim=16, image_size=8, patch_size=4),
+                               PromptConfig(context_length=2, fusion_mode=fusion,
+                                            meta_mode=meta), seed=70)
+        model.apply_freezing()
+        params = model.trainable_parameters()
+        rng = np.random.default_rng(71)
+        for p in params.values():   # move off the identity init so every path is live
+            p.data = p.data + rng.normal(0.0, 0.1, p.shape)
+        images = rng.uniform(size=(3, 8, 8, 3))
+        audios = rng.normal(size=(3, 8000))
+        pick = np.random.default_rng(72)
+
+        def loss(_):
+            return batch_loss(model, images, audios, LossWeights())[0]
+
+        report = ad.grad_check(
+            loss, params, h=1e-6, tol=1e-6,
+            coords=lambda name, t: pick.choice(t.size, size=min(4, t.size), replace=False))
+        assert report.ok, report.failures[:3]
+        assert not report.non_finite
+        assert report.max_rel_error.keys() == params.keys()

@@ -285,3 +285,30 @@ class TestGradientFlow:
             assert np.any(p.grad != 0), f"all-zero gradient on {name}"
         for name, p in model.encoder_parameters().items():
             assert p.grad is None, name
+
+    @pytest.mark.parametrize("fusion", ["none", "fused", "ensemble"])
+    def test_pruned_backward_changes_no_bit(self, fusion):
+        """Skipping the gradients of frozen encoder weights must leave every
+        trainable gradient bit for bit as it is when those weights are
+        active too."""
+        model = SoundLocalizer(
+            EncoderConfig(embed_dim=16, image_size=8, patch_size=4),
+            PromptConfig(context_length=2, fusion_mode=fusion), seed=62,
+            dtype=np.float32)
+        rng = RNG(63)
+        images = rng.uniform(size=(3, 8, 8, 3))
+        audios = rng.normal(size=(3, 8000))
+        grads = []
+        for encoders_active in (False, True):
+            model.apply_freezing()
+            for p in model.parameters().values():
+                p.zero_grad()
+            for p in model.encoder_parameters().values():
+                p.requires_grad = encoders_active
+            loss, _ = batch_loss(model, images, audios, LossWeights())
+            ad.backward(loss)
+            grads.append({k: p.grad for k, p in model.trainable_parameters().items()})
+        assert grads[0].keys() == grads[1].keys()
+        for name, g in grads[0].items():
+            assert g.dtype == grads[1][name].dtype == np.float32, name
+            assert np.array_equal(g, grads[1][name]), name
