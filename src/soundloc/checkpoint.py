@@ -4,7 +4,8 @@ Layout: magic bytes ``SPLT``, version as little-endian u32, then one
 record per parameter in insertion order: name length (u32), UTF-8 name,
 rank (u32), one u32 extent per axis, and the payload as 32-bit IEEE-754
 little-endian floats in row-major order.  Save/load/save round-trips are
-bit-exact.
+bit-exact.  Loading rejects a payload holding NaN or +-inf: training never
+saves one, so such a file is corrupt.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             pos += 4 * rank
             count = int(np.prod(shape)) if rank else 1
             arr = np.frombuffer(raw, dtype="<f4", count=count, offset=pos).reshape(shape)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: parameter {name!r} holds NaN or infinite values")
             pos += 4 * count
             out[name] = arr.copy()
     except (struct.error, ValueError, UnicodeDecodeError) as exc:

@@ -95,7 +95,7 @@ class ImageEncoder(Module):
         g, p = c.grid_size, c.patch_size
         x = images.reshape(b, g, p, g, p, c.channels)
         x = ad.transpose(x, (0, 1, 3, 2, 4, 5)).reshape(b, c.n_cells, c.patch_dim)
-        return x @ self.patch_w + self.patch_b + self.pos
+        return ad.linear(x, self.patch_w, self.patch_b) + self.pos
 
     def forward(self, images: Tensor) -> tuple[Tensor, Tensor]:
         """Batch of images -> (cell grid (B, cells, d), pooled (B, d))."""
@@ -129,7 +129,7 @@ class AudioEncoder(Module):
             raise ContractViolation(
                 f"audio batch must be (B, {self.clip_len}), got {clips.shape}")
         feats = np.stack([audiofeat.frame_energies(c) for c in clips])
-        return ad.constant(feats, dtype=self.proj_w.dtype) @ self.proj_w + self.proj_b
+        return ad.linear(ad.constant(feats, dtype=self.proj_w.dtype), self.proj_w, self.proj_b)
 
 
 class TextEncoder(Module):

@@ -46,10 +46,10 @@ class MaskDecoder(Module):
             raise ContractViolation(
                 f"decoder expects (B, cells, d) and (B, d), got {grid.shape} and {cond.shape}")
         b = grid.shape[0]
-        scale = (cond @ self.scale_w + self.scale_b).reshape(b, 1, self.d)
-        shift = (cond @ self.shift_w + self.shift_b).reshape(b, 1, self.d)
+        scale = ad.linear(cond, self.scale_w, self.scale_b).reshape(b, 1, self.d)
+        shift = ad.linear(cond, self.shift_w, self.shift_b).reshape(b, 1, self.d)
         x = self.block.forward(grid * scale + shift)
-        return (x @ self.head_w + self.head_b).reshape(b, grid.shape[1])
+        return ad.linear(x, self.head_w, self.head_b).reshape(b, grid.shape[1])
 
 
 def masked_reencode(images: Tensor, image_masks: Tensor, encoder: ImageEncoder) -> Tensor:

@@ -79,19 +79,13 @@ class MultiHeadAttention(Module):
     def forward(self, x: Tensor, causal: bool = False) -> Tensor:
         b, t, d = x.shape
 
-        def split(v):
-            return ad.transpose(v.reshape(b, t, self.heads, self.dh), (0, 2, 1, 3))
+        def heads(w, bias):
+            h = ad.linear(x, w, bias).reshape(b, t, self.heads, self.dh)
+            return ad.transpose(h, (0, 2, 1, 3))
 
-        q = split(x @ self.wq + self.bq)
-        k = split(x @ self.wk + self.bk)
-        v = split(x @ self.wv + self.bv)
-        scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(self.dh))
-        if causal:
-            mask = np.triu(np.ones((t, t), dtype=bool), k=1)
-            scores = ad.masked_fill(scores, mask, -np.inf)
-        attn = ad.softmax(scores, axis=-1)
-        out = ad.transpose(attn @ v, (0, 2, 1, 3)).reshape(b, t, d)
-        return out @ self.wo + self.bo
+        out = ad.attention(heads(self.wq, self.bq), heads(self.wk, self.bk),
+                           heads(self.wv, self.bv), causal=causal)
+        return ad.linear(ad.transpose(out, (0, 2, 1, 3)).reshape(b, t, d), self.wo, self.bo)
 
 
 class TransformerBlock(Module):
@@ -118,6 +112,6 @@ class TransformerBlock(Module):
         x = x + self.attn.forward(ad.layer_norm(x, self.ln1_g, self.ln1_b),
                                   causal=self.causal)
         if self.mlp_ratio:
-            h = ad.relu(ad.layer_norm(x, self.ln2_g, self.ln2_b) @ self.w1 + self.b1)
-            x = x + (h @ self.w2 + self.b2)
+            h = ad.relu(ad.linear(ad.layer_norm(x, self.ln2_g, self.ln2_b), self.w1, self.b1))
+            x = x + ad.linear(h, self.w2, self.b2)
         return x

@@ -86,7 +86,7 @@ class MetaNet(Module):
         if m == 0:
             return ad.constant(np.zeros((b, 0, self.d), dtype=self.base.dtype))
         if self.mode == "shared":
-            pi = ad.relu(feats @ self.w1 + self.b1) @ self.w2 + self.b2   # (B, d)
+            pi = ad.linear(ad.relu(ad.linear(feats, self.w1, self.b1)), self.w2, self.b2)  # (B, d)
             return self.base.reshape(1, m, self.d) + pi.reshape(b, 1, self.d)
         x = feats.reshape(1, b, self.d)
         pi = ad.relu(x @ self.w1 + self.b1) @ self.w2 + self.b2           # (M, B, d)
@@ -118,14 +118,14 @@ class AudioTokenizer(Module):
         if feats.shape[-1] != self.in_dim:
             raise ContractViolation(
                 f"audio features must end in dim {self.in_dim}, got {feats.shape}")
-        return ad.relu(feats @ self.w1 + self.b1) @ self.w2 + self.b2
+        return ad.linear(ad.relu(ad.linear(feats, self.w1, self.b1)), self.w2, self.b2)
 
     def forward(self, feats: Tensor) -> Tensor:
         """(B, frames, in_dim) -> (B, d) audio tokens."""
         if feats.ndim != 3:
             raise ContractViolation(f"expected (B, frames, in_dim), got {feats.shape}")
         h = self.frame_repr(feats)
-        logits = (h @ self.key_w + self.key_b) @ self.query
+        logits = ad.linear(h, self.key_w, self.key_b) @ self.query
         w = ad.softmax(logits, axis=-2)                       # (B, frames, 1)
         return (w * h).sum(axis=-2)
 

@@ -256,3 +256,22 @@ def softmax_loops(xs):
     exps = [math.exp(v - m) for v in xs]
     z = sum(exps)
     return [v / z for v in exps]
+
+
+def attention_loops(q, k, v, causal=False):
+    """softmax(q k^T / sqrt(dh)) v over the last two axes; scalar loops.
+
+    With ``causal`` query i attends to keys 0..i only.
+    """
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
+    out = np.zeros(q.shape[:-1] + (v.shape[-1],))
+    dh = q.shape[-1]
+    for lead in np.ndindex(q.shape[:-2]):
+        for i in range(q.shape[-2]):
+            keys = range(i + 1) if causal else range(k.shape[-2])
+            scores = [sum(float(q[lead][i, c]) * float(k[lead][j, c]) for c in range(dh))
+                      / math.sqrt(dh) for j in keys]
+            for j, p in zip(keys, softmax_loops(scores)):
+                for c in range(v.shape[-1]):
+                    out[lead][i, c] += p * float(v[lead][j, c])
+    return out

@@ -81,6 +81,10 @@ def _op_cases(rng):
         "div": ([x34, _signed(rng, bshape, 0.5, 1.5)], {}),
         "neg": ([x34], {}),
         "matmul": ([rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2))], {}),
+        "linear": ([rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2)),
+                    rng.normal(size=2)], {}),
+        "attention": ([rng.normal(size=(2, 2, 3, 4)) for _ in range(3)],
+                      {"causal": bool(rng.integers(0, 2))}),
         "relu": ([_signed(rng, (3, 4))], {}),
         "sigmoid": ([rng.normal(size=(3, 4))], {}),
         "abs": ([_signed(rng, (3, 4))], {}),

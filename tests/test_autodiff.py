@@ -15,7 +15,7 @@ import pytest
 import soundloc.autodiff as ad
 from soundloc.autodiff import ContractViolation, Tensor
 
-from _oracles import bilinear_loops, fd_gradient, rel_err
+from _oracles import attention_loops, bilinear_loops, fd_gradient, rel_err
 
 N_INSTANCES = 100
 
@@ -79,6 +79,21 @@ def _case_matmul_batched(rng):
 def _case_matmul_broadcast(rng):
     p = {"a": _rand(rng, 1, 2, 3), "b": _rand(rng, 4, 3, 5)}
     return p, lambda q: _weighted(q["a"] @ q["b"])
+
+
+def _case_linear(rng):
+    p = {"x": _rand(rng, 2, 3, 4), "w": _rand(rng, 4, 5), "b": _rand(rng, 5)}
+    return p, lambda q: _weighted(ad.linear(q["x"], q["w"], q["b"]))
+
+
+def _case_attention(rng):
+    p = {n: _rand(rng, 2, 2, 3, 4) for n in "qkv"}
+    return p, lambda q: _weighted(ad.attention(q["q"], q["k"], q["v"]))
+
+
+def _case_attention_causal(rng):
+    p = {n: _rand(rng, 2, 2, 3, 4) for n in "qkv"}
+    return p, lambda q: _weighted(ad.attention(q["q"], q["k"], q["v"], causal=True))
 
 
 def _case_relu(rng):
@@ -319,6 +334,116 @@ class TestTapeSemantics:
         assert len(calls) == 1
         assert w.grad is None
         assert np.allclose(x.grad, np.broadcast_to(w.data.sum(axis=1), (2, 3, 4)))
+
+
+    def test_first_gradient_through_transpose_keeps_the_zero_fill_layout(self):
+        rng = np.random.default_rng(8)
+        for dtype in (np.float32, np.float64):
+            x = Tensor(rng.standard_normal((2, 3, 4)).astype(dtype), requires_grad=True)
+            w = rng.standard_normal((4, 2, 3)).astype(dtype)
+            ad.backward((ad.transpose(x, (2, 0, 1)) * ad.constant(w)).sum())
+            want = np.zeros_like(x.data) + w.transpose(1, 2, 0)
+            assert x.grad.dtype == want.dtype
+            assert x.grad.strides == want.strides
+            assert x.grad.tobytes() == want.tobytes()
+
+
+def _composed_attention(q, k, v, causal):
+    """The attention layer as separate primitives (matmul, scale, mask, softmax, matmul)."""
+    t = q.shape[-2]
+    scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(q.shape[-1]))
+    if causal:
+        scores = ad.masked_fill(scores, np.triu(np.ones((t, t), dtype=bool), k=1), -np.inf)
+    return ad.softmax(scores, axis=-1) @ v
+
+
+def _layer_norm_formula(x, gamma, beta, g, eps=1e-5):
+    """Forward and input gradient of layer norm, written as plain expressions."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    dxhat = g * gamma
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return xhat * gamma + beta, dx
+
+
+class TestFusedPrimitives:
+    """``linear``, ``attention`` and ``layer_norm`` against what they replace."""
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_attention_matches_scalar_oracle(self, causal):
+        rng = np.random.default_rng(9)
+        q, k, v = (rng.standard_normal((2, 3, 5, 4)) for _ in range(3))
+        out = ad.attention(*(ad.constant(a) for a in (q, k, v)), causal=causal)
+        assert rel_err(out.data, attention_loops(q, k, v, causal)) < 1e-12
+
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_is_bit_equal_to_the_composed_layer(self, dtype, causal):
+        """Output and every input gradient, with the inputs laid out as the
+        attention layer lays them out (heads split off by a transpose)."""
+        rng = np.random.default_rng(10)
+        arrays = [rng.standard_normal((3, 6, 2, 4)).astype(dtype) for _ in range(3)]
+        w = ad.constant(rng.standard_normal((3, 2, 6, 4)).astype(dtype))
+        results = []
+        for fn in (ad.attention, _composed_attention):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = fn(*(ad.transpose(t, (0, 2, 1, 3)) for t in leaves), causal)
+            ad.backward((out * w).sum())
+            results.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_is_bit_equal_to_matmul_plus_bias(self, dtype):
+        rng = np.random.default_rng(11)
+        x, w, b = (rng.standard_normal(s).astype(dtype) for s in ((2, 3, 4), (4, 5), (5,)))
+        g = ad.constant(rng.standard_normal((2, 3, 5)).astype(dtype))
+        results = []
+        for fn in (ad.linear, lambda x, w, b: x @ w + b):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+            out = fn(*leaves)
+            ad.backward((out * g).sum())
+            results.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert got.dtype == dtype and np.array_equal(got, want)
+
+    def test_linear_skips_gradients_nobody_reads(self):
+        x = Tensor(np.ones((2, 3)))
+        w = Tensor(np.ones((3, 4)), requires_grad=True)
+        b = Tensor(np.zeros(4))
+        ad.backward(ad.linear(x, w, b).sum())
+        assert x.grad is None and b.grad is None
+        assert np.array_equal(w.grad, np.full((3, 4), 2.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_is_bit_equal_to_the_formula(self, dtype):
+        rng = np.random.default_rng(12)
+        x, gamma, beta, g = (rng.standard_normal(s).astype(dtype)
+                             for s in ((4, 5, 16), (16,), (16,), (4, 5, 16)))
+        t = Tensor(x.copy(), requires_grad=True)
+        out = ad.layer_norm(t, ad.constant(gamma), ad.constant(beta))
+        ad.backward((out * ad.constant(g)).sum())
+        want_out, want_dx = _layer_norm_formula(x, gamma, beta, g)
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(t.grad, want_dx)
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3), (4, 5), (5,)), ((2, 4), (4, 5), (4,)), ((2, 4), (2, 4, 5), (5,)),
+        ((4,), (4, 5), (5,))])
+    def test_linear_contract(self, shapes):
+        with pytest.raises(ContractViolation):
+            ad.linear(*(Tensor(np.zeros(s)) for s in shapes))
+
+    @pytest.mark.parametrize("shapes,causal", [
+        (((2, 3, 4), (2, 3, 5), (2, 3, 5)), False),
+        (((2, 3, 4), (2, 5, 4), (2, 4, 4)), False),
+        (((2, 3, 4), (2, 5, 4), (2, 5, 4)), True)])
+    def test_attention_contract(self, shapes, causal):
+        with pytest.raises(ContractViolation):
+            ad.attention(*(Tensor(np.zeros(s)) for s in shapes), causal=causal)
 
 
 class TestNumericBehavior:

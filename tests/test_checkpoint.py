@@ -1,10 +1,13 @@
-"""Checkpoint container round-trips and corruption handling."""
+"""Checkpoint container round-trips and corruption handling: a bad file
+may only end in ``CheckpointError``."""
 
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soundloc.checkpoint import MAGIC, VERSION, CheckpointError, load_checkpoint, save_checkpoint
 from soundloc.grounding import MaskDecoder
@@ -112,3 +115,53 @@ def test_load_state_rejects_a_state_that_does_not_fit(change, problem):
     change(state)
     with pytest.raises(CheckpointError, match=re.escape(problem)):
         dec.load_state(state)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_rejected(tmp_path, params, bad):
+    path = tmp_path / "m.splt"
+    params["block.b"][2] = bad
+    save_checkpoint(path, params)
+    with pytest.raises(CheckpointError, match=r"'block\.b' holds NaN or infinite"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def decoder_file(tmp_path_factory):
+    """A valid checkpoint of a small decoder, and the decoder it fits."""
+    dec = MaskDecoder(8, 2, np.random.default_rng(1))
+    path = tmp_path_factory.mktemp("ckpt") / "decoder.splt"
+    save_checkpoint(path, {k: t.data for k, t in dec.parameters().items()})
+    return dec, path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_truncated_checkpoint_raises_checkpoint_error(tmp_path_factory, decoder_file, data):
+    """A cut inside a record fails to parse; a cut between records parses to
+    fewer parameters, which the model refuses."""
+    dec, raw = decoder_file
+    path = tmp_path_factory.mktemp("cut") / "m.splt"
+    path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    with pytest.raises(CheckpointError):
+        dec.load_state(load_checkpoint(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_loads_finite_or_raises(tmp_path_factory, decoder_file, data):
+    _, raw = decoder_file
+    raw = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(raw) - 1))
+        if data.draw(st.booleans()):
+            raw[at] = data.draw(st.integers(0, 255))
+        else:
+            del raw[at]
+    path = tmp_path_factory.mktemp("mut") / "m.splt"
+    path.write_bytes(bytes(raw))
+    try:
+        state = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert all(a.dtype == np.float32 and np.isfinite(a).all() for a in state.values())

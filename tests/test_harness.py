@@ -15,6 +15,7 @@ import pytest
 from soundloc import autodiff as ad
 from soundloc import formats, harness, metrics, synth
 from soundloc.autodiff import ContractViolation
+from soundloc.checkpoint import load_checkpoint, save_checkpoint
 from soundloc.cli import main
 from soundloc.encoders import EncoderConfig
 from soundloc.harness import (
@@ -435,8 +436,9 @@ class TestCli:
                      "--config", str(tmp_path / "nowhere.json"),
                      "--benchmark", "s4-analog"]) == 3
         capsys.readouterr()
-        # A checkpoint that does not fit the configured model, and one
-        # shorter than its header: one line on stderr, no traceback.
+        # A checkpoint that does not fit the configured model, one shorter
+        # than its header and one holding a NaN: one line on stderr, no
+        # traceback.
         cfg_path, out = cli_run
         d = RunConfig.load(cfg_path).to_dict()
         d["prompt"]["context_length"] = 8
@@ -445,9 +447,14 @@ class TestCli:
         wider.write_text(json.dumps(d))
         short = tmp_path / "short.splt"
         short.write_bytes(b"SPLT\x01")
+        state = load_checkpoint(out / "model.splt")
+        state["decoder.head_b"][0] = np.nan
+        poisoned = tmp_path / "nan.splt"
+        save_checkpoint(poisoned, state)
         for ckpt, cfg, reason in (
                 (out / "model.splt", wider, "meta_net.base (4, 64) where the model has (8, 64)"),
-                (short, cfg_path, "shorter than the 8-byte header")):
+                (short, cfg_path, "shorter than the 8-byte header"),
+                (poisoned, cfg_path, "'decoder.head_b' holds NaN or infinite values")):
             assert main(["eval", "--ckpt", str(ckpt), "--config", str(cfg),
                          "--benchmark", "s4-analog", "--out", str(tmp_path)]) == 3
             err = capsys.readouterr().err
