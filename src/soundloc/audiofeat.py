@@ -59,20 +59,18 @@ def filterbank_matrix() -> np.ndarray:
     return _filterbank().copy()
 
 
-def periodogram(frame: np.ndarray) -> np.ndarray:
-    """One-sided power spectrum scaled so a unit sinusoid on an exact bin
-    contributes 0.5 at that bin."""
-    if frame.shape != (FRAME_LEN,):
-        raise ContractViolation(f"frame must have {FRAME_LEN} samples, got {frame.shape}")
-    spec = np.fft.rfft(frame)
-    return (2.0 / FRAME_LEN**2) * np.abs(spec) ** 2
+def periodogram(frames: np.ndarray) -> np.ndarray:
+    """(..., 1000) frames -> (..., 501) one-sided power spectra, scaled so a
+    unit sinusoid on an exact bin contributes 0.5 at that bin."""
+    if frames.shape[-1:] != (FRAME_LEN,):
+        raise ContractViolation(f"frames must end in {FRAME_LEN} samples, got {frames.shape}")
+    return (2.0 / FRAME_LEN**2) * np.abs(np.fft.rfft(frames, axis=-1)) ** 2
 
 
-def frame_energies(clip: np.ndarray) -> np.ndarray:
-    """(8, 16) band-energy features for one clip."""
-    clip = np.asarray(clip, dtype=np.float64)
-    if clip.shape != (CLIP_LEN,):
-        raise ContractViolation(f"clip must have {CLIP_LEN} samples, got {clip.shape}")
-    frames = clip.reshape(N_FRAMES, FRAME_LEN)
-    power = (2.0 / FRAME_LEN**2) * np.abs(np.fft.rfft(frames, axis=-1)) ** 2
-    return power @ _filterbank().T
+def frame_energies(clips: np.ndarray) -> np.ndarray:
+    """(..., 8000) clips -> (..., 8, 16) band-energy features."""
+    clips = np.asarray(clips, dtype=np.float64)
+    if clips.shape[-1:] != (CLIP_LEN,):
+        raise ContractViolation(f"clips must end in {CLIP_LEN} samples, got {clips.shape}")
+    frames = clips.reshape(clips.shape[:-1] + (N_FRAMES, FRAME_LEN))
+    return periodogram(frames) @ _filterbank().T

@@ -5,7 +5,9 @@ switch) and record the operations applied to them on a tape of graph
 nodes.  Calling :func:`backward` on a scalar result walks the recorded
 DAG once in reverse topological order (deterministic tie-break by
 creation index, so runs are bit-reproducible) and accumulates gradients
-additively across fan-out.
+additively across fan-out.  ``PRIMITIVES`` names every operation that
+can appear on the tape; the test suite checks each one against central
+differences.
 
 Backward does only the work whose result someone reads:
 
@@ -48,9 +50,8 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -123,9 +124,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -476,11 +474,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                  "concat", tensors, bwd)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    expanded = [reshape(t, t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors]
-    return concat(expanded, axis=axis)
-
-
 def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
     out = np.where(mask, np.asarray(value, dtype=a.dtype), a.data)
@@ -552,15 +545,6 @@ PRIMITIVES: dict[str, Callable] = {
 }
 
 
-def apply_primitive(kind: str, inputs: Sequence[Tensor], **params) -> Tensor:
-    """Dispatch a primitive by name (used by the verification harness)."""
-    if kind not in PRIMITIVES:
-        raise ContractViolation(f"unknown primitive kind {kind!r}")
-    if kind == "concat":
-        return PRIMITIVES[kind](inputs, **params)
-    return PRIMITIVES[kind](*inputs, **params)
-
-
 # -- backward pass -----------------------------------------------------------
 
 def backward(root: Tensor) -> None:
@@ -614,70 +598,3 @@ def _first_grad(p: Tensor, g: np.ndarray) -> np.ndarray:
     out = np.empty_like(p.data, dtype=np.result_type(p.data, g))
     np.copyto(out, g)
     return out
-
-
-# -- gradient verification ---------------------------------------------------
-
-def _rel_err(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
-@dataclass
-class GradCheckReport:
-    """Per-parameter worst mismatch between reverse-mode and central differences."""
-
-    max_rel_error: dict[str, float] = field(default_factory=dict)
-    failures: list[tuple[str, int, float]] = field(default_factory=list)
-    non_finite: list[tuple[str, int]] = field(default_factory=list)
-    tol: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def worst(self) -> float:
-        return max(self.max_rel_error.values(), default=0.0)
-
-
-def grad_check(f: Callable[..., Tensor], params: dict[str, Tensor],
-               h: float = 1e-4, tol: float = 1e-4,
-               coords: Callable[[str, Tensor], Iterable[int]] | None = None
-               ) -> GradCheckReport:
-    """Compare reverse-mode gradients of ``f(params)`` to central differences.
-
-    ``f`` must map the parameter dict to a scalar tensor.  Relative error
-    is ``|a - b| / max(1, |a|, |b|)``; coordinates where a perturbed
-    evaluation is non-finite are recorded and skipped rather than fatal.
-    ``coords(name, tensor)`` picks the flat indices probed in each tensor
-    (every index when ``coords`` is None).
-    """
-    for t in params.values():
-        t.zero_grad()
-    out = f(params)
-    backward(out)
-    analytic = {k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-                for k, t in params.items()}
-
-    report = GradCheckReport(tol=tol)
-    with no_grad():
-        for name, t in params.items():
-            worst = 0.0
-            flat = t.data.reshape(-1)
-            gflat = analytic[name].reshape(-1)
-            for i in (range(flat.size) if coords is None else coords(name, t)):
-                orig = flat[i]
-                flat[i] = orig + h
-                fp = f(params).item()
-                flat[i] = orig - h
-                fm = f(params).item()
-                flat[i] = orig
-                if not (np.isfinite(fp) and np.isfinite(fm)):
-                    report.non_finite.append((name, i))
-                    continue
-                num = (fp - fm) / (2.0 * h)
-                err = _rel_err(gflat[i], num)
-                worst = max(worst, err)
-                if err > tol:
-                    report.failures.append((name, i, err))
-            report.max_rel_error[name] = worst
-    return report

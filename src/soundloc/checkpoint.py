@@ -4,8 +4,8 @@ Layout: magic bytes ``SPLT``, version as little-endian u32, then one
 record per parameter in insertion order: name length (u32), UTF-8 name,
 rank (u32), one u32 extent per axis, and the payload as 32-bit IEEE-754
 little-endian floats in row-major order.  Save/load/save round-trips are
-bit-exact.  Loading rejects a payload holding NaN or +-inf: training never
-saves one, so such a file is corrupt.
+bit-exact.  Loading rejects a payload holding NaN or +-inf and a name that
+appears twice: training never saves either, so such a file is corrupt.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             pos += 4
             name = raw[pos:pos + nlen].decode("utf-8")
             pos += nlen
+            if name in out:
+                raise CheckpointError(f"{path}: parameter {name!r} appears twice")
             (rank,) = struct.unpack_from("<I", raw, pos)
             pos += 4
             shape = struct.unpack_from(f"<{rank}I", raw, pos)

@@ -34,6 +34,9 @@ class EncoderConfig:
     max_text_len: int = 32
 
     def __post_init__(self):
+        for name in ("patch_size", "text_heads"):
+            if getattr(self, name) < 1:
+                raise ContractViolation(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.image_size % self.patch_size:
             raise ContractViolation(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
@@ -128,7 +131,7 @@ class AudioEncoder(Module):
         if clips.ndim != 2 or clips.shape[1] != self.clip_len:
             raise ContractViolation(
                 f"audio batch must be (B, {self.clip_len}), got {clips.shape}")
-        feats = np.stack([audiofeat.frame_energies(c) for c in clips])
+        feats = audiofeat.frame_energies(clips)
         return ad.linear(ad.constant(feats, dtype=self.proj_w.dtype), self.proj_w, self.proj_b)
 
 
@@ -154,7 +157,7 @@ class TextEncoder(Module):
         self.lnf_b = self.param("lnf_b", np.zeros(d))
         self.proj = self.param("proj", normal_init(rng, (d, d)))
 
-    def forward(self, tokens: Tensor, return_hidden: bool = False):
+    def forward(self, tokens: Tensor) -> Tensor:
         """(B, T, d) sequences -> unit-norm (B, d) embeddings."""
         if tokens.ndim != 3 or tokens.shape[2] != self.cfg.embed_dim:
             raise ContractViolation(
@@ -164,13 +167,7 @@ class TextEncoder(Module):
             raise ContractViolation(
                 f"sequence length {t} outside [1, {self.cfg.max_text_len}]")
         x = tokens + self.pos[:t]
-        hidden = []
         for blk in self.blocks:
             x = blk.forward(x)
-            if return_hidden:
-                hidden.append(x)
         x = ad.layer_norm(x, self.lnf_g, self.lnf_b)
-        emb = ad.l2_normalize(x[:, t - 1, :] @ self.proj, axis=-1)
-        if return_hidden:
-            return emb, hidden
-        return emb
+        return ad.l2_normalize(x[:, t - 1, :] @ self.proj, axis=-1)

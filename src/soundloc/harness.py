@@ -98,6 +98,13 @@ class RunConfig:
             raise ContractViolation("batch_size must be >= 2 (contrastive pairs)")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ContractViolation("val_fraction outside [0, 1)")
+        for name in ("epochs", "warmup_epochs"):
+            if getattr(self, name) < 0:
+                raise ContractViolation(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.generator.image_size != self.encoder.image_size:
+            raise ContractViolation(
+                f"generator image_size {self.generator.image_size} differs from "
+                f"encoder image_size {self.encoder.image_size}")
 
     @property
     def np_dtype(self):
@@ -224,10 +231,10 @@ def _snap_float32(model: SoundLocalizer) -> None:
 def batch_loss(model: SoundLocalizer, images: np.ndarray, audios: np.ndarray,
                weights: LossWeights) -> tuple[Tensor, dict[str, float]]:
     percept = model.perceive(images, audios)
-    s_img, s_feat, stats, _ = model.similarity_tables(percept)
+    s_img, s_feat, pair_means, _ = model.similarity_tables(percept)
     l_img = infonce_symmetric(s_img, weights.temperature)
     l_feat = infonce_symmetric(s_feat, weights.temperature)
-    l_reg = area_regularization(stats, weights.p_plus, weights.p_minus)
+    l_reg = area_regularization(pair_means, weights.p_plus, weights.p_minus)
     total = total_loss(l_img, l_feat, l_reg, weights)
     parts = {"l_img": l_img.item(), "l_feat": l_feat.item(),
              "l_reg": l_reg.item(), "total": total.item()}
@@ -446,12 +453,11 @@ def predict_eval_samples(model: SoundLocalizer, scenes: list[SceneSample],
 
 
 def evaluate(model: SoundLocalizer, cfg: RunConfig, benchmark: str,
-             out_dir: str | Path | None = None,
-             proto: metrics.MetricProtocol | None = None) -> metrics.MetricsReport:
+             out_dir: str | Path | None = None) -> metrics.MetricsReport:
     """Score one benchmark; optionally write the CSV report and JSON twin."""
     scenes = benchmark_scenes(cfg, benchmark)
     evs = predict_eval_samples(model, scenes)
-    report = metrics.compute_report(evs, proto)
+    report = metrics.compute_report(evs)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

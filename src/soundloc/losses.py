@@ -1,10 +1,11 @@
 """Training objectives: symmetric contrastive alignment and mask-area control.
 
-The contrastive term treats a B x B similarity table as a retrieval
-problem in both directions (each row and each column should peak on the
-diagonal).  The area term is an L1 pull of pairwise mask means toward a
-positive target on the diagonal and a negative target off it, which stops
-the decoder from collapsing to all-on or all-off masks.
+Both terms take B x B tables indexed by (image i, audio j).  The
+contrastive term treats a similarity table as a retrieval problem in both
+directions (each row and each column should peak on the diagonal).  The
+area term is an L1 pull of the pairs' mean mask values toward a positive
+target on the diagonal and a negative target off it, which stops the
+decoder from collapsing to all-on or all-off masks.
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ class LossWeights:
                 f"need 0 <= p_minus <= p_plus <= 1, got {self.p_minus}, {self.p_plus}")
 
 
-@dataclass
-class MaskStatistics:
-    """Spatial mean of the image-level mask for every (image, audio) pair."""
-    pair_mean_mask: Tensor   # (B, B)
-
-
 def infonce_symmetric(sims: Tensor, tau: float) -> Tensor:
     """Two-directional contrastive loss over a square similarity table.
 
@@ -72,17 +67,18 @@ def infonce_symmetric(sims: Tensor, tau: float) -> Tensor:
     return -(row_diag.sum() + col_diag.sum()) * (1.0 / (2 * b))
 
 
-def area_regularization(stats: MaskStatistics, p_plus: float, p_minus: float) -> Tensor:
+def area_regularization(m: Tensor, p_plus: float, p_minus: float) -> Tensor:
     """Summed L1 distance of pair mask means to their targets.
 
-    Diagonal entries (matched pairs) are pulled toward ``p_plus``,
-    off-diagonal ones toward ``p_minus``; terms are summed, not averaged.
+    ``m[i, j]`` is the spatial mean of the image-level mask decoded for
+    image i and audio j.  Diagonal entries (matched pairs) are pulled
+    toward ``p_plus``, off-diagonal ones toward ``p_minus``; terms are
+    summed, not averaged.
     Reduction happens row by row and then across row totals, so for small
     tables a double loop with per-row accumulators reproduces the value
     bit for bit (numpy switches to pairwise summation inside rows of
     eight or more).
     """
-    m = stats.pair_mean_mask
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ContractViolation(f"pair mask means must be square, got {m.shape}")
     b = m.shape[0]

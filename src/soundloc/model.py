@@ -29,7 +29,6 @@ from . import grounding, prompting
 from .autodiff import ContractViolation, Tensor
 from .encoders import AudioEncoder, EncoderConfig, ImageEncoder, TextEncoder
 from .layers import Module
-from .losses import MaskStatistics
 from .prompting import AudioTokenizer, MetaNet, PromptConfig
 
 
@@ -45,8 +44,6 @@ class Perception:
 @dataclass
 class PairDecode:
     """Everything decoded for a set of (image, audio) index pairs."""
-    idx_i: np.ndarray
-    idx_j: np.ndarray
     conditions: Tensor      # (N, d) prompt embeddings, one per pair
     logits: Tensor          # (N, cells)
     feature_masks: Tensor   # (N, cells) in (0, 1)
@@ -144,15 +141,14 @@ class SoundLocalizer(Module):
             # All M + 1 audio-token positions go through the text encoder as
             # one stacked batch; the slices are summed in position order.
             n, m1 = context.shape[0], cfg.context_length + 1
-            variants = [prompting.assemble_prompt(context, va_j, PromptConfig(
-                context_length=cfg.context_length, va_position=pos, meta_mode=cfg.meta_mode))
-                for pos in range(1, m1 + 1)]
+            variants = [prompting.assemble_prompt(context, va_j, pos)
+                        for pos in range(1, m1 + 1)]
             emb = self.text_encoder.forward(ad.concat(variants, axis=0))
             total = emb[:n]
             for k in range(1, m1):
                 total = total + emb[k * n:(k + 1) * n]
             return total * (1.0 / m1)
-        tokens = prompting.assemble_prompt(context, va_j, cfg)
+        tokens = prompting.assemble_prompt(context, va_j, cfg.va_position)
         return self.text_encoder.forward(tokens)
 
     def decode_pairs(self, percept: Perception, idx_i: np.ndarray,
@@ -171,13 +167,13 @@ class SoundLocalizer(Module):
         logits = self.decoder.decode_logits(percept.grid[idx_i], conditions)
         n = logits.shape[0]
         up = ad.resize_bilinear(logits.reshape(n, g, g), s, s)
-        return PairDecode(idx_i=idx_i, idx_j=idx_j, conditions=conditions,
-                          logits=logits, feature_masks=ad.sigmoid(logits),
-                          image_masks=ad.sigmoid(up))
+        return PairDecode(conditions=conditions, logits=logits,
+                          feature_masks=ad.sigmoid(logits), image_masks=ad.sigmoid(up))
 
     def similarity_tables(self, percept: Perception
-                          ) -> tuple[Tensor, Tensor, MaskStatistics, PairDecode]:
-        """All-pairs decode -> (image-level table, feature-level table, stats)."""
+                          ) -> tuple[Tensor, Tensor, Tensor, PairDecode]:
+        """All-pairs decode -> (image-level table, feature-level table, pair mask
+        means, decode), each table (B, B) and indexed by (image, audio)."""
         b = percept.grid.shape[0]
         idx_i = np.repeat(np.arange(b), b)
         idx_j = np.tile(np.arange(b), b)
@@ -194,9 +190,8 @@ class SoundLocalizer(Module):
         d = self.enc_cfg.embed_dim
         s_img = (v_img.reshape(b, b, d) * targets.reshape(1, b, d)).sum(axis=-1)
         s_feat = (v_feat.reshape(b, b, d) * targets.reshape(1, b, d)).sum(axis=-1)
-        stats = MaskStatistics(pair_mean_mask=dec.image_masks.mean(axis=(1, 2))
-                               .reshape(b, b))
-        return s_img, s_feat, stats, dec
+        pair_means = dec.image_masks.mean(axis=(1, 2)).reshape(b, b)
+        return s_img, s_feat, pair_means, dec
 
     # -- evaluation-facing helpers -------------------------------------------
 

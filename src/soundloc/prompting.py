@@ -134,15 +134,16 @@ class AudioTokenizer(Module):
         return self.frame_repr(feats).mean(axis=-2)
 
 
-def assemble_prompt(context: Tensor, va: Tensor, cfg: PromptConfig) -> Tensor:
+def assemble_prompt(context: Tensor, va: Tensor, position: int) -> Tensor:
     """(B, M, d) context + (B, d) audio tokens -> (B, M+1, d) prompts.
 
-    Exactly ``va_position - 1`` context tokens precede the audio token.
+    Exactly ``position - 1`` context tokens precede the audio token.
     """
-    m = cfg.context_length
-    if context.ndim != 3 or context.shape[1] != m:
-        raise ContractViolation(f"context batch must be (B, {m}, d), got {context.shape}")
-    p = cfg.va_position
+    if context.ndim != 3:
+        raise ContractViolation(f"context batch must be (B, M, d), got {context.shape}")
+    m, p = context.shape[1], position
+    if not 1 <= p <= m + 1:
+        raise ContractViolation(f"audio token position {p} outside [1, {m + 1}]")
     va_row = va.reshape(va.shape[0], 1, va.shape[-1])
     if m == 0:
         return va_row

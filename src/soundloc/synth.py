@@ -68,6 +68,12 @@ class GeneratorConfig:
             raise ContractViolation("train_class_count outside [1, num_classes]")
         if self.mismatch_fraction + self.silent_fraction > 1.0:
             raise ContractViolation("extended-mode fractions exceed 1")
+        for name in ("single_radius", "multi_radius"):
+            lo, hi = getattr(self, name)
+            if not 2 <= lo <= hi or 2 * hi >= self.image_size:
+                raise ContractViolation(
+                    f"{name} ({lo}, {hi}) needs 2 <= lo <= hi and 2 * hi < "
+                    f"image_size {self.image_size}")
 
     @property
     def train_class_set(self) -> tuple[int, ...]:
@@ -154,14 +160,16 @@ def _validate_placement(spec: SceneSpec, size: int) -> list[np.ndarray]:
         if not (r <= cx <= size - 1 - r and r <= cy <= size - 1 - r):
             raise SceneSpecError(f"disc at {(cx, cy)} radius {r} leaves the image")
         masks.append(_disc_mask(size, (cx, cy), r))
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            inter = np.logical_and(masks[i], masks[j]).sum()
-            smaller = min(masks[i].sum(), masks[j].sum())
-            if smaller and inter / smaller > OVERLAP_LIMIT:
-                raise SceneSpecError(
-                    f"objects {i} and {j} overlap by {inter / smaller:.0%} of the smaller")
+    for j in range(len(masks)):
+        for i, frac in enumerate(_overlaps(masks[j], masks[:j])):
+            if frac > OVERLAP_LIMIT:
+                raise SceneSpecError(f"objects {i} and {j} overlap by {frac:.0%} of the smaller")
     return masks
+
+
+def _overlaps(mask: np.ndarray, others: list[np.ndarray]) -> list[float]:
+    """Overlap of ``mask`` with each of ``others`` as a fraction of the smaller disc."""
+    return [np.logical_and(mask, o).sum() / min(mask.sum(), o.sum()) for o in others]
 
 
 def _synthesize_audio(audible: tuple[int, ...], silent: bool, snr_db: float,
@@ -228,23 +236,16 @@ def _place_objects(rng: np.random.Generator, cfg: GeneratorConfig, count: int,
     for _ in range(MAX_PLACEMENT_TRIES):
         objects = []
         masks = []
-        ok = True
         for cid in classes[:count]:
             r = int(rng.integers(lo, hi + 1))
             cx = int(rng.integers(r, size - r))
             cy = int(rng.integers(r, size - r))
             mask = _disc_mask(size, (cx, cy), r)
-            for other in masks:
-                inter = np.logical_and(mask, other).sum()
-                smaller = min(mask.sum(), other.sum())
-                if inter / smaller > OVERLAP_LIMIT:
-                    ok = False
-                    break
-            if not ok:
+            if any(frac > OVERLAP_LIMIT for frac in _overlaps(mask, masks)):
                 break
             objects.append((cid, (cx, cy), r))
             masks.append(mask)
-        if ok:
+        else:
             return objects
     raise SceneSpecError(f"could not place {count} objects in {MAX_PLACEMENT_TRIES} tries")
 

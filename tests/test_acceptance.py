@@ -26,17 +26,18 @@ from soundloc.harness import (
     render_heatmaps,
     train,
 )
+from soundloc.layers import TransformerBlock
 from soundloc.losses import (
     LossWeights,
-    MaskStatistics,
     area_regularization,
     infonce_symmetric,
     total_loss,
 )
 from soundloc.metrics import EvalSample
-from soundloc.prompting import MetaNet, PromptConfig, assemble_prompt
+from soundloc.prompting import MetaNet, assemble_prompt
 from soundloc.synth import SceneFlags
 
+from _gradcheck import apply_primitive
 from _oracles import (
     ap_loops,
     area_reg_loops,
@@ -117,7 +118,7 @@ def _max_rel(a, b):
 def _fd_check_primitive(name, inputs, kwargs, rng):
     tensors = [ad.Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
                for x in inputs]
-    out = ad.apply_primitive(name, tensors, **kwargs)
+    out = apply_primitive(name, tensors, **kwargs)
     w = rng.normal(size=out.shape)
     ad.backward((out * ad.constant(w)).sum())
     worst = 0.0
@@ -125,7 +126,7 @@ def _fd_check_primitive(name, inputs, kwargs, rng):
         def f(arr, _k=k):
             probe = [ad.constant(arr if j == _k else inputs[j])
                      for j in range(len(inputs))]
-            return float((ad.apply_primitive(name, probe, **kwargs).data * w).sum())
+            return float((apply_primitive(name, probe, **kwargs).data * w).sum())
         numeric = fd_gradient(f, np.asarray(inputs[k], dtype=np.float64), H)
         worst = max(worst, _max_rel(tensors[k].grad, numeric))
     return worst
@@ -162,18 +163,16 @@ def test_criterion_1_gradient_suite():
 
         m = _area_table(rng)
         t = ad.Tensor(m.copy(), requires_grad=True)
-        ad.backward(area_regularization(MaskStatistics(t), 0.4, 0.0))
+        ad.backward(area_regularization(t, 0.4, 0.0))
         num = fd_gradient(
-            lambda arr: float(area_regularization(
-                MaskStatistics(ad.constant(arr)), 0.4, 0.0).data), m, H)
+            lambda arr: float(area_regularization(ad.constant(arr), 0.4, 0.0).data), m, H)
         w_area = max(w_area, _max_rel(t.grad, num))
 
         s1, s2, m = rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), _area_table(rng)
         parts = [ad.Tensor(x.copy(), requires_grad=True) for x in (s1, s2, m)]
         ad.backward(total_loss(infonce_symmetric(parts[0], tau),
                                infonce_symmetric(parts[1], tau),
-                               area_regularization(MaskStatistics(parts[2]),
-                                                   weights.p_plus, weights.p_minus),
+                               area_regularization(parts[2], weights.p_plus, weights.p_minus),
                                weights))
         for k, x in enumerate((s1, s2, m)):
             def f(arr, _k=k):
@@ -182,8 +181,7 @@ def test_criterion_1_gradient_suite():
                 return float(total_loss(
                     infonce_symmetric(probe[0], tau),
                     infonce_symmetric(probe[1], tau),
-                    area_regularization(MaskStatistics(probe[2]),
-                                        weights.p_plus, weights.p_minus),
+                    area_regularization(probe[2], weights.p_plus, weights.p_minus),
                     weights).data)
             w_total = max(w_total, _max_rel(parts[k].grad, fd_gradient(f, x, H)))
 
@@ -227,14 +225,12 @@ def test_criterion_2_infonce_identities():
 def test_criterion_3_area_regularization():
     exact = np.full((4, 4), 0.1)
     np.fill_diagonal(exact, 0.7)
-    at_target = float(area_regularization(
-        MaskStatistics(ad.constant(exact)), 0.7, 0.1).data)
+    at_target = float(area_regularization(ad.constant(exact), 0.7, 0.1).data)
     rng = np.random.default_rng(11)
     mismatches = 0
     for _ in range(50):
         m = rng.uniform(0, 1, (3, 3))
-        ours = float(area_regularization(
-            MaskStatistics(ad.constant(m)), 0.4, 0.0).data)
+        ours = float(area_regularization(ad.constant(m), 0.4, 0.0).data)
         if ours != area_reg_loops(m.tolist(), 0.4, 0.0):
             mismatches += 1
     ok = at_target == 0.0 and mismatches == 0
@@ -295,18 +291,32 @@ def test_criterion_4_metric_oracles():
 
 # -- criterion 5: causal prefix invariance -----------------------------------
 
-def test_criterion_5_causal_prefix_invariance():
+def test_criterion_5_causal_prefix_invariance(monkeypatch):
     enc = TextEncoder(EncoderConfig(), np.random.default_rng(3))
+    hidden = []
+    block_forward = TransformerBlock.forward
+
+    def spy(blk, x):
+        hidden.append(block_forward(blk, x))
+        return hidden[-1]
+
+    def hidden_states(tokens):
+        """Each layer's (1, T, d) output, read by a spy on the blocks."""
+        hidden.clear()
+        enc.forward(ad.constant(tokens[None]))
+        assert len(hidden) == enc.cfg.text_layers
+        return hidden[:]
+
+    monkeypatch.setattr(TransformerBlock, "forward", spy)
     d = enc.cfg.embed_dim
     rng = np.random.default_rng(55)
     checked = violations = 0
     for m in (0, 4, 8, 16):
         for p in range(1, m + 2):
-            pcfg = PromptConfig(context_length=m, va_position=p)
             for _ in range(50):
                 ctx = ad.constant(rng.normal(size=(m, d)))
                 va = ad.constant(rng.normal(size=d))
-                tokens = assemble_prompt(ctx[None], va[None], pcfg)[0].data
+                tokens = assemble_prompt(ctx[None], va[None], p)[0].data
                 t = tokens.shape[0]
                 if t == 1:
                     # A one-token prompt has no suffix to perturb, so the
@@ -318,9 +328,7 @@ def test_criterion_5_causal_prefix_invariance():
                     k = int(rng.integers(1, t))
                     other = tokens.copy()
                     other[k:] += rng.normal(size=(t - k, d))
-                _, hid_a = enc.forward(ad.constant(tokens[None]), return_hidden=True)
-                _, hid_b = enc.forward(ad.constant(other[None]), return_hidden=True)
-                for ha, hb in zip(hid_a, hid_b):
+                for ha, hb in zip(hidden_states(tokens), hidden_states(other)):
                     checked += 1
                     if not np.array_equal(ha.data[0, :k], hb.data[0, :k]):
                         violations += 1
@@ -348,8 +356,7 @@ def test_criterion_6_prompt_mechanics():
     va = ad.constant(np.full(d, -1.0))
     bad_orders = []
     for p, printed in PRINTED_ORDERS.items():
-        tokens = assemble_prompt(ctx[None], va[None], PromptConfig(context_length=4,
-                                                                   va_position=p))[0].data
+        tokens = assemble_prompt(ctx[None], va[None], p)[0].data
         labels = "".join(
             "[V_A]" if row[0] == -1.0 else f"[V_{int(row[0])}]"
             for row in tokens)

@@ -15,6 +15,7 @@ import pytest
 import soundloc.autodiff as ad
 from soundloc.autodiff import ContractViolation, Tensor
 
+from _gradcheck import grad_check
 from _oracles import attention_loops, bilinear_loops, fd_gradient, rel_err
 
 N_INSTANCES = 100
@@ -193,11 +194,6 @@ def _case_concat(rng):
     return p, lambda q: _weighted(ad.concat([q["a"], q["b"]], axis=0))
 
 
-def _case_stack(rng):
-    p = {"a": _rand(rng, 3, 4), "b": _rand(rng, 3, 4)}
-    return p, lambda q: _weighted(ad.stack([q["a"], q["b"]], axis=1))
-
-
 def _case_masked_fill(rng):
     mask = rng.random((3, 4)) < 0.4
     p = {"a": _rand(rng, 3, 4)}
@@ -221,7 +217,7 @@ def test_gradients_match_finite_differences(op):
     worst = 0.0
     for _ in range(N_INSTANCES):
         params, loss = OP_CASES[op](rng)
-        report = ad.grad_check(loss, params, h=1e-4, tol=1e-4)
+        report = grad_check(loss, params, h=1e-4, tol=1e-4)
         assert report.ok, f"{op}: {report.failures[:3]}"
         worst = max(worst, report.worst())
     assert worst < 1e-4

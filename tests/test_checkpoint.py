@@ -126,6 +126,18 @@ def test_non_finite_payload_rejected(tmp_path, params, bad):
         load_checkpoint(path)
 
 
+def test_repeated_name_rejected(tmp_path):
+    """A second record named ``w`` may not silently replace the first."""
+    def record(value):
+        return (struct.pack("<I", 1) + b"w" + struct.pack("<2I", 1, 3)
+                + np.full(3, value, dtype="<f4").tobytes())
+
+    path = tmp_path / "m.splt"
+    path.write_bytes(MAGIC + struct.pack("<I", VERSION) + record(1.0) + record(7.0))
+    with pytest.raises(CheckpointError, match="parameter 'w' appears twice"):
+        load_checkpoint(path)
+
+
 @pytest.fixture(scope="module")
 def decoder_file(tmp_path_factory):
     """A valid checkpoint of a small decoder, and the decoder it fits."""

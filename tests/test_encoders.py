@@ -7,6 +7,7 @@ import soundloc.autodiff as ad
 from soundloc import audiofeat
 from soundloc.autodiff import ContractViolation, Tensor
 from soundloc.encoders import AudioEncoder, EncoderConfig, ImageEncoder, TextEncoder
+from soundloc.layers import TransformerBlock
 
 from _oracles import dft_power_loops
 
@@ -27,10 +28,16 @@ class TestEncoderConfig:
         assert cfg.patch_dim == 4 * 4 * 3
 
     def test_rejects_indivisible_patch(self):
+        for patch in (0, -4):
+            with pytest.raises(ContractViolation, match="patch_size"):
+                EncoderConfig(patch_size=patch)
         with pytest.raises(ContractViolation):
             EncoderConfig(image_size=30, patch_size=4)
 
     def test_rejects_indivisible_heads(self):
+        for heads in (0, -4):
+            with pytest.raises(ContractViolation, match="text_heads"):
+                EncoderConfig(text_heads=heads)
         with pytest.raises(ContractViolation):
             EncoderConfig(embed_dim=64, text_heads=5)
 
@@ -150,6 +157,16 @@ class TestAudioEncoder:
         out = enc.forward(clip[None])[0]
         assert np.array_equal(out.data, audiofeat.frame_energies(clip))
 
+    def test_batch_rows_equal_single_clips(self, cfg):
+        """One feature call for the whole batch gives each clip's features
+        exactly as that clip alone would."""
+        enc = AudioEncoder(cfg, _rng())
+        clips = np.random.default_rng(47).standard_normal((5, 8000))
+        batch = enc.forward(clips).data
+        for i in range(5):
+            assert np.array_equal(batch[i], enc.forward(clips[i:i + 1]).data[0])
+            assert np.array_equal(batch[i], audiofeat.frame_energies(clips[i]))
+
     def test_batch_shape_and_validation(self, cfg):
         enc = AudioEncoder(cfg, _rng())
         out = enc.forward(np.zeros((3, 8000)))
@@ -166,18 +183,30 @@ class TestTextEncoder:
         assert out.shape == (5, 64)
         assert np.allclose(np.linalg.norm(out.data, axis=-1), 1.0, atol=1e-12)
 
-    def test_causality_prefix_states_are_bit_identical(self, cfg):
+    def test_causality_prefix_states_are_bit_identical(self, cfg, monkeypatch):
         """Replacing suffix tokens with junk must leave every prefix hidden
         state untouched, exactly, in every layer."""
         enc = TextEncoder(cfg, _rng())
+        hidden = []
+        block_forward = TransformerBlock.forward
+
+        def spy(blk, x):
+            hidden.append(block_forward(blk, x))
+            return hidden[-1]
+
+        def hidden_states(tokens):
+            hidden.clear()
+            enc.forward(Tensor(tokens))
+            assert len(hidden) == cfg.text_layers
+            return hidden[:]
+
+        monkeypatch.setattr(TransformerBlock, "forward", spy)
         rng = np.random.default_rng(45)
         base = rng.standard_normal((2, 9, 64)) * 0.02
         for cut in (1, 4, 8):
             junk = base.copy()
             junk[:, cut:, :] = rng.standard_normal((2, 9 - cut, 64)) * 50.0
-            _, h0 = enc.forward(Tensor(base), return_hidden=True)
-            _, h1 = enc.forward(Tensor(junk), return_hidden=True)
-            for a, b in zip(h0, h1):
+            for a, b in zip(hidden_states(base), hidden_states(junk)):
                 assert np.array_equal(a.data[:, :cut, :], b.data[:, :cut, :])
 
     def test_suffix_actually_matters(self, cfg):

@@ -203,20 +203,20 @@ class TestSimilarityTables:
         images, audios = self._batch(3)
         percept = model.perceive(images, audios)
         counted = _count_decodes(monkeypatch)
-        s_img, s_feat, stats, _ = model.similarity_tables(percept)
+        s_img, s_feat, pair_means, _ = model.similarity_tables(percept)
         assert sum(counted) == 9
         assert s_img.shape == (3, 3) and s_feat.shape == (3, 3)
-        assert stats.pair_mean_mask.shape == (3, 3)
+        assert pair_means.shape == (3, 3)
 
     def test_entries_are_cosines(self, model):
         images, audios = self._batch(4, seed=51)
         percept = model.perceive(images, audios)
-        s_img, s_feat, stats, _ = model.similarity_tables(percept)
+        s_img, s_feat, pair_means, _ = model.similarity_tables(percept)
         for table in (s_img.data, s_feat.data):
             assert np.all(table >= -1.0 - 1e-9)
             assert np.all(table <= 1.0 + 1e-9)
-        assert np.all(stats.pair_mean_mask.data > 0)
-        assert np.all(stats.pair_mean_mask.data < 1)
+        assert np.all(pair_means.data > 0)
+        assert np.all(pair_means.data < 1)
 
     def test_single_sample_table(self, model):
         images, audios = self._batch(1, seed=52)
@@ -295,8 +295,9 @@ class TestFusionModes:
         assert seen == [(5 * 2 * 2, 5, 64)]
         assert np.all(np.abs(s_img.data) <= 1.0 + 1e-9)
 
-        context = model.meta_net.forward(percept.pooled[dec.idx_i])
-        va = model.tokenizer.forward(percept.audio_feats)[dec.idx_j]
-        singles = [orig(assemble_prompt(context, va, PromptConfig(va_position=pos))).data
+        # Pair n = 2 * i + j decodes image i with audio j.
+        context = model.meta_net.forward(percept.pooled[np.repeat(np.arange(2), 2)])
+        va = model.tokenizer.forward(percept.audio_feats)[np.tile(np.arange(2), 2)]
+        singles = [orig(assemble_prompt(context, va, pos)).data
                    for pos in range(1, 6)]
         assert np.abs(dec.conditions.data - np.mean(singles, axis=0)).max() <= 1e-6

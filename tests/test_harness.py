@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soundloc import autodiff as ad
 from soundloc import formats, harness, metrics, synth
@@ -37,6 +39,8 @@ from soundloc.harness import (
 from soundloc.losses import LossWeights
 from soundloc.model import SoundLocalizer
 from soundloc.prompting import PromptConfig
+
+from _gradcheck import grad_check
 
 
 def _tiny_cfg(out_dir, **overrides) -> RunConfig:
@@ -89,10 +93,55 @@ class TestRunConfig:
         {"batch_size": 1},
         {"val_fraction": 1.0},
         {"val_fraction": -0.1},
+        {"epochs": -3},
+        {"warmup_epochs": -1},
+        {"encoder": EncoderConfig(image_size=64)},   # scenes are 32 pixels wide
     ])
     def test_invalid_configs(self, bad):
         with pytest.raises(ContractViolation):
             RunConfig(**bad)
+
+    # Config fields drawn for the property below: values that fit together,
+    # and small ranges around them that include zero and negative values.
+    FITTING = {"single_radius": st.tuples(st.integers(2, 3), st.integers(4, 5)),
+               "multi_radius": st.tuples(st.integers(2, 3), st.integers(3, 4)),
+               "patch_size": st.sampled_from([1, 2, 4]),
+               "text_heads": st.sampled_from([1, 2, 4, 8]),
+               "encoder_size": st.sampled_from([12, 16]),
+               "generator_size": st.none(),      # as wide as the encoder's
+               "epochs": st.integers(0, 2)}
+    ANY = {"single_radius": st.tuples(st.integers(-1, 12), st.integers(-1, 12)),
+           "multi_radius": st.tuples(st.integers(-1, 8), st.integers(-1, 8)),
+           "patch_size": st.integers(-1, 8),
+           "text_heads": st.integers(-1, 8),
+           "encoder_size": st.integers(-2, 24),
+           "generator_size": st.integers(-2, 24),
+           "epochs": st.integers(-3, 3)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_config_values_build_or_violate_contract(self, data):
+        """A config that loads can build a model, make scenes and perceive
+        them; anything else ends in ``ContractViolation``.  Up to two
+        fields are drawn from the wide ranges, the rest from fitting values."""
+        wild = data.draw(st.sets(st.sampled_from(sorted(self.ANY)), max_size=2))
+        v = {k: data.draw((self.ANY if k in wild else self.FITTING)[k], label=k)
+             for k in sorted(self.ANY)}
+        d = RunConfig(out_dir="unused").to_dict()
+        d["generator"].update(
+            single_radius=list(v["single_radius"]), multi_radius=list(v["multi_radius"]),
+            image_size=v["encoder_size"] if v["generator_size"] is None else v["generator_size"])
+        d["encoder"].update(patch_size=v["patch_size"], text_heads=v["text_heads"],
+                            image_size=v["encoder_size"])
+        d["epochs"] = v["epochs"]
+        try:
+            cfg = RunConfig.from_dict(d)
+            model = build_model(cfg)
+            scenes = synth.make_batch(cfg.generator, 4, "train", base_seed=cfg.seed)
+            percept = model.perceive(*harness.stack_batch(scenes))
+        except ContractViolation:
+            return
+        assert percept.grid.shape == (4, cfg.encoder.n_cells, cfg.encoder.embed_dim)
 
 
 class TestTraining:
@@ -421,6 +470,23 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("contract violation:"), err
             assert f"'{key}'" in err and err.count("\n") == 1
+        # Values of the right type that no scene or model can be built
+        # from end in exit 2 before any work, not in a traceback later.
+        for block, key, value in (("generator", "single_radius", [11, 7]),
+                                  ("generator", "single_radius", [20, 25]),
+                                  ("generator", "image_size", 16),
+                                  ("encoder", "patch_size", 0),
+                                  ("encoder", "text_heads", 0),
+                                  ("encoder", "image_size", 64),
+                                  (None, "epochs", -3),
+                                  (None, "warmup_epochs", -1)):
+            d = RunConfig().to_dict()
+            (d if block is None else d[block])[key] = value
+            bad.write_text(json.dumps(d))
+            assert main(["train", "--config", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("contract violation:"), err
+            assert key in err and err.count("\n") == 1
 
     def test_missing_sibling_config_exits_2(self, tmp_path, capsys):
         ckpt = tmp_path / "model.splt"
@@ -437,8 +503,8 @@ class TestCli:
                      "--benchmark", "s4-analog"]) == 3
         capsys.readouterr()
         # A checkpoint that does not fit the configured model, one shorter
-        # than its header and one holding a NaN: one line on stderr, no
-        # traceback.
+        # than its header, one holding a NaN and one naming a parameter
+        # twice: one line on stderr, no traceback.
         cfg_path, out = cli_run
         d = RunConfig.load(cfg_path).to_dict()
         d["prompt"]["context_length"] = 8
@@ -448,13 +514,17 @@ class TestCli:
         short = tmp_path / "short.splt"
         short.write_bytes(b"SPLT\x01")
         state = load_checkpoint(out / "model.splt")
+        repeated = tmp_path / "repeated.splt"
+        save_checkpoint(repeated, {"decoder.head_b": state["decoder.head_b"]})
+        repeated.write_bytes((out / "model.splt").read_bytes() + repeated.read_bytes()[8:])
         state["decoder.head_b"][0] = np.nan
         poisoned = tmp_path / "nan.splt"
         save_checkpoint(poisoned, state)
         for ckpt, cfg, reason in (
                 (out / "model.splt", wider, "meta_net.base (4, 64) where the model has (8, 64)"),
                 (short, cfg_path, "shorter than the 8-byte header"),
-                (poisoned, cfg_path, "'decoder.head_b' holds NaN or infinite values")):
+                (poisoned, cfg_path, "'decoder.head_b' holds NaN or infinite values"),
+                (repeated, cfg_path, "'decoder.head_b' appears twice")):
             assert main(["eval", "--ckpt", str(ckpt), "--config", str(cfg),
                          "--benchmark", "s4-analog", "--out", str(tmp_path)]) == 3
             err = capsys.readouterr().err
@@ -505,7 +575,7 @@ class TestBatchLossGradient:
         def loss(_):
             return batch_loss(model, images, audios, LossWeights())[0]
 
-        report = ad.grad_check(
+        report = grad_check(
             loss, params, h=1e-6, tol=1e-6,
             coords=lambda name, t: pick.choice(t.size, size=min(4, t.size), replace=False))
         assert report.ok, report.failures[:3]

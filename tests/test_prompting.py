@@ -192,28 +192,28 @@ class TestAssemblePrompt:
 
     def test_va_last(self):
         ctx, va = self._ctx_va(4)
-        tokens = assemble_prompt(ctx, va, PromptConfig(context_length=4, va_position=5))
+        tokens = assemble_prompt(ctx, va, 5)
         assert tokens.shape == (1, 5, D)
         assert np.array_equal(tokens.data[0, :4], ctx.data[0])
         assert np.array_equal(tokens.data[0, 4], va.data[0])
 
     def test_va_first(self):
         ctx, va = self._ctx_va(4)
-        tokens = assemble_prompt(ctx, va, PromptConfig(context_length=4, va_position=1)).data[0]
+        tokens = assemble_prompt(ctx, va, 1).data[0]
         assert np.array_equal(tokens[0], va.data[0])
         assert np.array_equal(tokens[1:], ctx.data[0])
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_all_positions_m4(self, p):
         ctx, va = self._ctx_va(4)
-        tokens = assemble_prompt(ctx, va, PromptConfig(context_length=4, va_position=p)).data[0]
+        tokens = assemble_prompt(ctx, va, p).data[0]
         assert np.array_equal(tokens[p - 1], va.data[0])
         rest = np.delete(tokens, p - 1, axis=0)
         assert np.array_equal(rest, ctx.data[0])
 
     def test_empty_context(self):
         ctx, va = self._ctx_va(0)
-        tokens = assemble_prompt(ctx, va, PromptConfig(context_length=0))
+        tokens = assemble_prompt(ctx, va, 1)
         assert tokens.shape == (1, 1, D)
         assert np.array_equal(tokens.data[0, 0], va.data[0])
 
@@ -223,8 +223,7 @@ class TestAssemblePrompt:
         for m in range(17):
             for p in range(1, m + 2):
                 ctx, va = self._ctx_va(m, d=8, seed=m * 31 + p)
-                cfg = PromptConfig(context_length=m, va_position=p)
-                tokens = assemble_prompt(ctx, va, cfg).data[0]
+                tokens = assemble_prompt(ctx, va, p).data[0]
                 assert tokens.shape == (m + 1, 8)
                 assert np.array_equal(tokens[p - 1], va.data[0])
                 rest = np.delete(tokens, p - 1, axis=0)
@@ -235,18 +234,21 @@ class TestAssemblePrompt:
         rng = RNG(33)
         ctx = ad.constant(rng.normal(size=(3, 4, D)))
         va = ad.constant(rng.normal(size=(3, D)))
-        cfg = PromptConfig(context_length=4, va_position=2)
-        batch = assemble_prompt(ctx, va, cfg).data
+        batch = assemble_prompt(ctx, va, 2).data
         for i in range(3):
             single = assemble_prompt(
-                ad.constant(ctx.data[i:i + 1]), ad.constant(va.data[i:i + 1]), cfg)
+                ad.constant(ctx.data[i:i + 1]), ad.constant(va.data[i:i + 1]), 2)
             assert np.array_equal(batch[i], single.data[0])
 
     def test_context_shape_checked(self):
+        # The slot must exist among the M + 1 of a three-token context, and
+        # the context must be a (B, M, d) batch.
         _, va = self._ctx_va(4)
+        for position in (0, 5):
+            with pytest.raises(ContractViolation):
+                assemble_prompt(ad.constant(np.zeros((1, 3, D))), va, position)
         with pytest.raises(ContractViolation):
-            assemble_prompt(ad.constant(np.zeros((1, 3, D))), va,
-                            PromptConfig(context_length=4))
+            assemble_prompt(ad.constant(np.zeros((3, D))), va, 1)
 
 
 class TestFuseFeatures:

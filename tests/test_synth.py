@@ -48,6 +48,11 @@ class TestGeneratorConfig:
         dict(train_class_count=0),
         dict(train_class_count=9),
         dict(mismatch_fraction=0.7, silent_fraction=0.7),
+        dict(single_radius=(11, 7)),     # lo > hi
+        dict(single_radius=(20, 25)),    # a disc wider than the image
+        dict(image_size=16),             # the default single radius no longer fits
+        dict(single_radius=(1, 5)),      # below the minimum radius of 2
+        dict(multi_radius=(4, 16)),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ContractViolation):
