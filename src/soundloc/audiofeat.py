@@ -29,11 +29,6 @@ EDGE_STEP = 27
 _EDGES = EDGE_START + EDGE_STEP * np.arange(N_BANDS + 2)
 
 
-def band_center_bins() -> np.ndarray:
-    """Peak DFT bin of each of the 16 triangular bands."""
-    return _EDGES[1:-1].copy()
-
-
 def class_tone_bins(label: int) -> tuple[int, int]:
     """The two band-center bins whose sinusoids identify class ``label``."""
     if not 0 <= label < N_BANDS // 2:
@@ -51,12 +46,8 @@ def _filterbank() -> np.ndarray:
         rise = (bins - lo) / (mid - lo)
         fall = (hi - bins) / (hi - mid)
         fb[j] = np.clip(np.minimum(rise, fall), 0.0, None)
+    fb.flags.writeable = False
     return fb
-
-
-def filterbank_matrix() -> np.ndarray:
-    """(16, 501) triangular weights over one-sided DFT bins."""
-    return _filterbank().copy()
 
 
 def periodogram(frames: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ class EncoderConfig:
     max_text_len: int = 32
 
     def __post_init__(self):
-        for name in ("patch_size", "text_heads"):
+        for name in ("embed_dim", "patch_size", "text_heads"):
             if getattr(self, name) < 1:
                 raise ContractViolation(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.image_size % self.patch_size:

@@ -82,15 +82,15 @@ class MetricsReport:
 
 def iou(pred_binary: np.ndarray, gt_binary: np.ndarray) -> float:
     """Intersection over union; 1 if both masks are empty, 0 if exactly one is."""
-    pred_binary = np.asarray(pred_binary).astype(bool)
-    gt_binary = np.asarray(gt_binary).astype(bool)
+    pred_binary = np.asarray(pred_binary, dtype=bool)
+    gt_binary = np.asarray(gt_binary, dtype=bool)
     if pred_binary.shape != gt_binary.shape:
         raise ContractViolation(
             f"iou: shapes differ, {pred_binary.shape} vs {gt_binary.shape}")
-    union = int(np.logical_or(pred_binary, gt_binary).sum())
+    union = int(np.count_nonzero(pred_binary | gt_binary))
     if union == 0:
         return 1.0
-    return int(np.logical_and(pred_binary, gt_binary).sum()) / union
+    return int(np.count_nonzero(pred_binary & gt_binary)) / union
 
 
 def binarize_half_max(pred: np.ndarray) -> np.ndarray:
@@ -105,6 +105,17 @@ def _box_ious(samples: list[EvalSample]) -> list[float]:
     return [iou(binarize_half_max(s.pred_mask), s.box_gt) for s in samples]
 
 
+def _success_rate(ious: list[float], threshold: float) -> float:
+    return sum(1 for v in ious if v >= threshold) / len(ious)
+
+
+def _auc_of(ious: list[float]) -> float:
+    total = 0.0
+    for i in range(1, N_AUC_THRESHOLDS + 1):
+        total += _success_rate(ious, i / N_AUC_THRESHOLDS)
+    return total / N_AUC_THRESHOLDS
+
+
 def _require_samples(samples: list[EvalSample]) -> None:
     if not samples:
         raise ContractViolation("metric over an empty sample list")
@@ -114,20 +125,13 @@ def ciou(samples: list[EvalSample], proto: MetricProtocol | None = None) -> floa
     """Fraction of samples whose half-max-binarized IoU clears the threshold."""
     proto = proto or MetricProtocol()
     _require_samples(samples)
-    hits = sum(1 for v in _box_ious(samples) if v >= proto.ciou_threshold)
-    return hits / len(samples)
+    return _success_rate(_box_ious(samples), proto.ciou_threshold)
 
 
 def auc(samples: list[EvalSample]) -> float:
     """Mean success rate over the IoU threshold grid 0.05, 0.10, ..., 1.00."""
     _require_samples(samples)
-    ious = _box_ious(samples)
-    n = len(samples)
-    total = 0.0
-    for i in range(1, N_AUC_THRESHOLDS + 1):
-        t = i / N_AUC_THRESHOLDS
-        total += sum(1 for v in ious if v >= t) / n
-    return total / N_AUC_THRESHOLDS
+    return _auc_of(_box_ious(samples))
 
 
 def miou_fscore(samples: list[EvalSample],
@@ -144,9 +148,10 @@ def miou_fscore(samples: list[EvalSample],
     for s in samples:
         pred = s.pred_mask >= proto.abs_threshold
         iou_sum += iou(pred, s.gt_mask)
-        tp += int(np.logical_and(pred, s.gt_mask).sum())
-        fp += int(np.logical_and(pred, ~s.gt_mask).sum())
-        fn += int(np.logical_and(~pred, s.gt_mask).sum())
+        hit = int(np.count_nonzero(pred & s.gt_mask))
+        tp += hit
+        fp += int(np.count_nonzero(pred)) - hit
+        fn += int(np.count_nonzero(s.gt_mask)) - hit
     miou = iou_sum / len(samples)
     if tp == 0:
         return miou, 0.0
@@ -216,20 +221,32 @@ def detection_metrics(samples: list[EvalSample],
     proto = proto or MetricProtocol()
     _require_samples(samples)
     positives = [s for s in samples if s.flags.positive]
-    if not positives:
+    return _detection(samples, _box_ious(positives), proto)
+
+
+def _detection(samples: list[EvalSample], positive_ious: list[float],
+               proto: MetricProtocol
+               ) -> tuple[Optional[float], Optional[float], Optional[float]]:
+    if not positive_ious:
         return None, None, None
-    return average_precision(samples), max_f1(samples), ciou(positives, proto)
+    return (average_precision(samples), max_f1(samples),
+            _success_rate(positive_ious, proto.ciou_threshold))
 
 
 def compute_report(samples: list[EvalSample],
                    proto: MetricProtocol | None = None) -> MetricsReport:
-    """All metrics over one benchmark's samples, plus protocol metadata."""
+    """All metrics over one benchmark's samples, plus protocol metadata.
+
+    The half-max box IoUs are computed once; ciou, auc, loc_acc and
+    ``per_sample_iou`` are all read from that one list.
+    """
     proto = proto or MetricProtocol()
     _require_samples(samples)
+    ious = _box_ious(samples)
     miou, fscore = miou_fscore(samples, proto)
-    ap, mf1, loc = detection_metrics(samples, proto)
+    ap, mf1, loc = _detection(
+        samples, [v for v, s in zip(ious, samples) if s.flags.positive], proto)
     return MetricsReport(
-        ciou=ciou(samples, proto), auc=auc(samples), miou=miou, fscore=fscore,
-        ap=ap, max_f1=mf1, loc_acc=loc,
-        per_sample_iou=_box_ious(samples),
-        metadata=proto.as_dict())
+        ciou=_success_rate(ious, proto.ciou_threshold), auc=_auc_of(ious),
+        miou=miou, fscore=fscore, ap=ap, max_f1=mf1, loc_acc=loc,
+        per_sample_iou=ious, metadata=proto.as_dict())

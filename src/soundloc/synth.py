@@ -13,6 +13,7 @@ splits.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -120,23 +121,39 @@ class SceneSample:
     seed: int
 
 
-def _disc_mask(size: int, center: tuple[int, int], radius: int) -> np.ndarray:
+@functools.lru_cache(maxsize=4)
+def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.mgrid`` row and column coordinates of a size x size image."""
     yy, xx = np.mgrid[0:size, 0:size]
+    yy.flags.writeable = False
+    xx.flags.writeable = False
+    return yy, xx
+
+
+@functools.lru_cache(maxsize=4 * len(PALETTE))
+def _stripes(size: int, class_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (bright, dark) stripe masks of a class's disc appearance."""
+    yy, xx = _grid(size)
+    theta = np.pi * class_id / len(PALETTE)
+    period = 3 + class_id % 3
+    phase = np.floor((np.cos(theta) * xx + np.sin(theta) * yy) / period).astype(int)
+    stripe = phase % 2 == 0
+    gap = ~stripe
+    stripe.flags.writeable = False
+    gap.flags.writeable = False
+    return stripe, gap
+
+
+def _disc_mask(size: int, center: tuple[int, int], radius: int) -> np.ndarray:
+    yy, xx = _grid(size)
     return (xx - center[0]) ** 2 + (yy - center[1]) ** 2 <= radius ** 2
 
 
 def _paint_disc(image: np.ndarray, mask: np.ndarray, class_id: int) -> None:
     bright, dark = PALETTE[class_id]
-    size = image.shape[0]
-    yy, xx = np.mgrid[0:size, 0:size]
-    theta = np.pi * class_id / len(PALETTE)
-    period = 3 + class_id % 3
-    phase = np.floor((np.cos(theta) * xx + np.sin(theta) * yy) / period).astype(int)
-    stripe = phase % 2 == 0
-    for ch in range(3):
-        plane = image[:, :, ch]
-        plane[mask & stripe] = bright[ch]
-        plane[mask & ~stripe] = dark[ch]
+    stripe, gap = _stripes(image.shape[0], class_id)
+    image[mask & stripe] = bright
+    image[mask & gap] = dark
 
 
 def _validate_spec(spec: SceneSpec) -> None:
@@ -169,24 +186,41 @@ def _validate_placement(spec: SceneSpec, size: int) -> list[np.ndarray]:
 
 def _overlaps(mask: np.ndarray, others: list[np.ndarray]) -> list[float]:
     """Overlap of ``mask`` with each of ``others`` as a fraction of the smaller disc."""
-    return [np.logical_and(mask, o).sum() / min(mask.sum(), o.sum()) for o in others]
+    area = np.count_nonzero(mask)
+    return [np.count_nonzero(mask & o) / min(area, np.count_nonzero(o)) for o in others]
+
+
+@functools.lru_cache(maxsize=None)
+def _tone_ramp(bin_idx: int) -> np.ndarray:
+    """Read-only phase ramp of a clip-long sinusoid on DFT bin ``bin_idx``.
+
+    Only the 16 band-center bins carry tones, so the cache stays at 1 MiB.
+    """
+    n = np.arange(audiofeat.CLIP_LEN)
+    ramp = 2 * np.pi * bin_idx * n / audiofeat.FRAME_LEN
+    ramp.flags.writeable = False
+    return ramp
 
 
 def _synthesize_audio(audible: tuple[int, ...], silent: bool, snr_db: float,
                       rng: np.random.Generator) -> np.ndarray:
-    if silent or not audible:
-        return np.zeros(audiofeat.CLIP_LEN)
-    n = np.arange(audiofeat.CLIP_LEN)
     signal = np.zeros(audiofeat.CLIP_LEN)
+    if silent or not audible:
+        return signal
+    tone = np.empty(audiofeat.CLIP_LEN)
     power = 0.0
     for cid in audible:
         for bin_idx in audiofeat.class_tone_bins(cid):
             amp = rng.uniform(0.8, 1.2)
             phase = rng.uniform(0.0, 2 * np.pi)
-            signal += amp * np.sin(2 * np.pi * bin_idx * n / audiofeat.FRAME_LEN + phase)
+            np.add(_tone_ramp(bin_idx), phase, out=tone)
+            np.sin(tone, out=tone)
+            tone *= amp
+            signal += tone
             power += amp ** 2 / 2.0
     noise_var = power / 10.0 ** (snr_db / 10.0)
-    return signal + rng.normal(0.0, np.sqrt(noise_var), size=n.shape)
+    signal += rng.normal(0.0, np.sqrt(noise_var), size=audiofeat.CLIP_LEN)
+    return signal
 
 
 def generate_scene(spec: SceneSpec, cfg: GeneratorConfig) -> SceneSample:

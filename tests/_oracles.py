@@ -249,6 +249,33 @@ def dft_power_loops(frame, bins=None):
     return out
 
 
+def filterbank_edges_loops():
+    """The 18 documented band edges: DFT bin 20 + 27 j for j = 0 .. 17."""
+    return [20 + 27 * j for j in range(18)]
+
+
+def filterbank_loops(n_bins=501):
+    """16 triangular bands over one-sided DFT bins, one weight at a time.
+
+    Band j rises linearly from 0 at edge j to 1 at edge j + 1 (its center)
+    and falls back to 0 at edge j + 2; it is 0 everywhere else.
+    """
+    edges = filterbank_edges_loops()
+    fb = []
+    for j in range(16):
+        lo, mid, hi = edges[j], edges[j + 1], edges[j + 2]
+        row = []
+        for b in range(n_bins):
+            if lo <= b <= mid:
+                row.append((b - lo) / (mid - lo))
+            elif mid < b <= hi:
+                row.append((hi - b) / (hi - mid))
+            else:
+                row.append(0.0)
+        fb.append(row)
+    return fb
+
+
 # -- scalar attention --------------------------------------------------------
 
 def softmax_loops(xs):

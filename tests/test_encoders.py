@@ -9,7 +9,7 @@ from soundloc.autodiff import ContractViolation, Tensor
 from soundloc.encoders import AudioEncoder, EncoderConfig, ImageEncoder, TextEncoder
 from soundloc.layers import TransformerBlock
 
-from _oracles import dft_power_loops
+from _oracles import dft_power_loops, filterbank_edges_loops, filterbank_loops
 
 
 @pytest.fixture
@@ -40,6 +40,11 @@ class TestEncoderConfig:
                 EncoderConfig(text_heads=heads)
         with pytest.raises(ContractViolation):
             EncoderConfig(embed_dim=64, text_heads=5)
+
+    def test_rejects_empty_embedding(self):
+        for dim in (0, -8):
+            with pytest.raises(ContractViolation, match="embed_dim"):
+                EncoderConfig(embed_dim=dim)
 
     def test_audio_front_end_is_pinned(self):
         with pytest.raises(ContractViolation):
@@ -89,15 +94,16 @@ class TestImageEncoder:
 
 class TestFilterbank:
     def test_band_edges_and_centers(self):
-        centers = audiofeat.band_center_bins()
+        centers = np.asarray(filterbank_edges_loops()[1:-1])
         assert centers.shape == (16,)
         assert centers[0] == 47 and centers[1] == 74
         assert np.all(np.diff(centers) == 27)
 
     def test_filterbank_peaks_at_one(self):
-        fb = audiofeat.filterbank_matrix()
+        fb = audiofeat._filterbank()
         assert fb.shape == (16, 501)
-        centers = audiofeat.band_center_bins()
+        assert np.array_equal(fb, np.asarray(filterbank_loops()))
+        centers = filterbank_edges_loops()[1:-1]
         for i, c in enumerate(centers):
             assert fb[i, c] == 1.0
         # triangles vanish at their shared edges
@@ -105,6 +111,10 @@ class TestFilterbank:
         for i in range(16):
             assert fb[i, edges[i]] == 0.0
             assert fb[i, edges[i + 2]] == 0.0
+
+    def test_cached_filterbank_is_read_only(self):
+        with pytest.raises(ValueError):
+            audiofeat._filterbank()[0, 0] = 1.0
 
     def test_periodogram_matches_direct_dft(self):
         """FFT periodogram vs a direct quadratic DFT on spot-checked bins
@@ -138,7 +148,7 @@ class TestFilterbank:
                               np.zeros((8, 16)))
 
     def test_class_tone_bins_are_distinct_band_centers(self):
-        centers = set(audiofeat.band_center_bins().tolist())
+        centers = set(filterbank_edges_loops()[1:-1])
         seen = set()
         for label in range(8):
             a, b = audiofeat.class_tone_bins(label)

@@ -476,6 +476,7 @@ class TestCli:
                                   ("generator", "single_radius", [20, 25]),
                                   ("generator", "image_size", 16),
                                   ("encoder", "patch_size", 0),
+                                  ("encoder", "embed_dim", 0),
                                   ("encoder", "text_heads", 0),
                                   ("encoder", "image_size", 64),
                                   (None, "epochs", -3),

@@ -15,10 +15,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from soundloc.metrics import (
     EvalSample,
     MetricProtocol,
+    _box_ious,
     auc,
     average_precision,
     binarize_half_max,
@@ -356,3 +360,41 @@ class TestOracleEquivalence:
         assert rep.metadata["ciou_threshold"] == 0.25
         assert rep.metadata["beta2"] == 1.0
         assert len(rep.per_sample_iou) == 1
+
+
+@st.composite
+def _sample_lists(draw):
+    """Sample lists with all-zero masks, ties, empty truths, missing boxes
+    and, when ``positives`` is drawn false, no positive sample at all."""
+    side = draw(st.integers(1, 6))
+    positives = draw(st.booleans())
+    levels = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
+    samples = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            pred = np.zeros((side, side))
+        else:
+            pred = draw(arrays(np.float64, (side, side), elements=levels))
+        gt = draw(arrays(np.bool_, (side, side)))
+        box = draw(st.none() | arrays(np.bool_, (side, side)))
+        flags = draw(st.sampled_from([POS, NEG_SILENT, NEG_MIS] if positives
+                                     else [NEG_SILENT, NEG_MIS]))
+        samples.append(_sample(pred, gt, flags=flags, box=box))
+    return samples
+
+
+class TestReportMatchesStandaloneMetrics:
+    @settings(max_examples=200, deadline=None)
+    @given(samples=_sample_lists(),
+           threshold=st.sampled_from([0.25, 0.5, 0.75]),
+           abs_threshold=st.sampled_from([0.3, 0.5]))
+    def test_fields_equal_standalone_calls(self, samples, threshold, abs_threshold):
+        proto = MetricProtocol(ciou_threshold=threshold, abs_threshold=abs_threshold)
+        rep = compute_report(samples, proto)
+        assert rep.ciou == ciou(samples, proto)
+        assert rep.auc == auc(samples)
+        assert (rep.miou, rep.fscore) == miou_fscore(samples, proto)
+        assert (rep.ap, rep.max_f1, rep.loc_acc) == detection_metrics(samples, proto)
+        assert rep.per_sample_iou == _box_ious(samples)
+        if not any(s.flags.positive for s in samples):
+            assert (rep.ap, rep.max_f1, rep.loc_acc) == (None, None, None)

@@ -11,9 +11,10 @@ class, no trained model result downstream means anything.
 import numpy as np
 import pytest
 
-from soundloc import audiofeat, formats
+from soundloc import audiofeat, formats, synth
 from soundloc.autodiff import ContractViolation
 from soundloc.synth import (
+    PALETTE,
     GeneratorConfig,
     SceneSpec,
     SceneSpecError,
@@ -267,3 +268,146 @@ class TestDumpDataset:
         for fa in sorted(a.iterdir()):
             fb = b / fa.name
             assert fa.read_bytes() == fb.read_bytes()
+
+
+# -- byte identity with the uncached expressions -------------------------------
+#
+# The generator caches coordinate grids, stripe masks and tone ramps and
+# synthesizes tones in place.  These are the expressions it replaced, kept
+# verbatim: every scene must keep their exact bytes.
+
+def _disc_mask_uncached(size, center, radius):
+    yy, xx = np.mgrid[0:size, 0:size]
+    return (xx - center[0]) ** 2 + (yy - center[1]) ** 2 <= radius ** 2
+
+
+def _paint_disc_uncached(image, mask, class_id):
+    bright, dark = PALETTE[class_id]
+    size = image.shape[0]
+    yy, xx = np.mgrid[0:size, 0:size]
+    theta = np.pi * class_id / len(PALETTE)
+    period = 3 + class_id % 3
+    phase = np.floor((np.cos(theta) * xx + np.sin(theta) * yy) / period).astype(int)
+    stripe = phase % 2 == 0
+    for ch in range(3):
+        plane = image[:, :, ch]
+        plane[mask & stripe] = bright[ch]
+        plane[mask & ~stripe] = dark[ch]
+
+
+def _synthesize_audio_uncached(audible, silent, snr_db, rng):
+    if silent or not audible:
+        return np.zeros(audiofeat.CLIP_LEN)
+    n = np.arange(audiofeat.CLIP_LEN)
+    signal = np.zeros(audiofeat.CLIP_LEN)
+    power = 0.0
+    for cid in audible:
+        for bin_idx in audiofeat.class_tone_bins(cid):
+            amp = rng.uniform(0.8, 1.2)
+            phase = rng.uniform(0.0, 2 * np.pi)
+            signal += amp * np.sin(2 * np.pi * bin_idx * n / audiofeat.FRAME_LEN + phase)
+            power += amp ** 2 / 2.0
+    noise_var = power / 10.0 ** (snr_db / 10.0)
+    return signal + rng.normal(0.0, np.sqrt(noise_var), size=n.shape)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SCENE_ARRAYS = ("image", "audio", "gt_mask", "gt_box_mask", "class_map")
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("audible,silent", [
+        ((), False), ((), True), ((3,), False), ((0, 7), False), ((2, 5, 6), False),
+    ])
+    def test_synthesize_audio(self, audible, silent):
+        for seed in range(12):
+            for snr_db in (30.0, 20.0, 3.5):
+                new_rng = np.random.default_rng(seed)
+                old_rng = np.random.default_rng(seed)
+                got = synth._synthesize_audio(audible, silent, snr_db, new_rng)
+                want = _synthesize_audio_uncached(audible, silent, snr_db, old_rng)
+                assert _same_bytes(got, want)
+                # both consumed the same draws
+                assert new_rng.random() == old_rng.random()
+
+    @pytest.mark.parametrize("size", [32, 48])
+    def test_disc_mask_and_paint(self, size):
+        rng = np.random.default_rng(size)
+        for class_id in range(len(PALETTE)):
+            for _ in range(6):
+                r = int(rng.integers(2, size // 2))
+                center = (int(rng.integers(r, size - r)), int(rng.integers(r, size - r)))
+                mask = synth._disc_mask(size, center, r)
+                assert _same_bytes(mask, _disc_mask_uncached(size, center, r))
+                base = 0.08 + 0.10 * rng.random((size, size, 3))
+                got, want = base.copy(), base.copy()
+                synth._paint_disc(got, mask, class_id)
+                _paint_disc_uncached(want, mask, class_id)
+                assert _same_bytes(got, want)
+
+    @pytest.mark.parametrize("mode", synth.MODES)
+    @pytest.mark.parametrize("image_size", [32, 48])
+    def test_make_batch(self, mode, image_size, monkeypatch):
+        cfg = GeneratorConfig(image_size=image_size, train_class_count=5)
+        got = make_batch(cfg, 24, mode, base_seed=image_size + 1)
+        with monkeypatch.context() as m:
+            m.setattr(synth, "_disc_mask", _disc_mask_uncached)
+            m.setattr(synth, "_paint_disc", _paint_disc_uncached)
+            m.setattr(synth, "_synthesize_audio", _synthesize_audio_uncached)
+            want = make_batch(cfg, 24, mode, base_seed=image_size + 1)
+        for a, b in zip(got, want, strict=True):
+            for name in SCENE_ARRAYS:
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+                assert _same_bytes(getattr(a, name), getattr(b, name))
+            assert (a.flags, a.class_ids, a.audible_ids, a.seed) == \
+                (b.flags, b.class_ids, b.audible_ids, b.seed)
+
+
+class TestCachesDoNotLeak:
+    CFG = GeneratorConfig(train_class_count=5)
+
+    def _cached_arrays(self, size):
+        arrays = list(synth._grid(size))
+        for class_id in range(len(PALETTE)):
+            arrays += synth._stripes(size, class_id)
+            arrays += [synth._tone_ramp(b) for b in audiofeat.class_tone_bins(class_id)]
+        return arrays
+
+    def _batches(self):
+        return [make_batch(self.CFG, 12, mode, base_seed=31) for mode in synth.MODES]
+
+    def test_cached_arrays_are_read_only(self):
+        self._batches()
+        for arr in self._cached_arrays(self.CFG.image_size):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = arr.flat[0]
+
+    def test_scenes_share_no_memory_with_caches(self):
+        batches = self._batches()
+        cached = self._cached_arrays(self.CFG.image_size)
+        for batch in batches:
+            for s in batch:
+                for name in SCENE_ARRAYS:
+                    out = getattr(s, name)
+                    assert out.flags.writeable
+                    assert not any(np.shares_memory(out, c) for c in cached), name
+
+    def test_editing_scenes_does_not_change_later_scenes(self):
+        first = self._batches()
+        want = [[{n: getattr(s, n).tobytes() for n in SCENE_ARRAYS} for s in b]
+                for b in first]
+        for batch in first:
+            for s in batch:
+                s.image[...] = 7.0
+                s.audio[...] = -3.0
+                s.gt_mask[...] = ~s.gt_mask
+                s.gt_box_mask[...] = True
+                s.class_map[...] = 99
+        again = self._batches()
+        for batch, wanted in zip(again, want, strict=True):
+            for s, w in zip(batch, wanted, strict=True):
+                assert {n: getattr(s, n).tobytes() for n in SCENE_ARRAYS} == w
