@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import sys
 import time
 import types
 import typing
@@ -43,6 +44,9 @@ BENCHMARKS = {
     "unheard": "unheard",
 }
 
+# Validation scenes scored after each epoch (the first ones of the split).
+VALIDATION_SCENES = 32
+
 REPORT_COLUMNS = ("benchmark", "ciou", "auc", "miou", "fscore", "ap", "max_f1", "loc_acc")
 
 # Full-scale values from the setup this miniature mirrors; provenance only.
@@ -69,6 +73,15 @@ class OptimConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        for name, ok, rule in (("lr", self.lr > 0, "> 0"),
+                               ("weight_decay", self.weight_decay >= 0, ">= 0"),
+                               ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                               ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                               ("eps", self.eps > 0, "> 0")):
+            if not ok:
+                raise ContractViolation(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -98,9 +111,11 @@ class RunConfig:
             raise ContractViolation("batch_size must be >= 2 (contrastive pairs)")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ContractViolation("val_fraction outside [0, 1)")
-        for name in ("epochs", "warmup_epochs"):
+        for name in ("seed", "epochs", "warmup_epochs"):
             if getattr(self, name) < 0:
                 raise ContractViolation(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.warmup_lr > 0:
+            raise ContractViolation(f"warmup_lr must be > 0, got {self.warmup_lr}")
         if self.generator.image_size != self.encoder.image_size:
             raise ContractViolation(
                 f"generator image_size {self.generator.image_size} differs from "
@@ -152,7 +167,8 @@ def _checked_fields(kind, d, where: str) -> dict:
     for name, value in d.items():
         hint = hints[name]
         if not _fits(value, hint):
-            label = hint.__name__ if isinstance(hint, type) else str(hint)
+            label = ("finite float" if hint is float else
+                     hint.__name__ if isinstance(hint, type) else str(hint))
             raise ContractViolation(
                 f"{where} field {name!r} must be {label.replace('NoneType', 'None')}, "
                 f"got {value!r}")
@@ -170,7 +186,8 @@ def _fits(value, hint) -> bool:
         return (isinstance(value, (list, tuple)) and len(value) == len(args)
                 and all(_fits(v, a) for v, a in zip(value, args)))
     if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, origin or hint)
@@ -393,8 +410,8 @@ def _probe_loss(model: SoundLocalizer, cfg: RunConfig, train_scenes: list[SceneS
 
 
 def _validation_entry(model: SoundLocalizer, val_scenes: list[SceneSample],
-                      epoch: int, cap: int = 32) -> dict:
-    subset = val_scenes[:cap]
+                      epoch: int) -> dict:
+    subset = val_scenes[:VALIDATION_SCENES]
     if not subset:
         return {"epoch": epoch}
     evs = predict_eval_samples(model, subset)

@@ -40,7 +40,7 @@ class LossWeights:
     p_minus: float = 0.0
 
     def __post_init__(self):
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ContractViolation(f"temperature must be > 0, got {self.temperature}")
         if min(self.lambda1, self.lambda2, self.lambda3) < 0:
             raise ContractViolation("loss weights must be nonnegative")

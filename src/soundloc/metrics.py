@@ -1,12 +1,12 @@
 """Evaluation metrics for localization masks and matched-pair detection.
 
-Two ground-truth conventions coexist: box-style metrics (ciou, auc, the
-detection family) binarize predictions at half their maximum and compare
-against a box ground truth when one is provided; region metrics (miou,
-fscore) use an absolute threshold against the exact mask.  All counting
-is integer and every aggregate is produced by a fixed sequence of
-divisions and ordered sums, so results are reproducible bit-for-bit and
-comparable against brute-force oracles with ``==``.
+One fixed protocol scores every benchmark (``PROTOCOL``).  Box-style
+metrics (ciou, auc, the detection trio) binarize predictions at half
+their maximum against a box ground truth when one is provided; region
+metrics (miou, fscore) threshold at an absolute 0.5 against the exact
+mask.  All counting is integer and every aggregate is a fixed sequence
+of divisions and ordered sums, so results are reproducible bit-for-bit
+and comparable against brute-force oracles with ``==``.
 """
 
 from __future__ import annotations
@@ -19,22 +19,14 @@ import numpy as np
 from .autodiff import ContractViolation
 from .synth import SceneFlags
 
+CIOU_THRESHOLD = 0.5        # box IoU a sample needs to count as localized
+ABS_THRESHOLD = 0.5         # pixel level behind miou/fscore
+BETA2 = 0.3
 N_AUC_THRESHOLDS = 20
 
-
-@dataclass
-class MetricProtocol:
-    """The protocol details the tables never state; all overridable."""
-    ciou_threshold: float = 0.5
-    binarize: str = "half_max"       # rule behind ciou/auc/detection
-    abs_threshold: float = 0.5       # rule behind miou/fscore
-    beta2: float = 0.3
-    confidence: str = "max"
-
-    def as_dict(self) -> dict:
-        return {"ciou_threshold": self.ciou_threshold, "binarize": self.binarize,
-                "abs_threshold": self.abs_threshold, "beta2": self.beta2,
-                "confidence": self.confidence}
+# The protocol as every report's metadata records it.
+PROTOCOL = {"ciou_threshold": CIOU_THRESHOLD, "binarize": "half_max",
+            "abs_threshold": ABS_THRESHOLD, "beta2": BETA2, "confidence": "max"}
 
 
 @dataclass
@@ -109,44 +101,29 @@ def _success_rate(ious: list[float], threshold: float) -> float:
     return sum(1 for v in ious if v >= threshold) / len(ious)
 
 
-def _auc_of(ious: list[float]) -> float:
-    total = 0.0
-    for i in range(1, N_AUC_THRESHOLDS + 1):
-        total += _success_rate(ious, i / N_AUC_THRESHOLDS)
-    return total / N_AUC_THRESHOLDS
-
-
 def _require_samples(samples: list[EvalSample]) -> None:
     if not samples:
         raise ContractViolation("metric over an empty sample list")
 
 
-def ciou(samples: list[EvalSample], proto: MetricProtocol | None = None) -> float:
-    """Fraction of samples whose half-max-binarized IoU clears the threshold."""
-    proto = proto or MetricProtocol()
+def ciou(samples: list[EvalSample]) -> float:
+    """Fraction of samples whose half-max-binarized IoU reaches 0.5."""
     _require_samples(samples)
-    return _success_rate(_box_ious(samples), proto.ciou_threshold)
+    return _success_rate(_box_ious(samples), CIOU_THRESHOLD)
 
 
-def auc(samples: list[EvalSample]) -> float:
-    """Mean success rate over the IoU threshold grid 0.05, 0.10, ..., 1.00."""
-    _require_samples(samples)
-    return _auc_of(_box_ious(samples))
-
-
-def miou_fscore(samples: list[EvalSample],
-                proto: MetricProtocol | None = None) -> tuple[float, float]:
-    """Mean per-sample IoU at an absolute threshold, plus the pooled F-score.
+def miou_fscore(samples: list[EvalSample]) -> tuple[float, float]:
+    """Mean per-sample IoU at the absolute threshold, plus the pooled F-score.
 
     Precision and recall come from pixel counts pooled across the whole
-    sample list; F = (1 + b2) P R / (b2 P + R) with b2 favoring recall.
+    sample list; F = (1 + b2) P R / (b2 P + R), and b2 < 1 weights
+    precision above recall.
     """
-    proto = proto or MetricProtocol()
     _require_samples(samples)
     iou_sum = 0.0
     tp = fp = fn = 0
     for s in samples:
-        pred = s.pred_mask >= proto.abs_threshold
+        pred = s.pred_mask >= ABS_THRESHOLD
         iou_sum += iou(pred, s.gt_mask)
         hit = int(np.count_nonzero(pred & s.gt_mask))
         tp += hit
@@ -157,20 +134,19 @@ def miou_fscore(samples: list[EvalSample],
         return miou, 0.0
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
-    fscore = (1 + proto.beta2) * precision * recall / (proto.beta2 * precision + recall)
+    fscore = (1 + BETA2) * precision * recall / (BETA2 * precision + recall)
     return miou, fscore
 
 
-def _ranked_labels(samples: list[EvalSample]) -> list[bool]:
-    """Positive/negative labels sorted by descending confidence, ties stable."""
-    order = sorted(range(len(samples)), key=lambda i: -samples[i].confidence)
-    return [samples[i].flags.positive for i in order]
+def _ranked(samples: list[EvalSample]) -> list[EvalSample]:
+    """Samples by descending confidence, ties in list order (stable sort)."""
+    return sorted(samples, key=lambda s: -s.confidence)
 
 
 def average_precision(samples: list[EvalSample]) -> Optional[float]:
     """Area under the precision-recall curve, precision right-monotonized."""
     _require_samples(samples)
-    labels = _ranked_labels(samples)
+    labels = [s.flags.positive for s in _ranked(samples)]
     n_pos = sum(labels)
     if n_pos == 0:
         return None
@@ -198,7 +174,7 @@ def max_f1(samples: list[EvalSample]) -> Optional[float]:
     n_pos = sum(1 for s in samples if s.flags.positive)
     if n_pos == 0:
         return None
-    ranked = sorted(samples, key=lambda s: -s.confidence)
+    ranked = _ranked(samples)
     best = 0.0
     tp = fp = 0
     for k, s in enumerate(ranked):
@@ -210,43 +186,25 @@ def max_f1(samples: list[EvalSample]) -> Optional[float]:
     return best
 
 
-def detection_metrics(samples: list[EvalSample],
-                      proto: MetricProtocol | None = None
-                      ) -> tuple[Optional[float], Optional[float], Optional[float]]:
-    """(ap, max_f1, loc_acc); loc_acc is ciou over the positive subset.
+def compute_report(samples: list[EvalSample]) -> MetricsReport:
+    """All metrics over one benchmark's samples, plus the protocol metadata.
 
-    With no positive samples all three are undefined and reported as
-    ``None`` rather than 0.
+    ciou, auc, loc_acc (ciou over the positives) and ``per_sample_iou``
+    read the one list of half-max box IoUs.  With no positive sample the
+    detection trio is undefined and reported as ``None``, not 0.
     """
-    proto = proto or MetricProtocol()
-    _require_samples(samples)
-    positives = [s for s in samples if s.flags.positive]
-    return _detection(samples, _box_ious(positives), proto)
-
-
-def _detection(samples: list[EvalSample], positive_ious: list[float],
-               proto: MetricProtocol
-               ) -> tuple[Optional[float], Optional[float], Optional[float]]:
-    if not positive_ious:
-        return None, None, None
-    return (average_precision(samples), max_f1(samples),
-            _success_rate(positive_ious, proto.ciou_threshold))
-
-
-def compute_report(samples: list[EvalSample],
-                   proto: MetricProtocol | None = None) -> MetricsReport:
-    """All metrics over one benchmark's samples, plus protocol metadata.
-
-    The half-max box IoUs are computed once; ciou, auc, loc_acc and
-    ``per_sample_iou`` are all read from that one list.
-    """
-    proto = proto or MetricProtocol()
     _require_samples(samples)
     ious = _box_ious(samples)
-    miou, fscore = miou_fscore(samples, proto)
-    ap, mf1, loc = _detection(
-        samples, [v for v, s in zip(ious, samples) if s.flags.positive], proto)
+    auc = 0.0
+    for i in range(1, N_AUC_THRESHOLDS + 1):
+        auc += _success_rate(ious, i / N_AUC_THRESHOLDS)
+    miou, fscore = miou_fscore(samples)
+    positive_ious = [v for v, s in zip(ious, samples) if s.flags.positive]
+    ap = mf1 = loc = None
+    if positive_ious:
+        ap, mf1 = average_precision(samples), max_f1(samples)
+        loc = _success_rate(positive_ious, CIOU_THRESHOLD)
     return MetricsReport(
-        ciou=_success_rate(ious, proto.ciou_threshold), auc=_auc_of(ious),
+        ciou=_success_rate(ious, CIOU_THRESHOLD), auc=auc / N_AUC_THRESHOLDS,
         miou=miou, fscore=fscore, ap=ap, max_f1=mf1, loc_acc=loc,
-        per_sample_iou=ious, metadata=proto.as_dict())
+        per_sample_iou=ious, metadata=dict(PROTOCOL))

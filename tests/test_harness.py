@@ -6,8 +6,10 @@ dozens of samples) so the whole module stays in the tens of seconds; the
 full-scale quantitative gates live in the acceptance suite.
 """
 
+import dataclasses
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from soundloc.cli import main
 from soundloc.encoders import EncoderConfig
 from soundloc.harness import (
     REPORT_COLUMNS,
+    OptimConfig,
     RunConfig,
     TrainingAborted,
     batch_loss,
@@ -95,11 +98,46 @@ class TestRunConfig:
         {"val_fraction": -0.1},
         {"epochs": -3},
         {"warmup_epochs": -1},
+        {"seed": -1},
+        {"warmup_lr": 0.0},
+        {"warmup_lr": -3e-3},
         {"encoder": EncoderConfig(image_size=64)},   # scenes are 32 pixels wide
     ])
     def test_invalid_configs(self, bad):
         with pytest.raises(ContractViolation):
             RunConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        {"lr": 0.0}, {"lr": -0.001}, {"weight_decay": -1e-5},
+        {"beta1": -0.1}, {"beta1": 1.0}, {"beta2": 1.0}, {"beta2": 1.5},
+        {"eps": 0.0}, {"eps": -1e-8},
+        {"lr": math.nan}, {"beta1": math.nan}, {"eps": math.nan},
+    ])
+    def test_invalid_optimizer(self, bad):
+        with pytest.raises(ContractViolation, match=next(iter(bad))):
+            OptimConfig(**bad)
+
+    def test_optimizer_range_edges_accepted(self):
+        cfg = OptimConfig(weight_decay=0.0, beta1=0.0, beta2=0.0)
+        assert (cfg.weight_decay, cfg.beta1, cfg.beta2) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400],
+                             ids=["nan", "inf", "-inf", "huge-int"])
+    def test_non_finite_floats_refused_in_every_field(self, value):
+        """Every float field, at top level and in every block, refuses a
+        value no float64 can hold finitely, naming the field."""
+        blocks = {None: RunConfig, **harness._BLOCKS}
+        checked = 0
+        for block, kind in blocks.items():
+            for f in dataclasses.fields(kind):
+                if typing.get_type_hints(kind)[f.name] is not float:
+                    continue
+                d = RunConfig().to_dict()
+                (d if block is None else d[block])[f.name] = value
+                with pytest.raises(ContractViolation, match=f"'{f.name}'"):
+                    RunConfig.from_dict(d)
+                checked += 1
+        assert checked >= 14
 
     # Config fields drawn for the property below: values that fit together,
     # and small ranges around them that include zero and negative values.
@@ -480,7 +518,16 @@ class TestCli:
                                   ("encoder", "text_heads", 0),
                                   ("encoder", "image_size", 64),
                                   (None, "epochs", -3),
-                                  (None, "warmup_epochs", -1)):
+                                  (None, "warmup_epochs", -1),
+                                  (None, "seed", -1),
+                                  (None, "warmup_lr", 0.0),
+                                  ("optimizer", "lr", -0.001),
+                                  ("optimizer", "weight_decay", -1e-5),
+                                  ("optimizer", "beta1", 1.0),
+                                  ("optimizer", "beta2", -0.5),
+                                  ("optimizer", "eps", 0.0),
+                                  ("optimizer", "lr", math.inf),
+                                  ("loss", "temperature", math.nan)):
             d = RunConfig().to_dict()
             (d if block is None else d[block])[key] = value
             bad.write_text(json.dumps(d))
@@ -488,6 +535,12 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("contract violation:"), err
             assert key in err and err.count("\n") == 1
+        # The --seed override is checked like the config's own seed.
+        bad.write_text(json.dumps(RunConfig().to_dict()))
+        assert main(["--seed", "-1", "train", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("contract violation:"), err
+        assert "seed" in err and err.count("\n") == 1
 
     def test_missing_sibling_config_exits_2(self, tmp_path, capsys):
         ckpt = tmp_path / "model.splt"

@@ -47,6 +47,7 @@ class TestLossWeights:
         dict(lambda3=-0.5),
         dict(p_minus=0.5, p_plus=0.4),
         dict(p_plus=1.5),
+        dict(temperature=float("nan")),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ContractViolation):

@@ -21,14 +21,10 @@ from hypothesis.extra.numpy import arrays
 
 from soundloc.metrics import (
     EvalSample,
-    MetricProtocol,
-    _box_ious,
-    auc,
     average_precision,
     binarize_half_max,
     ciou,
     compute_report,
-    detection_metrics,
     iou,
     max_f1,
     miou_fscore,
@@ -37,6 +33,7 @@ from soundloc.autodiff import ContractViolation
 from soundloc.synth import SceneFlags
 
 from _oracles import (
+    _box_iou_of,
     ap_loops,
     auc_loops,
     ciou_loops,
@@ -56,6 +53,12 @@ NEG_MIS = SceneFlags(matched=False, visible=False, audible=True)
 def _sample(pred, gt, flags=POS, box=None):
     return EvalSample(pred_mask=np.asarray(pred, dtype=np.float64),
                       gt_mask=np.asarray(gt), flags=flags, gt_box_mask=box)
+
+
+def _detection_of(samples):
+    """The report's (ap, max_f1, loc_acc) trio."""
+    rep = compute_report(samples)
+    return rep.ap, rep.max_f1, rep.loc_acc
 
 
 class TestIoU:
@@ -151,14 +154,20 @@ class TestCiou:
         assert ciou([_sample(pred, gt, box=box)]) == 1.0
         assert ciou([_sample(pred, gt)]) < 1.0
 
-    def test_threshold_override(self):
+    def test_threshold_boundary(self):
+        # A box IoU of exactly 0.5 counts; 16/33, just below it, does not.
         gt = np.zeros((8, 8), dtype=bool)
-        gt[0:4, :] = True
-        near = np.zeros((8, 8))
-        near[1:5, :] = 1.0                   # IoU 0.6
-        samples = [_sample(near, gt)]
-        assert ciou(samples, MetricProtocol(ciou_threshold=0.7)) == 0.0
-        assert ciou(samples, MetricProtocol(ciou_threshold=0.5)) == 1.0
+        gt[0:4, :] = True                    # 32 pixels
+        half = np.zeros((8, 8))
+        half[0:2, :] = 1.0                   # IoU 16/32
+        below = half.copy()
+        below[7, 7] = 1.0                    # IoU 16/33
+        assert iou(binarize_half_max(half), gt) == 0.5
+        assert iou(binarize_half_max(below), gt) == 16 / 33
+        assert ciou([_sample(half, gt)]) == 1.0
+        assert ciou([_sample(below, gt)]) == 0.0
+        rep = compute_report([_sample(half, gt), _sample(below, gt)])
+        assert (rep.ciou, rep.loc_acc) == (0.5, 0.5)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ContractViolation):
@@ -172,19 +181,19 @@ class TestCiou:
         a = [_sample(pred, gt)]
         b = [_sample(k * pred, gt)]
         assert ciou(a) == ciou(b)
-        assert auc(a) == auc(b)
+        assert compute_report(a).auc == compute_report(b).auc
 
 
 class TestAuc:
     def test_extremes(self):
         gt = np.zeros((8, 8), dtype=bool)
         gt[2:6, 2:6] = True
-        assert auc([_sample(gt.astype(float), gt)]) == 1.0
+        assert compute_report([_sample(gt.astype(float), gt)]).auc == 1.0
         pred = np.zeros((8, 8))
         pred[0, 0] = 1.0
         empty_gt = np.zeros((8, 8), dtype=bool)
         empty_gt[7, 7] = True
-        assert auc([_sample(pred, empty_gt)]) == 0.0
+        assert compute_report([_sample(pred, empty_gt)]).auc == 0.0
 
     def test_single_sample_iou_052(self):
         # IoU = 13/25 = 0.52 clears thresholds 0.05..0.50: 10 of 20.
@@ -194,7 +203,7 @@ class TestAuc:
         pred.flat[6:25] = 1.0                # 19 pixels, 13 shared
         s = _sample(pred, gt)
         assert iou(binarize_half_max(s.pred_mask), s.gt_mask) == 13 / 25
-        assert auc([s]) == 0.5
+        assert compute_report([s]).auc == 0.5
 
 
 class TestMiouFscore:
@@ -247,7 +256,7 @@ class TestDetection:
 
     def test_perfect_separation(self):
         samples = self._mixed(3, 3, [1.0, 0.9, 0.8], [0.3, 0.2, 0.1])
-        ap, mf1, loc = detection_metrics(samples)
+        ap, mf1, loc = _detection_of(samples)
         assert ap == 1.0
         assert mf1 == 1.0
         assert loc == 1.0
@@ -267,13 +276,13 @@ class TestDetection:
 
     def test_loc_acc_is_positive_subset_ciou(self):
         samples = self._mixed(4, 2, [1.0, 0.9, 0.8, 0.7], [0.6, 0.5])
-        _, _, loc = detection_metrics(samples)
+        _, _, loc = _detection_of(samples)
         positives = [s for s in samples if s.flags.positive]
         assert loc == ciou(positives)
 
     def test_no_positives_gives_sentinels(self):
         samples = self._mixed(0, 3, [], [0.5, 0.4, 0.3])
-        assert detection_metrics(samples) == (None, None, None)
+        assert _detection_of(samples) == (None, None, None)
         assert average_precision(samples) is None
         assert max_f1(samples) is None
 
@@ -355,11 +364,15 @@ class TestOracleEquivalence:
     def test_report_metadata_records_protocol(self):
         gt = np.zeros((8, 8), dtype=bool)
         gt[0, 0] = True
-        proto = MetricProtocol(ciou_threshold=0.25, beta2=1.0)
-        rep = compute_report([_sample(gt.astype(float), gt)], proto)
-        assert rep.metadata["ciou_threshold"] == 0.25
-        assert rep.metadata["beta2"] == 1.0
+        samples = [_sample(gt.astype(float), gt)]
+        rep = compute_report(samples)
+        expected = {"ciou_threshold": 0.5, "binarize": "half_max",
+                    "abs_threshold": 0.5, "beta2": 0.3, "confidence": "max"}
+        assert rep.metadata == expected
+        assert list(rep.metadata) == list(expected)   # report files keep key order
         assert len(rep.per_sample_iou) == 1
+        rep.metadata["beta2"] = 1.0                   # each report owns its dict
+        assert compute_report(samples).metadata == expected
 
 
 @st.composite
@@ -383,18 +396,22 @@ def _sample_lists(draw):
     return samples
 
 
-class TestReportMatchesStandaloneMetrics:
+class TestReportMatchesOracles:
     @settings(max_examples=200, deadline=None)
-    @given(samples=_sample_lists(),
-           threshold=st.sampled_from([0.25, 0.5, 0.75]),
-           abs_threshold=st.sampled_from([0.3, 0.5]))
-    def test_fields_equal_standalone_calls(self, samples, threshold, abs_threshold):
-        proto = MetricProtocol(ciou_threshold=threshold, abs_threshold=abs_threshold)
-        rep = compute_report(samples, proto)
-        assert rep.ciou == ciou(samples, proto)
-        assert rep.auc == auc(samples)
-        assert (rep.miou, rep.fscore) == miou_fscore(samples, proto)
-        assert (rep.ap, rep.max_f1, rep.loc_acc) == detection_metrics(samples, proto)
-        assert rep.per_sample_iou == _box_ious(samples)
+    @given(samples=_sample_lists())
+    def test_fields_equal_oracle_loops(self, samples):
+        rep = compute_report(samples)
+        assert rep.ciou == ciou_loops(samples)
+        assert rep.auc == auc_loops(samples)
+        assert rep.miou == miou_loops(samples)
+        assert rep.fscore == fscore_loops(samples)
+        assert rep.ap == ap_loops(samples)
+        assert rep.max_f1 == max_f1_loops(samples)
+        assert rep.loc_acc == loc_acc_loops(samples)
+        assert rep.per_sample_iou == [_box_iou_of(s) for s in samples]
+        # The functions callers use on their own read the same numbers.
+        assert ciou(samples) == rep.ciou
+        assert miou_fscore(samples) == (rep.miou, rep.fscore)
+        assert (average_precision(samples), max_f1(samples)) == (rep.ap, rep.max_f1)
         if not any(s.flags.positive for s in samples):
             assert (rep.ap, rep.max_f1, rep.loc_acc) == (None, None, None)
