@@ -87,6 +87,8 @@ def cmd_render(args) -> int:
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args.config, args.seed)
     count = args.count if args.count is not None else cfg.train_samples
+    if count < 1:
+        raise ContractViolation(f"--count must be >= 1, got {count}")
     mode = harness.BENCHMARKS.get(args.benchmark, args.benchmark)
     samples = synth.make_batch(cfg.generator, count, mode, base_seed=cfg.seed)
     synth.dump_dataset(samples, args.out)

@@ -19,18 +19,16 @@ from . import autodiff as ad
 from .autodiff import ContractViolation, Tensor
 from .layers import Module, TransformerBlock, normal_init
 
+CHANNELS = 3   # scenes are RGB
+
 
 @dataclass
 class EncoderConfig:
     embed_dim: int = 64
     image_size: int = 32
     patch_size: int = 4
-    channels: int = 3
     text_layers: int = 2
     text_heads: int = 4
-    audio_frames: int = 8
-    audio_feature_dim: int = 16
-    frozen: bool = True
     max_text_len: int = 32
 
     def __post_init__(self):
@@ -43,10 +41,6 @@ class EncoderConfig:
         if self.embed_dim % self.text_heads:
             raise ContractViolation(
                 f"embed_dim {self.embed_dim} not divisible by text_heads {self.text_heads}")
-        if self.audio_frames != audiofeat.N_FRAMES or self.audio_feature_dim != audiofeat.N_BANDS:
-            raise ContractViolation(
-                f"audio front end is fixed at {audiofeat.N_FRAMES} frames x "
-                f"{audiofeat.N_BANDS} bands; got {self.audio_frames} x {self.audio_feature_dim}")
 
     @property
     def grid_size(self) -> int:
@@ -58,7 +52,7 @@ class EncoderConfig:
 
     @property
     def patch_dim(self) -> int:
-        return self.patch_size * self.patch_size * self.channels
+        return self.patch_size * self.patch_size * CHANNELS
 
 
 class ImageEncoder(Module):
@@ -81,7 +75,7 @@ class ImageEncoder(Module):
 
     def _check_images(self, images: Tensor) -> None:
         c = self.cfg
-        want = (c.image_size, c.image_size, c.channels)
+        want = (c.image_size, c.image_size, CHANNELS)
         if images.ndim != 4 or images.shape[1:] != want:
             raise ContractViolation(
                 f"image batch must be (B, {want[0]}, {want[1]}, {want[2]}), got {images.shape}")
@@ -96,7 +90,7 @@ class ImageEncoder(Module):
         c = self.cfg
         b = images.shape[0]
         g, p = c.grid_size, c.patch_size
-        x = images.reshape(b, g, p, g, p, c.channels)
+        x = images.reshape(b, g, p, g, p, CHANNELS)
         x = ad.transpose(x, (0, 1, 3, 2, 4, 5)).reshape(b, c.n_cells, c.patch_dim)
         return ad.linear(x, self.patch_w, self.patch_b) + self.pos
 

@@ -1,13 +1,15 @@
 """Run configuration, training loop, benchmark evaluation, and ablations.
 
-A run is a single JSON config document.  Training is fully deterministic
-under a fixed seed: data generation, splits, batch order, and parameter
-init all derive from it, and parameters are snapped to float32 values
-before the final loss is logged so a reloaded checkpoint reproduces that
-loss bit-for-bit.
+A run is a single JSON config document.  Loading one is strict: a key
+that is not a field, including one an earlier version had, is a contract
+violation, and so is a value of the wrong type.  The image encoder gets a
+short supervised warmup (``warmup_epochs: 0`` skips it), then all
+encoders stay frozen while the prompts and decoder train.
 
-The full-scale reference values this desk-scale setup stands in for are
-carried as inert metadata in every config (``reference_scale``).
+Training is fully deterministic under a fixed seed: data generation,
+splits, batch order, and parameter init all derive from it, and
+parameters are snapped to float32 values before the final loss is logged
+so a reloaded checkpoint reproduces that loss bit-for-bit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 import time
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,18 +50,6 @@ BENCHMARKS = {
 VALIDATION_SCENES = 32
 
 REPORT_COLUMNS = ("benchmark", "ciou", "auc", "miou", "fscore", "ap", "max_f1", "loc_acc")
-
-# Full-scale values from the setup this miniature mirrors; provenance only.
-REFERENCE_SCALE = {
-    "image_size": 352,
-    "audio_seconds": 10,
-    "audio_sample_rate_hz": 16000,
-    "epochs": 20,
-    "batch_size": 16,
-    "learning_rate": 1e-3,
-    "weight_decay": 1e-5,
-    "trainable_params_approx": 2_380_000,
-}
 
 
 class TrainingAborted(RuntimeError):
@@ -98,11 +88,9 @@ class RunConfig:
     train_samples: int = 512
     eval_samples: int = 64
     val_fraction: float = 0.2
-    warmup: bool = True
     warmup_epochs: int = 3
     warmup_lr: float = 3e-3
     out_dir: str = "runs/default"
-    reference_scale: dict = field(default_factory=lambda: dict(REFERENCE_SCALE))
 
     def __post_init__(self):
         if self.dtype not in ("float64", "float32"):
@@ -111,6 +99,13 @@ class RunConfig:
             raise ContractViolation("batch_size must be >= 2 (contrastive pairs)")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ContractViolation("val_fraction outside [0, 1)")
+        n_train = self.train_samples - self.n_val
+        if n_train < 2:
+            raise ContractViolation(
+                f"train_samples {self.train_samples} with val_fraction {self.val_fraction} "
+                f"leaves {n_train} training scenes; need >= 2")
+        if self.eval_samples < 1:
+            raise ContractViolation(f"eval_samples must be >= 1, got {self.eval_samples}")
         for name in ("seed", "epochs", "warmup_epochs"):
             if getattr(self, name) < 0:
                 raise ContractViolation(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -120,6 +115,11 @@ class RunConfig:
             raise ContractViolation(
                 f"generator image_size {self.generator.image_size} differs from "
                 f"encoder image_size {self.encoder.image_size}")
+
+    @property
+    def n_val(self) -> int:
+        """Validation scenes split off the training scenes."""
+        return int(round(self.val_fraction * self.train_samples))
 
     @property
     def np_dtype(self):
@@ -134,14 +134,24 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = _checked_fields(cls, d, "run config")
-        blocks = {name: _checked_fields(kind, d.pop(name, {}), f"{name} block")
-                  for name, kind in _BLOCKS.items()}
+        """Build a config from its JSON form.  Unknown keys at every level
+        are named in one message before any value's type is checked."""
+        top = _json_object(d, "run config")
+        blocks = {name: _json_object(top.pop(name, {}), f"{name} block") for name in _BLOCKS}
+        levels = [("run config", cls, top)] + [
+            (f"{name} block", kind, blocks[name]) for name, kind in _BLOCKS.items()]
+        unknown = "; ".join(
+            f"in {where}: {', '.join(keys)}" for where, kind, obj in levels
+            if (keys := sorted(set(obj) - {f.name for f in fields(kind)})))
+        if unknown:
+            raise ContractViolation(f"unknown key(s) {unknown}")
+        for where, kind, obj in levels:
+            _check_types(kind, obj, where)
         gen = blocks["generator"]
         for key in ("single_radius", "multi_radius"):
             if key in gen:
                 gen[key] = tuple(gen[key])
-        return cls(**{name: _BLOCKS[name](**kw) for name, kw in blocks.items()}, **d)
+        return cls(**{name: kind(**blocks[name]) for name, kind in _BLOCKS.items()}, **top)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n")
@@ -155,14 +165,16 @@ _BLOCKS = {"encoder": EncoderConfig, "prompt": PromptConfig, "loss": LossWeights
            "generator": GeneratorConfig, "optimizer": OptimConfig}
 
 
-def _checked_fields(kind, d, where: str) -> dict:
-    """A copy of ``d`` after checking it maps ``kind``'s field names to
-    values of their annotated types (blocks are checked on their own)."""
+def _json_object(d, where: str) -> dict:
+    """A copy of ``d``, which must be a JSON object."""
     if not isinstance(d, dict):
         raise ContractViolation(f"{where} must be a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {f.name for f in fields(kind)})
-    if unknown:
-        raise ContractViolation(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return dict(d)
+
+
+def _check_types(kind, d: dict, where: str) -> None:
+    """Check that each of ``d``'s values fits the type ``kind`` annotates
+    for its field."""
     hints = typing.get_type_hints(kind)
     for name, value in d.items():
         hint = hints[name]
@@ -172,14 +184,11 @@ def _checked_fields(kind, d, where: str) -> dict:
             raise ContractViolation(
                 f"{where} field {name!r} must be {label.replace('NoneType', 'None')}, "
                 f"got {value!r}")
-    return dict(d)
 
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value can stand for a field annotated ``hint``."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if is_dataclass(hint):
-        return True
     if origin in (typing.Union, types.UnionType):
         return any(_fits(value, a) for a in args)
     if origin is tuple:
@@ -231,8 +240,7 @@ def split_scenes(cfg: RunConfig) -> tuple[list[SceneSample], list[SceneSample]]:
                               base_seed=cfg.seed)
     split_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
     perm = split_rng.permutation(len(scenes))
-    n_val = int(round(cfg.val_fraction * len(scenes)))
-    return [scenes[i] for i in perm[n_val:]], [scenes[i] for i in perm[:n_val]]
+    return [scenes[i] for i in perm[cfg.n_val:]], [scenes[i] for i in perm[:cfg.n_val]]
 
 
 def build_model(cfg: RunConfig) -> SoundLocalizer:
@@ -335,13 +343,9 @@ def train(cfg: RunConfig, write_artifacts: bool = True
         cfg.save(out / "config.json")
 
     train_scenes, val_scenes = split_scenes(cfg)
-    if not train_scenes:
-        raise ContractViolation("validation split left no training samples")
-
     model = build_model(cfg)
     log = TrainLog()
-    if cfg.warmup and cfg.encoder.frozen:
-        log.warmup_stats = warmup_image_encoder(model, train_scenes, cfg)
+    log.warmup_stats = warmup_image_encoder(model, train_scenes, cfg)
     model.apply_freezing()
     # Freeze on float32-representable values so the end-of-run snap (needed
     # for exact checkpoint round-trips) cannot move frozen parameters.
@@ -521,18 +525,21 @@ def token_order_label(m: int, position: int) -> str:
 
 def _variant_config(cfg: RunConfig, dimension: str, value) -> RunConfig:
     d = cfg.to_dict()
+    if dimension in ("context_length", "va_position", "epochs") and (
+            isinstance(value, bool) or not isinstance(value, int)):
+        raise ContractViolation(f"{dimension} value must be an integer, got {value!r}")
     if dimension == "context_length":
-        d["prompt"]["context_length"] = int(value)
-        d["prompt"]["va_position"] = int(value) + 1
+        d["prompt"]["context_length"] = value
+        d["prompt"]["va_position"] = value + 1
     elif dimension == "va_position":
         d["prompt"]["context_length"] = 4
-        d["prompt"]["va_position"] = int(value)
+        d["prompt"]["va_position"] = value
     elif dimension == "fusion":
         if value not in ("none", "fused", "ensemble"):
             raise ContractViolation(f"fusion value must be none/fused/ensemble, got {value!r}")
         d["prompt"]["fusion_mode"] = value
     elif dimension == "epochs":
-        d["epochs"] = int(value)
+        d["epochs"] = value
     else:
         raise ContractViolation(
             f"dimension must be one of {ABLATION_DIMENSIONS}, got {dimension!r}")
@@ -543,10 +550,12 @@ def _variant_config(cfg: RunConfig, dimension: str, value) -> RunConfig:
 def ablate(cfg: RunConfig, dimension: str, values: list,
            out_dir: str | Path | None = None) -> list[dict]:
     """One train+evaluate per value; emits a table mirroring the ablation
-    tables' layout (rows = values, columns = label fields + ciou + auc)."""
+    tables' layout (rows = values, columns = label fields + ciou + auc).
+    Every variant config is built before the first run, so a bad value
+    fails before any training."""
+    subs = [_variant_config(cfg, dimension, value) for value in values]
     rows = []
-    for value in values:
-        sub = _variant_config(cfg, dimension, value)
+    for value, sub in zip(values, subs):
         model, _ = train(sub, write_artifacts=False)
         report = evaluate(model, sub, "s4-analog")
         rows.append(_ablation_row(dimension, value, sub, report))
@@ -563,10 +572,10 @@ def _ablation_row(dimension: str, value, cfg: RunConfig,
         return {"ctx": f"ctx={value}", "ciou": report.ciou, "auc": report.auc}
     if dimension == "va_position":
         return {"ctx": "ctx=4", "va_index": f"pos={value}",
-                "token_order": token_order_label(4, int(value)),
+                "token_order": token_order_label(4, value),
                 "ciou": report.ciou, "auc": report.auc}
     if dimension == "epochs":
-        return {"ctx": f"ctx={cfg.prompt.context_length}", "epochs": int(value),
+        return {"ctx": f"ctx={cfg.prompt.context_length}", "epochs": value,
                 "ciou": report.ciou, "auc": report.auc}
     return {"method": "soundloc",
             "fusion": "yes" if value == "fused" else "",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import grounding, prompting
+from . import audiofeat, grounding, prompting
 from .autodiff import ContractViolation, Tensor
 from .encoders import AudioEncoder, EncoderConfig, ImageEncoder, TextEncoder
 from .layers import Module
@@ -67,10 +67,8 @@ class SoundLocalizer(Module):
         self.image_encoder = self.child("image_encoder", ImageEncoder(enc_cfg, rngs[0]))
         self.audio_encoder = self.child("audio_encoder", AudioEncoder(enc_cfg, rngs[1]))
         self.text_encoder = self.child("text_encoder", TextEncoder(enc_cfg, rngs[2]))
-        self.meta_net = self.child("meta_net", MetaNet(
-            prompt_cfg.context_length, d, rngs[3], mode=prompt_cfg.meta_mode))
-        self.tokenizer = self.child("tokenizer", AudioTokenizer(
-            enc_cfg.audio_feature_dim, d, rngs[4]))
+        self.meta_net = self.child("meta_net", MetaNet(prompt_cfg.context_length, d, rngs[3]))
+        self.tokenizer = self.child("tokenizer", AudioTokenizer(audiofeat.N_BANDS, d, rngs[4]))
         self.decoder = self.child("decoder", grounding.MaskDecoder(
             d, enc_cfg.text_heads, rngs[5]))
         if self.dtype != np.float64:
@@ -104,13 +102,11 @@ class SoundLocalizer(Module):
             # feeds the fused feature), so its parameters never get grads.
             for k in ("tokenizer.key_w", "tokenizer.key_b", "tokenizer.query"):
                 del out[k]
-        if not self.enc_cfg.frozen:
-            out.update(self.encoder_parameters())
         return out
 
     def apply_freezing(self) -> None:
         for p in self.encoder_parameters().values():
-            p.requires_grad = not self.enc_cfg.frozen
+            p.requires_grad = False
         for p in self.prompt_parameters().values():
             p.requires_grad = True
 

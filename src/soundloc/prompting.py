@@ -3,8 +3,8 @@
 The prompt fed to the text encoder is a sequence of M context vectors plus
 one audio-derived token, with the audio token's slot configurable.  Context
 vectors are conditioned on the image through a small bottleneck net whose
-output is added to every base vector (one shared correction per image); a
-per-token variant with M independent bottlenecks exists for ablations.
+output is added to every base vector: one shared correction per image, as
+in conditional prompt learning (CoCoOp).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .layers import Module, normal_init
 BOTTLENECK_RATIO = 16
 
 FUSION_MODES = ("none", "fused", "ensemble")
-META_MODES = ("shared", "per_token")
 
 
 @dataclass
@@ -28,7 +27,6 @@ class PromptConfig:
     context_length: int = 4
     va_position: int | None = None   # 1..M+1; None means "last" (M+1)
     fusion_mode: str = "none"
-    meta_mode: str = "shared"
 
     def __post_init__(self):
         if self.context_length < 0:
@@ -40,42 +38,29 @@ class PromptConfig:
                 f"va_position {self.va_position} outside [1, {self.context_length + 1}]")
         if self.fusion_mode not in FUSION_MODES:
             raise ContractViolation(f"fusion_mode must be one of {FUSION_MODES}")
-        if self.meta_mode not in META_MODES:
-            raise ContractViolation(f"meta_mode must be one of {META_MODES}")
 
 
 class MetaNet(Module):
     """Base context vectors plus an image-conditioned additive correction.
 
-    In ``shared`` mode a single bottleneck (d -> d/16 -> d) produces one
-    meta-token added to all M rows; ``per_token`` gives each row its own
-    bottleneck of the same shape.
+    A single bottleneck (d -> d/16 -> d) produces one meta-token that is
+    added to all M rows.
     """
 
-    def __init__(self, n_ctx: int, d: int, rng: np.random.Generator,
-                 mode: str = "shared"):
+    def __init__(self, n_ctx: int, d: int, rng: np.random.Generator):
         super().__init__()
         if d % BOTTLENECK_RATIO:
             raise ContractViolation(
                 f"embed_dim {d} not divisible by {BOTTLENECK_RATIO} (bottleneck width)")
-        if mode not in META_MODES:
-            raise ContractViolation(f"meta_mode must be one of {META_MODES}")
         self.n_ctx = n_ctx
         self.d = d
-        self.mode = mode
         self.hidden = d // BOTTLENECK_RATIO
         h = self.hidden
         self.base = self.param("base", normal_init(rng, (n_ctx, d)))
-        if mode == "shared":
-            self.w1 = self.param("w1", normal_init(rng, (d, h)))
-            self.b1 = self.param("b1", np.zeros(h))
-            self.w2 = self.param("w2", normal_init(rng, (h, d)))
-            self.b2 = self.param("b2", np.zeros(d))
-        else:
-            self.w1 = self.param("w1", normal_init(rng, (n_ctx, d, h)))
-            self.b1 = self.param("b1", np.zeros((n_ctx, 1, h)))
-            self.w2 = self.param("w2", normal_init(rng, (n_ctx, h, d)))
-            self.b2 = self.param("b2", np.zeros((n_ctx, 1, d)))
+        self.w1 = self.param("w1", normal_init(rng, (d, h)))
+        self.b1 = self.param("b1", np.zeros(h))
+        self.w2 = self.param("w2", normal_init(rng, (h, d)))
+        self.b2 = self.param("b2", np.zeros(d))
 
     def forward(self, feats: Tensor) -> Tensor:
         """(B, d) image features -> (B, M, d) conditioned context tokens."""
@@ -85,12 +70,8 @@ class MetaNet(Module):
         m = self.n_ctx
         if m == 0:
             return ad.constant(np.zeros((b, 0, self.d), dtype=self.base.dtype))
-        if self.mode == "shared":
-            pi = ad.linear(ad.relu(ad.linear(feats, self.w1, self.b1)), self.w2, self.b2)  # (B, d)
-            return self.base.reshape(1, m, self.d) + pi.reshape(b, 1, self.d)
-        x = feats.reshape(1, b, self.d)
-        pi = ad.relu(x @ self.w1 + self.b1) @ self.w2 + self.b2           # (M, B, d)
-        return self.base.reshape(1, m, self.d) + ad.transpose(pi, (1, 0, 2))
+        pi = ad.linear(ad.relu(ad.linear(feats, self.w1, self.b1)), self.w2, self.b2)  # (B, d)
+        return self.base.reshape(1, m, self.d) + pi.reshape(b, 1, self.d)
 
 
 class AudioTokenizer(Module):

@@ -448,7 +448,7 @@ def _read_table(path):
 
 def test_criterion_10_ablation_tables(tmp_path):
     base = RunConfig(epochs=1, train_samples=16, eval_samples=8, batch_size=8,
-                     warmup=False, out_dir=str(tmp_path / "base"))
+                     warmup_epochs=0, out_dir=str(tmp_path / "base"))
     problems = []
 
     ablate(base, "context_length", [4, 8, 16], out_dir=tmp_path)

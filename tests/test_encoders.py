@@ -46,12 +46,6 @@ class TestEncoderConfig:
             with pytest.raises(ContractViolation, match="embed_dim"):
                 EncoderConfig(embed_dim=dim)
 
-    def test_audio_front_end_is_pinned(self):
-        with pytest.raises(ContractViolation):
-            EncoderConfig(audio_frames=4)
-        with pytest.raises(ContractViolation):
-            EncoderConfig(audio_feature_dim=32)
-
 
 class TestImageEncoder:
     def test_output_shapes(self, cfg):

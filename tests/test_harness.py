@@ -70,7 +70,25 @@ class TestRunConfig:
         assert cfg.optimizer.weight_decay == 1e-5
         assert (cfg.optimizer.beta1, cfg.optimizer.beta2) == (0.9, 0.999)
         assert cfg.optimizer.eps == 1e-8
-        assert cfg.reference_scale["batch_size"] == 16
+
+    def test_schema_is_pinned(self):
+        """The exact settable keys, top level and per block: adding or
+        retiring a config knob shows up here."""
+        d = RunConfig().to_dict()
+        assert set(d) == {"seed", "dtype", "encoder", "prompt", "loss", "generator",
+                          "optimizer", "batch_size", "epochs", "train_samples",
+                          "eval_samples", "val_fraction", "warmup_epochs", "warmup_lr",
+                          "out_dir"}
+        assert {block: set(d[block]) for block in harness._BLOCKS} == {
+            "encoder": {"embed_dim", "image_size", "patch_size", "text_layers",
+                        "text_heads", "max_text_len"},
+            "prompt": {"context_length", "va_position", "fusion_mode"},
+            "loss": {"lambda1", "lambda2", "lambda3", "temperature", "p_plus", "p_minus"},
+            "generator": {"num_classes", "image_size", "single_radius", "multi_radius",
+                          "snr_db", "mismatch_fraction", "silent_fraction",
+                          "train_class_count"},
+            "optimizer": {"lr", "weight_decay", "beta1", "beta2", "eps"},
+        }
 
     def test_round_trip_lossless(self, tmp_path):
         cfg = RunConfig(seed=7, dtype="float64", epochs=3, batch_size=4,
@@ -101,6 +119,10 @@ class TestRunConfig:
         {"seed": -1},
         {"warmup_lr": 0.0},
         {"warmup_lr": -3e-3},
+        {"train_samples": 1},
+        {"train_samples": 0},
+        {"train_samples": 4, "val_fraction": 0.7},
+        {"eval_samples": 0},
         {"encoder": EncoderConfig(image_size=64)},   # scenes are 32 pixels wide
     ])
     def test_invalid_configs(self, bad):
@@ -253,7 +275,7 @@ class TestTraining:
         assert all("data_absmax" in v for v in stats["params"].values())
 
     def test_nonfinite_gradient_aborts_with_stats(self, tmp_path, monkeypatch):
-        cfg = _tiny_cfg(tmp_path / "abort", train_samples=32, warmup=False)
+        cfg = _tiny_cfg(tmp_path / "abort", train_samples=32, warmup_epochs=0)
         real = ad.backward
 
         def poisoned(root):
@@ -362,7 +384,7 @@ class TestAblate:
 
     def test_context_length_rows_and_files(self, tmp_path):
         cfg = _tiny_cfg(tmp_path / "base", train_samples=32, eval_samples=8,
-                        batch_size=8, warmup=False)
+                        batch_size=8, warmup_epochs=0)
         rows = harness.ablate(cfg, "context_length", [4, 8], out_dir=tmp_path)
         assert [r["ctx"] for r in rows] == ["ctx=4", "ctx=8"]
         assert all(list(r) == ["ctx", "ciou", "auc"] for r in rows)
@@ -375,7 +397,7 @@ class TestAblate:
 
     def test_va_position_rows(self, tmp_path):
         cfg = _tiny_cfg(tmp_path / "base", train_samples=32, eval_samples=8,
-                        batch_size=8, warmup=False)
+                        batch_size=8, warmup_epochs=0)
         rows = harness.ablate(cfg, "va_position", [1, 5], out_dir=tmp_path)
         assert all(list(r) == ["ctx", "va_index", "token_order", "ciou", "auc"]
                    for r in rows)
@@ -383,12 +405,23 @@ class TestAblate:
         assert rows[1]["token_order"] == "[V_1][V_2][V_3][V_4][V_A]"
         assert [r["va_index"] for r in rows] == ["pos=1", "pos=5"]
 
-    def test_invalid_dimension_and_value(self, tmp_path):
+    def test_invalid_dimension_and_value(self, tmp_path, monkeypatch):
         cfg = _tiny_cfg(tmp_path)
         with pytest.raises(ContractViolation, match="dimension"):
             harness.ablate(cfg, "learning_rate", [1])
         with pytest.raises(ContractViolation, match="fusion value"):
             harness.ablate(cfg, "fusion", ["bogus"])
+        # Every value is checked before the first run trains.
+        trained = []
+        monkeypatch.setattr(harness, "train", lambda sub, **kw: trained.append(sub))
+        for dimension in ("context_length", "va_position", "epochs"):
+            for value in ("x", "2.5", 2.5, True):
+                with pytest.raises(ContractViolation,
+                                   match=f"{dimension} value must be an integer"):
+                    harness.ablate(cfg, dimension, [4, value])
+        with pytest.raises(ContractViolation, match="va_position"):
+            harness.ablate(cfg, "va_position", [1, 9])
+        assert trained == []
 
 
 class TestRender:
@@ -437,7 +470,7 @@ def cli_run(tmp_path_factory):
     out = root / "run"
     cfg_path = root / "config.json"
     _tiny_cfg(out, train_samples=32, eval_samples=8, batch_size=8,
-              warmup=False).save(cfg_path)
+              warmup_epochs=0).save(cfg_path)
     assert main(["train", "--config", str(cfg_path)]) == 0
     return cfg_path, out
 
@@ -498,7 +531,7 @@ class TestCli:
             assert "bogus" in err and err.count("\n") == 1
         # Values of the wrong type, at top level and inside blocks, are named.
         for block, key, value in ((None, "batch_size", "16"), (None, "epochs", 2.5),
-                                  ("encoder", "frozen", "no"), ("prompt", "va_position", "x"),
+                                  ("prompt", "fusion_mode", 3), ("prompt", "va_position", "x"),
                                   ("generator", "single_radius", [7, "11"]),
                                   ("optimizer", "lr", True)):
             d = RunConfig().to_dict()
@@ -521,6 +554,9 @@ class TestCli:
                                   (None, "warmup_epochs", -1),
                                   (None, "seed", -1),
                                   (None, "warmup_lr", 0.0),
+                                  (None, "train_samples", 1),
+                                  (None, "train_samples", 0),
+                                  (None, "eval_samples", 0),
                                   ("optimizer", "lr", -0.001),
                                   ("optimizer", "weight_decay", -1e-5),
                                   ("optimizer", "beta1", 1.0),
@@ -541,6 +577,57 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("contract violation:"), err
         assert "seed" in err and err.count("\n") == 1
+        # gen-data names its own --count, not the generator's batch size.
+        assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "data"),
+                     "--count", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("contract violation:"), err
+        assert "--count" in err and err.count("\n") == 1
+
+    def test_retired_keys_exit_2(self, cli_run, tmp_path, capsys):
+        """A config.json written before the one-valued knobs were retired
+        (their old defaults added to today's) loads neither for train nor
+        for eval: one stderr line names every retired key."""
+        retired = {None: {"warmup": True,
+                          "reference_scale": {"image_size": 352, "audio_seconds": 10,
+                                              "audio_sample_rate_hz": 16000, "epochs": 20,
+                                              "batch_size": 16, "learning_rate": 1e-3,
+                                              "weight_decay": 1e-5,
+                                              "trainable_params_approx": 2_380_000}},
+                   "encoder": {"channels": 3, "audio_frames": 8, "audio_feature_dim": 16,
+                               "frozen": True},
+                   "prompt": {"meta_mode": "shared"}}
+        old = tmp_path / "old"
+        old.mkdir()
+        d = RunConfig(out_dir=str(old)).to_dict()
+        for block, keys in retired.items():
+            (d if block is None else d[block]).update(keys)
+        (old / "config.json").write_text(json.dumps(d))
+        _, out = cli_run
+        (old / "model.splt").write_bytes((out / "model.splt").read_bytes())
+        for argv in (["train", "--config", str(old / "config.json")],
+                     ["eval", "--ckpt", str(old / "model.splt"), "--benchmark", "s4-analog"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("contract violation: unknown key(s)"), err
+            assert err.count("\n") == 1
+            for keys in retired.values():
+                for key in keys:
+                    assert key in err, (key, err)
+        assert sorted(p.name for p in old.iterdir()) == ["config.json", "model.splt"]
+
+    def test_bad_ablate_values_exit_2_before_training(self, cli_run, monkeypatch, capsys):
+        cfg_path, _ = cli_run
+        trained = []
+        monkeypatch.setattr(harness, "train", lambda sub, **kw: trained.append(sub))
+        for dimension in ("context_length", "va_position", "epochs"):
+            for values in ("x", "2.5", "4,x"):
+                assert main(["ablate", "--config", str(cfg_path), "--dimension", dimension,
+                             "--values", values]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("contract violation:"), err
+                assert dimension in err and err.count("\n") == 1
+        assert trained == []
 
     def test_missing_sibling_config_exits_2(self, tmp_path, capsys):
         ckpt = tmp_path / "model.splt"
@@ -611,12 +698,10 @@ class TestBatchLossGradient:
     training loss against central differences, through the all-pairs
     decode, the upsample, the masked re-encode and both InfoNCE tables."""
 
-    @pytest.mark.parametrize("meta", ["shared", "per_token"])
     @pytest.mark.parametrize("fusion", ["none", "fused", "ensemble"])
-    def test_batch_loss_matches_central_differences(self, fusion, meta):
+    def test_batch_loss_matches_central_differences(self, fusion):
         model = SoundLocalizer(EncoderConfig(embed_dim=16, image_size=8, patch_size=4),
-                               PromptConfig(context_length=2, fusion_mode=fusion,
-                                            meta_mode=meta), seed=70)
+                               PromptConfig(context_length=2, fusion_mode=fusion), seed=70)
         model.apply_freezing()
         params = model.trainable_parameters()
         rng = np.random.default_rng(71)

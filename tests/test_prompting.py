@@ -42,7 +42,6 @@ class TestPromptConfig:
         dict(context_length=4, va_position=0),
         dict(context_length=4, va_position=6),
         dict(fusion_mode="blend"),
-        dict(meta_mode="independent"),
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ContractViolation):
@@ -86,10 +85,9 @@ class TestMetaNet:
         for row in delta[1:]:
             np.testing.assert_allclose(row, delta[0], atol=1e-12, rtol=0)
 
-    @pytest.mark.parametrize("mode", ["shared", "per_token"])
-    def test_batch_rows_are_independent(self, mode):
+    def test_batch_rows_are_independent(self):
         # Each row of a batch equals that image's features run alone.
-        net = MetaNet(4, D, RNG(7), mode=mode)
+        net = MetaNet(4, D, RNG(7))
         xs = RNG(8).normal(size=(3, D))
         batch = net.forward(ad.constant(xs)).data
         for i in range(3):
@@ -100,21 +98,6 @@ class TestMetaNet:
         net = MetaNet(0, D, RNG(9))
         out = net.forward(ad.constant(np.zeros((2, D))))
         assert out.shape == (2, 0, D)
-
-    def test_per_token_mode_breaks_sharing(self):
-        # Independent per-row bottlenecks: the correction generically
-        # differs between rows.
-        net = MetaNet(4, D, RNG(10), mode="per_token")
-        out = net.forward(ad.constant(RNG(11).normal(size=(1, D)))).data[0]
-        delta = out - net.base.data
-        assert np.abs(delta[0] - delta[1]).max() > 1e-6
-
-    def test_per_token_zeroed_gives_base(self):
-        net = MetaNet(3, D, RNG(12), mode="per_token")
-        net.w2.data[:] = 0.0
-        net.b2.data[:] = 0.0
-        out = net.forward(ad.constant(RNG(13).normal(size=(1, D))))[0]
-        assert np.array_equal(out.data, net.base.data)
 
     def test_input_shape_checked(self):
         net = MetaNet(4, D, RNG(14))
