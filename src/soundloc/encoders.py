@@ -1,11 +1,12 @@
-"""Toy image / audio / text encoders over the shared tensor substrate.
+"""Toy image and text encoders over the shared tensor substrate.
 
-All three map raw inputs into a common 64-dim embedding space.  They are
-deliberately small: one attention block over image patches, a frozen
-filterbank plus a linear map for audio, and a two-layer causal transformer
-for token sequences.  The image and text paths are fully differentiable so
-gradients can flow from downstream losses into prompt vectors and (during
-warmup) the encoders themselves.
+Both map their inputs into a common 64-dim embedding space.  They are
+deliberately small: one attention block over image patches and a
+two-layer causal transformer for token sequences.  Both are fully
+differentiable so gradients can flow from downstream losses into prompt
+vectors and (during warmup) the image encoder itself.  The audio encoder
+has no parameters: it is the fixed filterbank in ``audiofeat``, which
+``SoundLocalizer.perceive`` applies.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import audiofeat
 from . import autodiff as ad
 from .autodiff import ContractViolation, Tensor
 from .layers import Module, TransformerBlock, normal_init
@@ -99,34 +99,6 @@ class ImageEncoder(Module):
         x = self.block.forward(self.patch_tokens(images))
         x = ad.layer_norm(x, self.lnf_g, self.lnf_b)
         return x, x.mean(axis=1)
-
-
-class AudioEncoder(Module):
-    """Fixed filterbank features followed by a learned linear map.
-
-    The linear map starts as the identity, so before any training the
-    encoder output *is* the band-energy matrix.
-    """
-
-    feature_dim = audiofeat.N_BANDS
-    clip_len = audiofeat.CLIP_LEN
-
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
-        super().__init__()
-        del rng  # same signature as the other encoders; init is deterministic
-        self.cfg = cfg
-        n = self.feature_dim
-        self.proj_w = self.param("proj_w", np.eye(n))
-        self.proj_b = self.param("proj_b", np.zeros(n))
-
-    def forward(self, clips: np.ndarray) -> Tensor:
-        """(B, 8000) samples -> (B, 8, 16) per-frame band features."""
-        clips = np.asarray(clips, dtype=np.float64)
-        if clips.ndim != 2 or clips.shape[1] != self.clip_len:
-            raise ContractViolation(
-                f"audio batch must be (B, {self.clip_len}), got {clips.shape}")
-        feats = audiofeat.frame_energies(clips)
-        return ad.linear(ad.constant(feats, dtype=self.proj_w.dtype), self.proj_w, self.proj_b)
 
 
 class TextEncoder(Module):

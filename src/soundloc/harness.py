@@ -304,8 +304,6 @@ def warmup_image_encoder(model: SoundLocalizer, samples: list[SceneSample],
         correct = total = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            if idx.size == 0:
-                continue
             images, _ = stack_batch([samples[i] for i in idx])
             images_t = ad.constant(images.astype(model.dtype))
             grid, _ = model.image_encoder.forward(images_t)
@@ -320,7 +318,7 @@ def warmup_image_encoder(model: SoundLocalizer, samples: list[SceneSample],
             losses.append(nll.item())
             correct += int((logits.data.argmax(axis=-1) == y).sum())
             total += y.size
-        acc = correct / total if total else 0.0
+        acc = correct / total
     return {"epochs": cfg.warmup_epochs, "final_cell_accuracy": acc,
             "first_loss": losses[0] if losses else None,
             "last_loss": losses[-1] if losses else None}
@@ -543,7 +541,6 @@ def _variant_config(cfg: RunConfig, dimension: str, value) -> RunConfig:
     else:
         raise ContractViolation(
             f"dimension must be one of {ABLATION_DIMENSIONS}, got {dimension!r}")
-    d["out_dir"] = str(Path(cfg.out_dir) / f"ablate_{dimension}" / str(value))
     return RunConfig.from_dict(d)
 
 

@@ -2,8 +2,8 @@
 
 Dataflow for a batch of (image, audio) pairs:
 
-1. encoders produce image cell grids, pooled image features, and
-   per-frame audio features;
+1. the image encoder produces cell grids and pooled image features, and
+   the fixed filterbank (``audiofeat``) per-frame audio features;
 2. the meta-net turns pooled image features into context tokens and the
    audio tokenizer turns audio features into one audio token;
 3. the text encoder embeds each assembled prompt into a condition vector;
@@ -27,9 +27,12 @@ import numpy as np
 from . import autodiff as ad
 from . import audiofeat, grounding, prompting
 from .autodiff import ContractViolation, Tensor
-from .encoders import AudioEncoder, EncoderConfig, ImageEncoder, TextEncoder
+from .encoders import EncoderConfig, ImageEncoder, TextEncoder
 from .layers import Module
 from .prompting import AudioTokenizer, MetaNet, PromptConfig
+
+# Top-level parts that stay frozen while the prompts and decoder train.
+ENCODERS = ("image_encoder", "text_encoder")
 
 
 @dataclass
@@ -38,7 +41,7 @@ class Perception:
     images: Tensor       # (B, S, S, C)
     grid: Tensor         # (B, cells, d)
     pooled: Tensor       # (B, d)
-    audio_feats: Tensor  # (B, frames, audio_dim)
+    audio_feats: Tensor  # (B, 8, 16) filterbank band energies, a constant
 
 
 @dataclass
@@ -59,13 +62,12 @@ class SoundLocalizer(Module):
         self.enc_cfg = enc_cfg
         self.prompt_cfg = prompt_cfg
         self.dtype = np.dtype(dtype)
-        if prompt_cfg.fusion_mode == "fused" and prompt_cfg.context_length == 0:
-            raise ContractViolation("fused mode with no context tokens leaves an empty prompt")
         d = enc_cfg.embed_dim
+        # Stream 1 belonged to a retired audio projection; it stays spawned
+        # so every other part keeps its initial values.
         streams = np.random.SeedSequence(seed).spawn(6)
         rngs = [np.random.default_rng(s) for s in streams]
         self.image_encoder = self.child("image_encoder", ImageEncoder(enc_cfg, rngs[0]))
-        self.audio_encoder = self.child("audio_encoder", AudioEncoder(enc_cfg, rngs[1]))
         self.text_encoder = self.child("text_encoder", TextEncoder(enc_cfg, rngs[2]))
         self.meta_net = self.child("meta_net", MetaNet(prompt_cfg.context_length, d, rngs[3]))
         self.tokenizer = self.child("tokenizer", AudioTokenizer(audiofeat.N_BANDS, d, rngs[4]))
@@ -77,23 +79,13 @@ class SoundLocalizer(Module):
     # -- parameter partitions ------------------------------------------------
 
     def encoder_parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for name, mod in (("image_encoder", self.image_encoder),
-                          ("audio_encoder", self.audio_encoder),
-                          ("text_encoder", self.text_encoder)):
-            for k, v in mod.parameters().items():
-                out[f"{name}.{k}"] = v
-        return out
+        return {k: v for k, v in self.parameters().items()
+                if k.split(".", 1)[0] in ENCODERS}
 
     def prompt_parameters(self) -> dict[str, Tensor]:
         """Meta-net, audio tokenizer, and decoder: the trainable remainder."""
-        out = {}
-        for name, mod in (("meta_net", self.meta_net),
-                          ("tokenizer", self.tokenizer),
-                          ("decoder", self.decoder)):
-            for k, v in mod.parameters().items():
-                out[f"{name}.{k}"] = v
-        return out
+        return {k: v for k, v in self.parameters().items()
+                if k.split(".", 1)[0] not in ENCODERS}
 
     def trainable_parameters(self) -> dict[str, Tensor]:
         out = dict(self.prompt_parameters())
@@ -115,36 +107,39 @@ class SoundLocalizer(Module):
     def perceive(self, images: np.ndarray, audios: np.ndarray) -> Perception:
         images_t = ad.constant(np.asarray(images, dtype=self.dtype))
         grid, pooled = self.image_encoder.forward(images_t)
-        audio_feats = self.audio_encoder.forward(audios)
+        audios = np.asarray(audios)
+        if audios.shape != (images_t.shape[0], audiofeat.CLIP_LEN):
+            raise ContractViolation(
+                f"audio batch {audios.shape} does not fit image batch {images_t.shape}: "
+                f"need one {audiofeat.CLIP_LEN}-sample clip per image")
+        audio_feats = ad.constant(audiofeat.frame_energies(audios), dtype=self.dtype)
         return Perception(images=images_t, grid=grid, pooled=pooled,
                           audio_feats=audio_feats)
 
-    def prompt_embeddings(self, pooled_i: Tensor, va_j: Tensor | None,
-                          audio_pooled_j: Tensor | None) -> Tensor:
+    def prompt_embeddings(self, pooled_i: Tensor, audio_j: Tensor) -> Tensor:
         """(N, d) condition vectors for N pairs, honoring the fusion mode.
 
-        ``pooled_i``: image features of the pair's image; ``va_j`` /
-        ``audio_pooled_j``: audio token and frame-mean representation of
-        the pair's audio (each needed only by some modes).
+        ``pooled_i``: image features of the pair's image; ``audio_j``: the
+        pair's audio as ``decode_pairs`` represents it for the mode, the
+        frame-mean representation when fused and the audio token otherwise.
         """
         cfg = self.prompt_cfg
         if cfg.fusion_mode == "fused":
-            context = self.meta_net.forward(
-                prompting.fuse_features(pooled_i, audio_pooled_j))
+            context = self.meta_net.forward(prompting.fuse_features(pooled_i, audio_j))
             return self.text_encoder.forward(context)
         context = self.meta_net.forward(pooled_i)
         if cfg.fusion_mode == "ensemble":
             # All M + 1 audio-token positions go through the text encoder as
             # one stacked batch; the slices are summed in position order.
             n, m1 = context.shape[0], cfg.context_length + 1
-            variants = [prompting.assemble_prompt(context, va_j, pos)
+            variants = [prompting.assemble_prompt(context, audio_j, pos)
                         for pos in range(1, m1 + 1)]
             emb = self.text_encoder.forward(ad.concat(variants, axis=0))
             total = emb[:n]
             for k in range(1, m1):
                 total = total + emb[k * n:(k + 1) * n]
             return total * (1.0 / m1)
-        tokens = prompting.assemble_prompt(context, va_j, cfg.va_position)
+        tokens = prompting.assemble_prompt(context, audio_j, cfg.va_position)
         return self.text_encoder.forward(tokens)
 
     def decode_pairs(self, percept: Perception, idx_i: np.ndarray,
@@ -152,14 +147,10 @@ class SoundLocalizer(Module):
         """Decode a mask for every requested (image, audio) index pair."""
         s = self.enc_cfg.image_size
         g = self.enc_cfg.grid_size
-        if self.prompt_cfg.fusion_mode == "fused":
-            apool = self.tokenizer.pooled_mean(percept.audio_feats)
-            conditions = self.prompt_embeddings(
-                percept.pooled[idx_i], None, apool[idx_j])
-        else:
-            va = self.tokenizer.forward(percept.audio_feats)
-            conditions = self.prompt_embeddings(
-                percept.pooled[idx_i], va[idx_j], None)
+        tokenize = (self.tokenizer.pooled_mean if self.prompt_cfg.fusion_mode == "fused"
+                    else self.tokenizer.forward)
+        audio = tokenize(percept.audio_feats)
+        conditions = self.prompt_embeddings(percept.pooled[idx_i], audio[idx_j])
         logits = self.decoder.decode_logits(percept.grid[idx_i], conditions)
         n = logits.shape[0]
         up = ad.resize_bilinear(logits.reshape(n, g, g), s, s)

@@ -38,6 +38,10 @@ class PromptConfig:
                 f"va_position {self.va_position} outside [1, {self.context_length + 1}]")
         if self.fusion_mode not in FUSION_MODES:
             raise ContractViolation(f"fusion_mode must be one of {FUSION_MODES}")
+        if self.fusion_mode == "fused" and self.context_length == 0:
+            raise ContractViolation(
+                "fusion_mode 'fused' needs context_length >= 1: the fused feature "
+                "reaches the prompt only through the context tokens")
 
 
 class MetaNet(Module):

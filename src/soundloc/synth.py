@@ -88,7 +88,6 @@ class GeneratorConfig:
 @dataclass
 class SceneSpec:
     seed: int
-    num_classes: int = 8
     objects: list[tuple[int, tuple[int, int], int]] = field(default_factory=list)
     audible_class_ids: tuple[int, ...] = ()
     silent: bool = False
@@ -156,15 +155,15 @@ def _paint_disc(image: np.ndarray, mask: np.ndarray, class_id: int) -> None:
     image[mask & gap] = dark
 
 
-def _validate_spec(spec: SceneSpec) -> None:
+def _validate_spec(spec: SceneSpec, num_classes: int) -> None:
     if not spec.objects and not spec.silent and not spec.audible_class_ids:
         raise SceneSpecError("scene has no objects and no audio")
     for cid, _, _ in spec.objects:
-        if not 0 <= cid < spec.num_classes:
-            raise SceneSpecError(f"object class {cid} outside [0, {spec.num_classes})")
+        if not 0 <= cid < num_classes:
+            raise SceneSpecError(f"object class {cid} outside [0, {num_classes})")
     for cid in spec.audible_class_ids:
-        if not 0 <= cid < spec.num_classes:
-            raise SceneSpecError(f"audible class {cid} outside [0, {spec.num_classes})")
+        if not 0 <= cid < num_classes:
+            raise SceneSpecError(f"audible class {cid} outside [0, {num_classes})")
     if spec.silent and spec.audible_class_ids:
         raise SceneSpecError("silent scene cannot list audible classes")
 
@@ -225,7 +224,7 @@ def _synthesize_audio(audible: tuple[int, ...], silent: bool, snr_db: float,
 
 def generate_scene(spec: SceneSpec, cfg: GeneratorConfig) -> SceneSample:
     """Render a scene spec into pixels, samples, and ground truth."""
-    _validate_spec(spec)
+    _validate_spec(spec, cfg.num_classes)
     size = cfg.image_size
     object_masks = _validate_placement(spec, size)
     # Sub-key 1 keeps the render stream distinct from the spec-building
@@ -290,21 +289,18 @@ def _build_spec(rng: np.random.Generator, cfg: GeneratorConfig, mode: str,
         count = int(rng.integers(2, min(4, len(class_pool) + 1)))
         classes = list(rng.choice(class_pool, size=count, replace=False))
         objects = _place_objects(rng, cfg, count, classes)
-        return SceneSpec(seed=seed, num_classes=cfg.num_classes, objects=objects,
+        return SceneSpec(seed=seed, objects=objects,
                          audible_class_ids=tuple(int(c) for c in classes))
     target = int(rng.choice(class_pool))
     objects = _place_objects(rng, cfg, 1, [target])
     if kind == "matched":
-        return SceneSpec(seed=seed, num_classes=cfg.num_classes, objects=objects,
-                         audible_class_ids=(target,))
+        return SceneSpec(seed=seed, objects=objects, audible_class_ids=(target,))
     if kind == "mismatched":
         others = [c for c in range(cfg.num_classes) if c != target]
         heard = int(rng.choice(others))
-        return SceneSpec(seed=seed, num_classes=cfg.num_classes, objects=objects,
-                         audible_class_ids=(heard,))
+        return SceneSpec(seed=seed, objects=objects, audible_class_ids=(heard,))
     if kind == "silent":
-        return SceneSpec(seed=seed, num_classes=cfg.num_classes, objects=objects,
-                         audible_class_ids=(), silent=True)
+        return SceneSpec(seed=seed, objects=objects, silent=True)
     raise ContractViolation(f"unknown sample kind {kind!r}")
 
 

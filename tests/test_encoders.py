@@ -6,8 +6,10 @@ import pytest
 import soundloc.autodiff as ad
 from soundloc import audiofeat
 from soundloc.autodiff import ContractViolation, Tensor
-from soundloc.encoders import AudioEncoder, EncoderConfig, ImageEncoder, TextEncoder
+from soundloc.encoders import EncoderConfig, ImageEncoder, TextEncoder
 from soundloc.layers import TransformerBlock
+from soundloc.model import SoundLocalizer
+from soundloc.prompting import PromptConfig
 
 from _oracles import dft_power_loops, filterbank_edges_loops, filterbank_loops
 
@@ -154,29 +156,49 @@ class TestFilterbank:
 
 
 class TestAudioEncoder:
-    def test_identity_init_passes_band_energies_through(self, cfg):
-        enc = AudioEncoder(cfg, _rng())
-        rng = np.random.default_rng(43)
-        clip = rng.standard_normal(8000)
-        out = enc.forward(clip[None])[0]
-        assert np.array_equal(out.data, audiofeat.frame_energies(clip))
+    """The audio encoder is the fixed filterbank, applied in
+    ``SoundLocalizer.perceive``; it has no parameters."""
 
-    def test_batch_rows_equal_single_clips(self, cfg):
+    @staticmethod
+    def _model(dtype=np.float64):
+        return SoundLocalizer(EncoderConfig(embed_dim=16, image_size=8, patch_size=4),
+                              PromptConfig(), seed=41, dtype=dtype)
+
+    @staticmethod
+    def _images(b):
+        return np.random.default_rng(42).uniform(size=(b, 8, 8, 3))
+
+    def test_audio_feats_are_band_energies_in_model_dtype(self):
+        clips = np.random.default_rng(43).standard_normal((2, 8000))
+        for dtype in (np.float64, np.float32):
+            feats = self._model(dtype).perceive(self._images(2), clips).audio_feats
+            assert not feats.requires_grad
+            assert feats.dtype == dtype
+            assert np.array_equal(feats.data, audiofeat.frame_energies(clips).astype(dtype))
+
+    def test_batch_rows_equal_single_clips(self):
         """One feature call for the whole batch gives each clip's features
         exactly as that clip alone would."""
-        enc = AudioEncoder(cfg, _rng())
+        model = self._model()
+        images = self._images(5)
         clips = np.random.default_rng(47).standard_normal((5, 8000))
-        batch = enc.forward(clips).data
+        batch = model.perceive(images, clips).audio_feats.data
         for i in range(5):
-            assert np.array_equal(batch[i], enc.forward(clips[i:i + 1]).data[0])
+            alone = model.perceive(images[i:i + 1], clips[i:i + 1]).audio_feats.data
+            assert np.array_equal(batch[i], alone[0])
             assert np.array_equal(batch[i], audiofeat.frame_energies(clips[i]))
 
-    def test_batch_shape_and_validation(self, cfg):
-        enc = AudioEncoder(cfg, _rng())
-        out = enc.forward(np.zeros((3, 8000)))
-        assert out.shape == (3, 8, 16)
-        with pytest.raises(ContractViolation):
-            enc.forward(np.zeros((3, 4000)))
+    def test_batch_shape_and_validation(self):
+        """One 8000-sample clip per image; anything else names both batch
+        shapes.  More clips than images used to be dropped silently, and
+        fewer to end in an IndexError."""
+        model = self._model()
+        images = self._images(3)
+        assert model.perceive(images, np.zeros((3, 8000))).audio_feats.shape == (3, 8, 16)
+        for shape in ((3, 4000), (8000,), (3, 1, 8000), (5, 8000), (2, 8000)):
+            with pytest.raises(ContractViolation) as exc:
+                model.predict_masks(images, np.zeros(shape))
+            assert str(shape) in str(exc.value) and "(3, 8, 8, 3)" in str(exc.value)
 
 
 class TestTextEncoder:

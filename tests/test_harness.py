@@ -246,6 +246,32 @@ class TestTraining:
         assert log.trainable_params == sum(
             p.size for p in model.trainable_parameters().values())
 
+    def test_default_parameter_names(self):
+        """The default model's parameters by name, in checkpoint order;
+        adding or removing one shows up here."""
+        attn = ("attn.wq", "attn.wk", "attn.wv", "attn.wo",
+                "attn.bq", "attn.bk", "attn.bv", "attn.bo")
+        block = ("ln1_g", "ln1_b", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2") + attn
+        groups = (
+            ("image_encoder", ("patch_w", "patch_b", "pos", "lnf_g", "lnf_b",
+                               "block.ln1_g", "block.ln1_b")
+             + tuple(f"block.{n}" for n in attn)),
+            ("text_encoder", ("pos", "lnf_g", "lnf_b", "proj")
+             + tuple(f"block{i}.{n}" for i in (0, 1) for n in block)),
+            ("meta_net", ("base", "w1", "b1", "w2", "b2")),
+            ("tokenizer", ("w1", "b1", "w2", "b2", "key_w", "key_b", "query")),
+            ("decoder", ("scale_w", "scale_b", "shift_w", "shift_b", "head_w", "head_b")
+             + tuple(f"block.{n}" for n in block)),
+        )
+        names = [f"{part}.{n}" for part, ns in groups for n in ns]
+        model = build_model(RunConfig(out_dir="unused"))
+        assert list(model.parameters()) == names
+        assert len(names) == 85
+        assert list(model.encoder_parameters()) == [
+            n for n in names if n.startswith(("image_encoder.", "text_encoder."))]
+        assert list(model.prompt_parameters()) == [
+            n for n in names if n.startswith(("meta_net.", "tokenizer.", "decoder."))]
+
     def test_validation_history_recorded(self, tiny_run):
         cfg, _, log, _ = tiny_run
         assert len(log.val_history) == cfg.epochs
@@ -571,6 +597,14 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("contract violation:"), err
             assert key in err and err.count("\n") == 1
+        # A fused prompt with no context tokens would be empty.
+        d = RunConfig().to_dict()
+        d["prompt"].update(fusion_mode="fused", context_length=0, va_position=None)
+        bad.write_text(json.dumps(d))
+        assert main(["train", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("contract violation:"), err
+        assert "context_length" in err and err.count("\n") == 1
         # The --seed override is checked like the config's own seed.
         bad.write_text(json.dumps(RunConfig().to_dict()))
         assert main(["--seed", "-1", "train", "--config", str(bad)]) == 2
@@ -616,7 +650,8 @@ class TestCli:
                     assert key in err, (key, err)
         assert sorted(p.name for p in old.iterdir()) == ["config.json", "model.splt"]
 
-    def test_bad_ablate_values_exit_2_before_training(self, cli_run, monkeypatch, capsys):
+    def test_bad_ablate_values_exit_2_before_training(self, cli_run, monkeypatch, capsys,
+                                                      tmp_path):
         cfg_path, _ = cli_run
         trained = []
         monkeypatch.setattr(harness, "train", lambda sub, **kw: trained.append(sub))
@@ -627,6 +662,17 @@ class TestCli:
                 err = capsys.readouterr().err
                 assert err.startswith("contract violation:"), err
                 assert dimension in err and err.count("\n") == 1
+        # A fused config cannot drop its context tokens; the 0 is refused
+        # before the 4 trains.
+        d = RunConfig.load(cfg_path).to_dict()
+        d["prompt"]["fusion_mode"] = "fused"
+        fused = tmp_path / "fused.json"
+        fused.write_text(json.dumps(d))
+        assert main(["ablate", "--config", str(fused), "--dimension", "context_length",
+                     "--values", "4,0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("contract violation:"), err
+        assert "context_length" in err and err.count("\n") == 1
         assert trained == []
 
     def test_missing_sibling_config_exits_2(self, tmp_path, capsys):
@@ -671,6 +717,28 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("i/o error: ") and err.count("\n") == 1, err
             assert reason in err
+
+    def test_retired_audio_projection_exits_3(self, cli_run, tmp_path, capsys):
+        """A checkpoint saved while the audio side had a linear projection
+        (identity weights, zero bias, between the image and text encoders)
+        does not load: one stderr line names both retired records."""
+        cfg_path, out = cli_run
+        state = load_checkpoint(out / "model.splt")
+        names = list(state)
+        at = names.index("text_encoder.pos")
+        old = {n: state[n] for n in names[:at]}
+        old["audio_encoder.proj_w"] = np.eye(16)
+        old["audio_encoder.proj_b"] = np.zeros(16)
+        old.update((n, state[n]) for n in names[at:])
+        ckpt = tmp_path / "old.splt"
+        save_checkpoint(ckpt, old)
+        assert main(["eval", "--ckpt", str(ckpt), "--config", str(cfg_path),
+                     "--benchmark", "s4-analog", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1, err
+        assert "unexpected: audio_encoder.proj_w, audio_encoder.proj_b" in err
+        assert "missing" not in err
+        assert not (tmp_path / "report_s4-analog.csv").exists()
 
     def test_training_abort_exits_1(self, cli_run, monkeypatch, capsys):
         cfg_path, _ = cli_run

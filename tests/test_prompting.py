@@ -42,6 +42,7 @@ class TestPromptConfig:
         dict(context_length=4, va_position=0),
         dict(context_length=4, va_position=6),
         dict(fusion_mode="blend"),
+        dict(context_length=0, fusion_mode="fused"),   # an empty prompt
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ContractViolation):

@@ -152,6 +152,17 @@ class TestGenerateScene:
         with pytest.raises(SceneSpecError, match=msg):
             generate_scene(spec, GeneratorConfig())
 
+    def test_classes_checked_against_generator_class_count(self):
+        """A 4-class generator refuses class 6, although class 6 has a
+        palette entry and an audio signature."""
+        cfg = GeneratorConfig(num_classes=4, train_class_count=4)
+        for spec in (SceneSpec(seed=0, objects=[(6, (16, 16), 5)], audible_class_ids=(6,)),
+                     SceneSpec(seed=0, objects=[(1, (16, 16), 5)], audible_class_ids=(6,))):
+            with pytest.raises(SceneSpecError, match=r"class 6 outside \[0, 4\)"):
+                generate_scene(spec, cfg)
+        generate_scene(SceneSpec(seed=0, objects=[(3, (16, 16), 5)],
+                                 audible_class_ids=(3,)), cfg)
+
     def test_spec_error_is_contract_violation(self):
         assert issubclass(SceneSpecError, ContractViolation)
 
