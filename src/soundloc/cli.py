@@ -14,7 +14,6 @@ from pathlib import Path
 from . import harness, synth
 from .autodiff import ContractViolation
 from .checkpoint import CheckpointError
-from .formats import FormatError
 from .harness import RunConfig, TrainingAborted
 
 
@@ -150,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2
-    except (OSError, FormatError, CheckpointError, json.JSONDecodeError) as exc:
+    except (OSError, CheckpointError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except TrainingAborted as exc:

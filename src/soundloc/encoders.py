@@ -32,9 +32,10 @@ class EncoderConfig:
     max_text_len: int = 32
 
     def __post_init__(self):
-        for name in ("embed_dim", "patch_size", "text_heads"):
-            if getattr(self, name) < 1:
-                raise ContractViolation(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("embed_dim", 1), ("patch_size", 1), ("text_heads", 1),
+                          ("text_layers", 0)):
+            if getattr(self, name) < low:
+                raise ContractViolation(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.image_size % self.patch_size:
             raise ContractViolation(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")

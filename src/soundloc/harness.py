@@ -34,7 +34,7 @@ from .encoders import EncoderConfig
 from .losses import LossWeights, area_regularization, infonce_symmetric, total_loss
 from .model import SoundLocalizer
 from .optim import Adam
-from .prompting import PromptConfig
+from .prompting import BOTTLENECK_RATIO, PromptConfig
 from .synth import GeneratorConfig, SceneSample
 
 # benchmark name (CLI / report) -> scene generator mode
@@ -48,6 +48,7 @@ BENCHMARKS = {
 
 # Validation scenes scored after each epoch (the first ones of the split).
 VALIDATION_SCENES = 32
+PREDICT_CHUNK = 32   # scenes per predict_masks call when scoring
 
 REPORT_COLUMNS = ("benchmark", "ciou", "auc", "miou", "fscore", "ap", "max_f1", "loc_acc")
 
@@ -115,6 +116,16 @@ class RunConfig:
             raise ContractViolation(
                 f"generator image_size {self.generator.image_size} differs from "
                 f"encoder image_size {self.encoder.image_size}")
+        if self.encoder.embed_dim % BOTTLENECK_RATIO:
+            raise ContractViolation(
+                f"encoder embed_dim {self.encoder.embed_dim} not divisible by "
+                f"{BOTTLENECK_RATIO}, the meta-net's bottleneck ratio")
+        # Fused prompts are the M context tokens; otherwise the audio token is one more.
+        prompt_len = self.prompt.context_length + (self.prompt.fusion_mode != "fused")
+        if prompt_len > self.encoder.max_text_len:
+            raise ContractViolation(
+                f"context_length {self.prompt.context_length} makes prompts of {prompt_len} "
+                f"tokens, more than encoder max_text_len {self.encoder.max_text_len}")
 
     @property
     def n_val(self) -> int:
@@ -458,11 +469,11 @@ def benchmark_scenes(cfg: RunConfig, benchmark: str) -> list[SceneSample]:
                             BENCHMARKS[benchmark], base_seed=cfg.seed)
 
 
-def predict_eval_samples(model: SoundLocalizer, scenes: list[SceneSample],
-                         chunk: int = 32) -> list[metrics.EvalSample]:
+def predict_eval_samples(model: SoundLocalizer, scenes: list[SceneSample]
+                         ) -> list[metrics.EvalSample]:
     out = []
-    for start in range(0, len(scenes), chunk):
-        part = scenes[start:start + chunk]
+    for start in range(0, len(scenes), PREDICT_CHUNK):
+        part = scenes[start:start + PREDICT_CHUNK]
         preds = model.predict_masks(*stack_batch(part))
         for s, pred in zip(part, preds):
             out.append(metrics.EvalSample(

@@ -2,7 +2,7 @@
 
 One fixed protocol scores every benchmark (``PROTOCOL``).  Box-style
 metrics (ciou, auc, the detection trio) binarize predictions at half
-their maximum against a box ground truth when one is provided; region
+their maximum against the box ground truth; region
 metrics (miou, fscore) threshold at an absolute 0.5 against the exact
 mask.  All counting is integer and every aggregate is a fixed sequence
 of divisions and ordered sums, so results are reproducible bit-for-bit
@@ -34,7 +34,7 @@ class EvalSample:
     pred_mask: np.ndarray                 # float in [0, 1]
     gt_mask: np.ndarray                   # binary
     flags: SceneFlags
-    gt_box_mask: np.ndarray | None = None
+    gt_box_mask: np.ndarray               # binary
     confidence: float = field(init=False)
 
     def __post_init__(self):
@@ -43,15 +43,10 @@ class EvalSample:
         if self.pred_mask.shape != self.gt_mask.shape:
             raise ContractViolation(
                 f"pred {self.pred_mask.shape} and gt {self.gt_mask.shape} differ")
-        if self.gt_box_mask is not None:
-            self.gt_box_mask = np.asarray(self.gt_box_mask).astype(bool)
-            if self.gt_box_mask.shape != self.gt_mask.shape:
-                raise ContractViolation("box gt shape differs from mask gt")
+        self.gt_box_mask = np.asarray(self.gt_box_mask).astype(bool)
+        if self.gt_box_mask.shape != self.gt_mask.shape:
+            raise ContractViolation("box gt shape differs from mask gt")
         self.confidence = float(self.pred_mask.max())
-
-    @property
-    def box_gt(self) -> np.ndarray:
-        return self.gt_box_mask if self.gt_box_mask is not None else self.gt_mask
 
 
 @dataclass
@@ -94,7 +89,7 @@ def binarize_half_max(pred: np.ndarray) -> np.ndarray:
 
 
 def _box_ious(samples: list[EvalSample]) -> list[float]:
-    return [iou(binarize_half_max(s.pred_mask), s.box_gt) for s in samples]
+    return [iou(binarize_half_max(s.pred_mask), s.gt_box_mask) for s in samples]
 
 
 def _success_rate(ious: list[float], threshold: float) -> float:

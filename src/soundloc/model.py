@@ -125,7 +125,7 @@ class SoundLocalizer(Module):
         """
         cfg = self.prompt_cfg
         if cfg.fusion_mode == "fused":
-            context = self.meta_net.forward(prompting.fuse_features(pooled_i, audio_j))
+            context = self.meta_net.forward(pooled_i + audio_j)
             return self.text_encoder.forward(context)
         context = self.meta_net.forward(pooled_i)
         if cfg.fusion_mode == "ensemble":

@@ -140,10 +140,3 @@ def assemble_prompt(context: Tensor, va: Tensor, position: int) -> Tensor:
         parts.append(context[:, p - 1:])
     return ad.concat(parts, axis=1)
 
-
-def fuse_features(image_feat: Tensor, audio_feat: Tensor) -> Tensor:
-    """Elementwise sum of pooled image and audio features (pre-conditioning fusion)."""
-    if image_feat.shape != audio_feat.shape:
-        raise ContractViolation(
-            f"fuse_features: shapes differ, {image_feat.shape} vs {audio_feat.shape}")
-    return image_feat + audio_feat

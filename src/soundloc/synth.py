@@ -287,10 +287,9 @@ def _build_spec(rng: np.random.Generator, cfg: GeneratorConfig, mode: str,
                 seed: int, kind: str, class_pool: list[int]) -> SceneSpec:
     if mode == "ms3":
         count = int(rng.integers(2, min(4, len(class_pool) + 1)))
-        classes = list(rng.choice(class_pool, size=count, replace=False))
+        classes = [int(c) for c in rng.choice(class_pool, size=count, replace=False)]
         objects = _place_objects(rng, cfg, count, classes)
-        return SceneSpec(seed=seed, objects=objects,
-                         audible_class_ids=tuple(int(c) for c in classes))
+        return SceneSpec(seed=seed, objects=objects, audible_class_ids=tuple(classes))
     target = int(rng.choice(class_pool))
     objects = _place_objects(rng, cfg, 1, [target])
     if kind == "matched":
@@ -313,6 +312,8 @@ def make_batch(cfg: GeneratorConfig, batch_size: int, mode: str,
         raise ContractViolation(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "unheard" and not cfg.test_class_set:
         raise ContractViolation("unheard mode requires a nonempty held-out class set")
+    if mode == "ms3" and cfg.num_classes < 2:
+        raise ContractViolation("ms3 mode requires at least 2 classes for its multi-source scenes")
 
     if mode in ("train", "heard"):
         pool = list(cfg.train_class_set)
@@ -325,6 +326,9 @@ def make_batch(cfg: GeneratorConfig, batch_size: int, mode: str,
     if mode == "extended":
         n_mismatch = round(cfg.mismatch_fraction * batch_size)
         n_silent = round(cfg.silent_fraction * batch_size)
+        if n_mismatch and cfg.num_classes < 2:
+            raise ContractViolation(
+                "extended mode requires at least 2 classes for its mismatched-audio scenes")
         for i in range(n_mismatch):
             kinds[i] = "mismatched"
         for i in range(n_mismatch, n_mismatch + n_silent):

@@ -9,6 +9,8 @@ everything else is free-form.
 
 import cmath
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -95,8 +97,7 @@ def iou_loops(pred_bin, gt_bin):
 
 
 def _box_iou_of(sample):
-    gt = sample.gt_box_mask if sample.gt_box_mask is not None else sample.gt_mask
-    return iou_loops(half_max_binarize_loops(sample.pred_mask), gt)
+    return iou_loops(half_max_binarize_loops(sample.pred_mask), sample.gt_box_mask)
 
 
 def ciou_loops(samples, threshold=0.5):
@@ -302,3 +303,25 @@ def attention_loops(q, k, v, causal=False):
                 for c in range(v.shape[-1]):
                     out[lead][i, c] += p * float(v[lead][j, c])
     return out
+
+
+# -- exported files ----------------------------------------------------------
+
+def decode_export(path):
+    """The array an exported PGM, PPM or SPLA file holds, in the writers' units.
+
+    Only the exact layouts the writers emit decode: ``P5`` or ``P6``, then
+    width, one space, height, maxval 255, each ended by one newline, then
+    exactly the pixel bytes; or ``SPLA``, a little-endian u32 count and
+    exactly that many little-endian float32 samples.
+    """
+    raw = Path(path).read_bytes()
+    if raw[:4] == b"SPLA":
+        (count,) = struct.unpack("<I", raw[4:8])
+        assert len(raw) == 8 + 4 * count
+        return np.array(struct.unpack(f"<{count}f", raw[8:]), dtype=np.float64)
+    magic, size, maxval, pixels = raw.split(b"\n", 3)
+    width, height = (int(v) for v in size.split(b" "))
+    shape = {b"P5": (height, width), b"P6": (height, width, 3)}[magic]
+    assert maxval == b"255" and len(pixels) == math.prod(shape)
+    return np.array([b / 255.0 for b in pixels], dtype=np.float64).reshape(shape)

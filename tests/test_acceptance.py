@@ -259,7 +259,7 @@ def _metric_case(rng):
         if style == 3:
             pred[pred > 0.9] = 0.9
         gt = rng.random((8, 8)) > float(rng.uniform(0.3, 0.9))
-        box = None
+        box = gt
         if rng.random() < 0.4:
             box = np.zeros((8, 8), dtype=bool)
             r0, c0 = rng.integers(0, 5, size=2)

@@ -44,6 +44,7 @@ from soundloc.model import SoundLocalizer
 from soundloc.prompting import PromptConfig
 
 from _gradcheck import grad_check
+from _oracles import decode_export
 
 
 def _tiny_cfg(out_dir, **overrides) -> RunConfig:
@@ -163,10 +164,17 @@ class TestRunConfig:
 
     # Config fields drawn for the property below: values that fit together,
     # and small ranges around them that include zero and negative values.
+    # "classes" is (num_classes, train_class_count).
     FITTING = {"single_radius": st.tuples(st.integers(2, 3), st.integers(4, 5)),
                "multi_radius": st.tuples(st.integers(2, 3), st.integers(3, 4)),
                "patch_size": st.sampled_from([1, 2, 4]),
                "text_heads": st.sampled_from([1, 2, 4, 8]),
+               "embed_dim": st.sampled_from([16, 32]),
+               "text_layers": st.integers(0, 2),
+               "max_text_len": st.sampled_from([8, 32]),
+               "context_length": st.integers(0, 4),
+               "classes": st.integers(1, 8).flatmap(
+                   lambda k: st.tuples(st.just(k), st.integers(1, k))),
                "encoder_size": st.sampled_from([12, 16]),
                "generator_size": st.none(),      # as wide as the encoder's
                "epochs": st.integers(0, 2)}
@@ -174,34 +182,65 @@ class TestRunConfig:
            "multi_radius": st.tuples(st.integers(-1, 8), st.integers(-1, 8)),
            "patch_size": st.integers(-1, 8),
            "text_heads": st.integers(-1, 8),
+           "embed_dim": st.integers(-1, 48),
+           "text_layers": st.integers(-2, 3),
+           "max_text_len": st.integers(-1, 8),
+           "context_length": st.integers(-1, 10),
+           "classes": st.tuples(st.integers(-1, 9), st.integers(-1, 9)),
            "encoder_size": st.integers(-2, 24),
            "generator_size": st.integers(-2, 24),
            "epochs": st.integers(-3, 3)}
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_config_values_build_or_violate_contract(self, data):
-        """A config that loads can build a model, make scenes and perceive
-        them; anything else ends in ``ContractViolation``.  Up to two
-        fields are drawn from the wide ranges, the rest from fitting values."""
-        wild = data.draw(st.sets(st.sampled_from(sorted(self.ANY)), max_size=2))
+        """A config either ends in ``ContractViolation`` when it loads, or
+        builds the model it describes, makes 4 scenes of every mode its
+        generator has classes for, refuses the other modes with
+        ``ContractViolation``, and decodes all pairs of one scene per mode.
+        One or two fields are drawn from the wide ranges, the rest from
+        fitting values."""
+        wild = data.draw(st.sets(st.sampled_from(sorted(self.ANY)), min_size=1, max_size=2))
         v = {k: data.draw((self.ANY if k in wild else self.FITTING)[k], label=k)
              for k in sorted(self.ANY)}
         d = RunConfig(out_dir="unused").to_dict()
         d["generator"].update(
             single_radius=list(v["single_radius"]), multi_radius=list(v["multi_radius"]),
+            num_classes=v["classes"][0], train_class_count=v["classes"][1],
             image_size=v["encoder_size"] if v["generator_size"] is None else v["generator_size"])
         d["encoder"].update(patch_size=v["patch_size"], text_heads=v["text_heads"],
-                            image_size=v["encoder_size"])
+                            embed_dim=v["embed_dim"], text_layers=v["text_layers"],
+                            max_text_len=v["max_text_len"], image_size=v["encoder_size"])
+        d["prompt"].update(context_length=v["context_length"], va_position=None)
         d["epochs"] = v["epochs"]
         try:
             cfg = RunConfig.from_dict(d)
-            model = build_model(cfg)
-            scenes = synth.make_batch(cfg.generator, 4, "train", base_seed=cfg.seed)
-            percept = model.perceive(*harness.stack_batch(scenes))
         except ContractViolation:
             return
-        assert percept.grid.shape == (4, cfg.encoder.n_cells, cfg.encoder.embed_dim)
+        model = build_model(cfg)
+        assert len(model.text_encoder.blocks) == cfg.encoder.text_layers
+        gen = cfg.generator
+        # extended mode's mismatched-audio scenes (1 of 4 at the default
+        # fraction) need a second class, like ms3's extra sources.
+        has_classes = {"ms3": gen.num_classes >= 2, "extended": gen.num_classes >= 2,
+                       "unheard": bool(gen.test_class_set)}
+        firsts = []
+        for mode in synth.MODES:
+            if not has_classes.get(mode, True):
+                with pytest.raises(ContractViolation, match=f"{mode} mode"):
+                    synth.make_batch(gen, 4, mode, base_seed=cfg.seed)
+                continue
+            try:
+                firsts.append(synth.make_batch(gen, 4, mode, base_seed=cfg.seed)[0])
+            except synth.SceneSpecError as exc:   # discs too crowded to place
+                assert "could not place" in str(exc)
+        # One scene per mode keeps the all-pairs decode small.
+        with ad.no_grad():
+            percept = model.perceive(*harness.stack_batch(firsts))
+            s_img, _, _, _ = model.similarity_tables(percept)
+        n = len(firsts)
+        assert percept.grid.shape == (n, cfg.encoder.n_cells, cfg.encoder.embed_dim)
+        assert s_img.shape == (n, n) and np.isfinite(s_img.data).all()
 
 
 class TestTraining:
@@ -365,11 +404,13 @@ class TestEvaluate:
         with pytest.raises(ContractViolation, match="held-out"):
             benchmark_scenes(cfg, "unheard")
 
-    def test_prediction_chunking_irrelevant(self, tiny_run):
+    def test_prediction_chunking_irrelevant(self, tiny_run, monkeypatch):
         cfg, model, _, _ = tiny_run
         scenes = benchmark_scenes(cfg, "s4-analog")
-        small = predict_eval_samples(model, scenes, chunk=3)
-        big = predict_eval_samples(model, scenes, chunk=64)
+        monkeypatch.setattr(harness, "PREDICT_CHUNK", 3)
+        small = predict_eval_samples(model, scenes)
+        monkeypatch.setattr(harness, "PREDICT_CHUNK", 64)
+        big = predict_eval_samples(model, scenes)
         for a, b in zip(small, big):
             assert np.array_equal(a.pred_mask, b.pred_mask)
 
@@ -478,7 +519,7 @@ class TestRender:
         render_heatmaps(model, scenes, tmp_path)
         src = tmp_path / "sample_00000_pred.pgm"
         again = tmp_path / "copy.pgm"
-        formats.write_pgm(again, formats.read_pgm(src))
+        formats.write_pgm(again, decode_export(src))
         assert src.read_bytes() == again.read_bytes()
 
     def test_perfect_prediction_zero_difference(self, tmp_path):
@@ -486,7 +527,7 @@ class TestRender:
         index = render_heatmaps(self._EchoModel(scenes), scenes, tmp_path)
         assert [e["iou"] for e in index] == [1.0, 1.0]
         for i in range(2):
-            diff = formats.read_pgm(tmp_path / f"sample_{i:05d}_diff.pgm")
+            diff = decode_export(tmp_path / f"sample_{i:05d}_diff.pgm")
             assert not diff.any()
 
 
@@ -575,6 +616,10 @@ class TestCli:
                                   ("encoder", "patch_size", 0),
                                   ("encoder", "embed_dim", 0),
                                   ("encoder", "text_heads", 0),
+                                  ("encoder", "text_layers", -1),
+                                  ("encoder", "embed_dim", 40),
+                                  ("encoder", "max_text_len", 4),
+                                  ("prompt", "context_length", 40),
                                   ("encoder", "image_size", 64),
                                   (None, "epochs", -3),
                                   (None, "warmup_epochs", -1),
@@ -605,6 +650,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("contract violation:"), err
         assert "context_length" in err and err.count("\n") == 1
+        # A one-class generator has no second class for ms3's extra sources
+        # or for extended's mismatched audio; nothing is written.
+        d = RunConfig().to_dict()
+        d["generator"].update(num_classes=1, train_class_count=1)
+        bad.write_text(json.dumps(d))
+        for benchmark, mode in (("ms3-analog", "ms3"), ("extended-analog", "extended")):
+            data = tmp_path / f"data-{mode}"
+            assert main(["gen-data", "--config", str(bad), "--out", str(data),
+                         "--benchmark", benchmark, "--count", "4"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"contract violation: {mode} mode"), err
+            assert err.count("\n") == 1 and not data.exists()
         # The --seed override is checked like the config's own seed.
         bad.write_text(json.dumps(RunConfig().to_dict()))
         assert main(["--seed", "-1", "train", "--config", str(bad)]) == 2
@@ -673,6 +730,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("contract violation:"), err
         assert "context_length" in err and err.count("\n") == 1
+        # A 40-token context does not fit the text encoder's 32 positions;
+        # the 40 is refused before the 4 trains.
+        assert main(["ablate", "--config", str(cfg_path), "--dimension", "context_length",
+                     "--values", "4,40"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("contract violation: context_length 40"), err
+        assert "max_text_len" in err and err.count("\n") == 1
         assert trained == []
 
     def test_missing_sibling_config_exits_2(self, tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Tests for the evaluation metrics against loop-based oracles.
 
 The oracle sweep generates deliberately nasty cases: all-zero
-predictions, empty ground truths, missing box annotations, batches with
+predictions, empty ground truths, boxes equal to the mask, batches with
 no positive samples, and tied confidence scores.  Equality with the
 oracles is exact (``==``) in 64-bit, which both routes support because
 they perform their reductions in the same documented order.
@@ -51,8 +51,10 @@ NEG_MIS = SceneFlags(matched=False, visible=False, audible=True)
 
 
 def _sample(pred, gt, flags=POS, box=None):
+    """A sample whose box ground truth is ``box``, or else the mask itself."""
     return EvalSample(pred_mask=np.asarray(pred, dtype=np.float64),
-                      gt_mask=np.asarray(gt), flags=flags, gt_box_mask=box)
+                      gt_mask=np.asarray(gt), flags=flags,
+                      gt_box_mask=np.asarray(gt) if box is None else box)
 
 
 def _detection_of(samples):
@@ -299,7 +301,7 @@ class TestDetection:
 
 
 def _random_case(rng):
-    """One adversarial batch: zero masks, empty gts, ties, missing boxes."""
+    """One adversarial batch: zero masks, empty gts, ties, boxes equal to the mask."""
     n = int(rng.integers(2, 10))
     samples = []
     for _ in range(n):
@@ -377,7 +379,7 @@ class TestOracleEquivalence:
 
 @st.composite
 def _sample_lists(draw):
-    """Sample lists with all-zero masks, ties, empty truths, missing boxes
+    """Sample lists with all-zero masks, ties, empty truths, boxes equal to the mask
     and, when ``positives`` is drawn false, no positive sample at all."""
     side = draw(st.integers(1, 6))
     positives = draw(st.booleans())

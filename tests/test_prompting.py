@@ -19,7 +19,6 @@ from soundloc.prompting import (
     MetaNet,
     PromptConfig,
     assemble_prompt,
-    fuse_features,
 )
 
 D = 64
@@ -236,20 +235,25 @@ class TestAssemblePrompt:
 
 
 class TestFuseFeatures:
+    """Fused mode feeds the meta-net the sum of image and audio features."""
+
+    def _fused(self):
+        return SoundLocalizer(EncoderConfig(), PromptConfig(fusion_mode="fused"), seed=40)
+
     def test_zero_audio_is_identity(self):
-        img = ad.constant(RNG(40).normal(size=D))
-        fused = fuse_features(img, ad.constant(np.zeros(D)))
-        assert np.array_equal(fused.data, img.data)
+        model = self._fused()
+        img = ad.constant(RNG(40).normal(size=(2, D)))
+        fused = model.prompt_embeddings(img, ad.constant(np.zeros((2, D))))
+        alone = model.text_encoder.forward(model.meta_net.forward(img))
+        assert np.array_equal(fused.data, alone.data)
 
     def test_commutative(self):
+        model = self._fused()
         rng = RNG(41)
-        a = ad.constant(rng.normal(size=D))
-        b = ad.constant(rng.normal(size=D))
-        assert np.array_equal(fuse_features(a, b).data, fuse_features(b, a).data)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ContractViolation):
-            fuse_features(ad.constant(np.zeros(D)), ad.constant(np.zeros(D - 1)))
+        a = ad.constant(rng.normal(size=(2, D)))
+        b = ad.constant(rng.normal(size=(2, D)))
+        assert np.array_equal(model.prompt_embeddings(a, b).data,
+                              model.prompt_embeddings(b, a).data)
 
 
 class TestGradientFlow:

@@ -8,10 +8,12 @@ linear readout of the filterbank features cannot identify the sounding
 class, no trained model result downstream means anything.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from soundloc import audiofeat, formats, synth
+from soundloc import audiofeat, synth
 from soundloc.autodiff import ContractViolation
 from soundloc.synth import (
     PALETTE,
@@ -22,6 +24,8 @@ from soundloc.synth import (
     generate_scene,
     make_batch,
 )
+
+from _oracles import decode_export
 
 
 def _disc_loops(size, cx, cy, r):
@@ -260,17 +264,23 @@ class TestDumpDataset:
         batch = make_batch(GeneratorConfig(), 4, "extended", base_seed=12)
         out = dump_dataset(batch, tmp_path / "ds")
         index = (out / "index.json").read_text()
-        import json
         entries = json.loads(index)
         assert len(entries) == 4
         for entry, sample in zip(entries, batch):
             assert entry["flags"] == sample.flags.as_dict()
-            gt = formats.read_pgm(out / entry["files"]["gt"])
+            gt = decode_export(out / entry["files"]["gt"])
             assert np.array_equal(gt == 1.0, sample.gt_mask)
-            audio = formats.read_audio(out / entry["files"]["audio"])
+            audio = decode_export(out / entry["files"]["audio"])
             assert np.array_equal(audio, sample.audio.astype(np.float32))
-            image = formats.read_ppm(out / entry["files"]["image"])
+            image = decode_export(out / entry["files"]["image"])
             assert np.abs(image - sample.image).max() <= 0.5 / 255 + 1e-12
+
+    def test_ms3_manifest_holds_plain_class_ids(self, tmp_path):
+        batch = make_batch(GeneratorConfig(), 3, "ms3", base_seed=14)
+        out = dump_dataset(batch, tmp_path / "ds")
+        entries = json.loads((out / "index.json").read_text())
+        assert [e["class_ids"] for e in entries] == [list(s.class_ids) for s in batch]
+        assert all(len(e["class_ids"]) >= 2 for e in entries)
 
     def test_dump_is_byte_deterministic(self, tmp_path):
         batch = make_batch(GeneratorConfig(), 3, "s4", base_seed=13)
