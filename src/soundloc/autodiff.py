@@ -33,6 +33,14 @@ key-major, ``(..., keys, queries)``, would make the row max ~3x faster
 short last one), but it changes the summation order, and so the
 rounding, of the softmax.
 
+The fused primitives split the leading (pair) axis of a batched array
+into ~1 MiB blocks, shared by this thread and a pool with a worker for each
+further CPU in the process's affinity.  No byte changes: a block makes the
+calls the whole array would, as numpy runs a batched matmul as one GEMM per
+item, reduces the last axis row by row and applies elementwise ops element by
+element.  A 2-D GEMM's rows are never split: OpenBLAS may round differently
+when the row count changes.
+
 Design notes that matter for reproducibility:
 
 * softmax and log-softmax subtract the row maximum before
@@ -50,6 +58,8 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -201,6 +211,40 @@ def _make(data: np.ndarray, op: str, parents: Sequence[Tensor], bwd: Callable) -
     return out
 
 
+# -- blocks of the leading axis --------------------------------------------
+
+_BLOCK_BYTES = 1 << 20
+_WORKERS = len(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+               else range(os.cpu_count() or 1)) - 1
+# Threads start on first use; a forked child, whose copy of the pool has none, runs inline.
+_pool = ThreadPoolExecutor(_WORKERS) if _WORKERS else None
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
+
+
+def _blocked(fn: Callable[[slice], None], *arrays: np.ndarray, core: int = 2) -> None:
+    """Call ``fn(s)`` on consecutive blocks of the leading axis of ``arrays``,
+    sized by the largest, on this thread and the pool's; ``fn(slice(None))``
+    with no pool, one block, or only ``core`` axes (GEMM rows are never split)."""
+    a = max(arrays, key=lambda a: a.nbytes)
+    step = max(1, _BLOCK_BYTES * len(a) // max(1, a.nbytes) if a.ndim > core else len(a))
+    if _pool is None or len(a) <= step:
+        fn(slice(None))
+        return
+    # A free thread takes the next block; a list iterator hands each out once.
+    todo = iter([slice(lo, lo + step) for lo in range(0, len(a), step)])
+    futures = [_pool.submit(lambda: [fn(s) for s in todo]) for _ in range(_WORKERS)]
+    for s in todo:
+        fn(s)
+    for f in futures:
+        f.result()
+
+
+def block_threads() -> int:
+    """Threads that run the fused primitives' blocks: this one and the pool's."""
+    return 1 + (_WORKERS if _pool else 0)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
     while g.ndim > len(shape):
@@ -322,13 +366,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.ndim < 2 or w.ndim != 2 or b.shape != (w.shape[1],) or x.shape[-1] != w.shape[0]:
         raise ContractViolation(
             f"linear: expected (..., n) @ (n, m) + (m,), got {x.shape}, {w.shape}, {b.shape}")
-    out = np.matmul(x.data, w.data)
-    out += b.data
+    xd, wd = x.data, w.data
+    out = np.empty(x.shape[:-1] + wd.shape[1:], dtype=np.result_type(xd, wd))
+    _blocked(lambda s: np.add(np.matmul(xd[s], wd, out=out[s]), b.data, out=out[s]), xd, out)
 
     def bwd(g):
-        gx = np.matmul(g, w.data.T) if x.requires_grad else None
-        gw = (_unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape)
-              if w.requires_grad else None)
+        gx = gw = None
+        if x.requires_grad:
+            gx = np.empty(x.shape, dtype=np.result_type(g, wd))
+            _blocked(lambda s: np.matmul(g[s], wd.T, out=gx[s]), g, gx)
+        if w.requires_grad:
+            gw = np.empty(x.shape[:-2] + wd.shape, dtype=np.result_type(xd, g))
+            _blocked(lambda s: np.matmul(np.swapaxes(xd[s], -1, -2), g[s], out=gw[s]),
+                     xd, g, gw)
+            gw = _unbroadcast(gw, w.shape)
         gb = _unbroadcast(g, b.shape) if b.requires_grad else None
         return (gx, gw, gb)
     return _make(out, "linear", (x, w, b), bwd)
@@ -350,32 +401,41 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
             or q.shape[-1] != k.shape[-1] or (causal and q.shape[-2] != k.shape[-2])):
         raise ContractViolation(
             f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
+    qd, kd, vd = q.data, k.data, v.data
     scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
-    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    p *= scale
-    if causal:
-        n = p.shape[-1]
-        np.copyto(p, -np.inf, where=np.triu(np.ones((n, n), dtype=bool), k=1))
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p = np.empty(q.shape[:-1] + k.shape[-2:-1], dtype=np.result_type(qd, kd))
+    out = np.empty_like(qd)
+
+    def fwd(s):
+        ps = np.matmul(qd[s], np.swapaxes(kd[s], -1, -2), out=p[s])
+        ps *= scale
+        if causal:
+            np.copyto(ps, -np.inf, where=np.triu(np.ones(ps.shape[-2:], dtype=bool), k=1))
+        ps -= np.fmax.reduce(ps, axis=-1, keepdims=True)
+        np.exp(ps, out=ps)
+        ps /= ps.sum(axis=-1, keepdims=True)
+        np.matmul(ps, vd[s], out=out[s])
+    _blocked(fwd, p)
 
     def bwd(g):
-        gq = gk = gv = None
-        if v.requires_grad:
-            gv = np.matmul(np.swapaxes(p, -1, -2), g, out=np.empty_like(v.data))
-        if q.requires_grad or k.requires_grad:
-            ds = np.matmul(g, np.swapaxes(v.data, -1, -2))   # dP, then dS in place
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
-            ds *= p
-            ds *= scale
-            if q.requires_grad:
-                gq = np.matmul(ds, k.data, out=np.empty_like(q.data))
-            if k.requires_grad:
-                gk = np.empty_like(k.data)
-                np.matmul(np.swapaxes(q.data, -1, -2), ds, out=np.swapaxes(gk, -1, -2))
+        gq, gk, gv = (np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v))
+
+        def back(s):
+            ps = p[s]
+            if gv is not None:
+                np.matmul(np.swapaxes(ps, -1, -2), g[s], out=gv[s])
+            if gq is not None or gk is not None:
+                ds = np.matmul(g[s], np.swapaxes(vd[s], -1, -2))   # dP, then dS in place
+                ds -= (ds * ps).sum(axis=-1, keepdims=True)
+                ds *= ps
+                ds *= scale
+                if gq is not None:
+                    np.matmul(ds, kd[s], out=gq[s])
+                if gk is not None:
+                    np.matmul(np.swapaxes(qd[s], -1, -2), ds, out=np.swapaxes(gk[s], -1, -2))
+        _blocked(back, p)
         return (gq, gk, gv)
-    return _make(np.matmul(p, v.data, out=np.empty_like(q.data)), "attention", (q, k, v), bwd)
+    return _make(out, "attention", (q, k, v), bwd)
 
 
 # -- normalizations ----------------------------------------------------------
@@ -405,23 +465,32 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ContractViolation(
             f"layer_norm: gamma/beta must have shape ({x.shape[-1]},), "
             f"got {gamma.shape} and {beta.shape}")
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
-    xhat *= inv
-    out = xhat * gamma.data
-    out += beta.data
+    xhat = np.empty_like(x.data)
+    inv = np.empty(x.shape[:-1] + (1,), dtype=x.dtype)
+    out = np.empty_like(x.data, dtype=np.result_type(x.data, gamma.data, beta.data))
+
+    def fwd(s):
+        xs = np.subtract(x.data[s], x.data[s].mean(axis=-1, keepdims=True), out=xhat[s])
+        inv[s] = 1.0 / np.sqrt((xs * xs).mean(axis=-1, keepdims=True) + eps)
+        xs *= inv[s]
+        np.add(np.multiply(xs, gamma.data, out=out[s]), beta.data, out=out[s])
+    _blocked(fwd, x.data, out, core=1)
 
     def bwd(g):
         dgamma = _unbroadcast(g * xhat, gamma.shape) if gamma.requires_grad else None
         dbeta = _unbroadcast(g, beta.shape) if beta.requires_grad else None
         dx = None
         if x.requires_grad:
-            dx = g * gamma.data                                # dxhat
-            proj = dx * xhat
-            proj_mean = proj.mean(axis=-1, keepdims=True)
-            dx -= dx.mean(axis=-1, keepdims=True)
-            dx -= np.multiply(xhat, proj_mean, out=proj)
-            dx *= inv
+            dx = np.empty_like(g, dtype=np.result_type(g, gamma.data))
+
+            def back(s):
+                d = np.multiply(g[s], gamma.data, out=dx[s])    # dxhat
+                proj = d * xhat[s]
+                proj_mean = proj.mean(axis=-1, keepdims=True)
+                d -= d.mean(axis=-1, keepdims=True)
+                d -= np.multiply(xhat[s], proj_mean, out=proj)
+                d *= inv[s]
+            _blocked(back, g, dx, core=1)
         return (dx, dgamma, dbeta)
     return _make(out, "layer_norm", (x, gamma, beta), bwd)
 

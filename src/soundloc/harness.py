@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 import types
@@ -213,8 +214,18 @@ def _fits(value, hint) -> bool:
     return isinstance(value, origin or hint)
 
 
+def run_metadata() -> dict:
+    """numpy, its BLAS ("?" before numpy 1.26), BLAS thread variables and block threads."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+            "blas_threads": {v: os.environ.get(v) for v in
+                             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "block_threads": ad.block_threads()}
+
+
 @dataclass
 class TrainLog:
+    run: dict = field(default_factory=dict)
     steps: list = field(default_factory=list)
     val_history: list = field(default_factory=list)
     warmup_stats: dict = field(default_factory=dict)
@@ -353,7 +364,7 @@ def train(cfg: RunConfig, write_artifacts: bool = True
 
     train_scenes, val_scenes = split_scenes(cfg)
     model = build_model(cfg)
-    log = TrainLog()
+    log = TrainLog(run=run_metadata())
     log.warmup_stats = warmup_image_encoder(model, train_scenes, cfg)
     model.apply_freezing()
     # Freeze on float32-representable values so the end-of-run snap (needed

@@ -7,10 +7,15 @@ relative tolerance 1e-4).  Kinked ops (relu, absolute) get inputs
 bounded away from their kinks so the comparison is meaningful.
 """
 
+import sys
 import zlib
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soundloc.autodiff as ad
 from soundloc.autodiff import ContractViolation, Tensor
@@ -365,6 +370,27 @@ def _layer_norm_formula(x, gamma, beta, g, eps=1e-5):
     return xhat * gamma + beta, dx
 
 
+# Each case: a primitive and its operand shapes, mostly with a leading axis of 7.
+_BLOCKED_CASES = {
+    "attention": (ad.attention, ((7, 2, 5, 4),) * 3),
+    "attention-causal": (lambda q, k, v: ad.attention(q, k, v, causal=True), ((7, 2, 5, 4),) * 3),
+    "linear-2d": (ad.linear, ((7, 6), (6, 5), (5,))),
+    "linear-3d": (ad.linear, ((7, 3, 6), (6, 5), (5,))),
+    # Summing a one-column block over items would go pairwise, which numpy
+    # does from 8 items on, so this case has more.
+    "linear-3d-one-column": (ad.linear, ((19, 3, 6), (6, 1), (1,))),
+    "layer_norm-2d": (ad.layer_norm, ((7, 16), (16,), (16,))),
+    "layer_norm-3d": (ad.layer_norm, ((7, 3, 16), (16,), (16,))),
+}
+
+
+@pytest.fixture(scope="module")
+def three_workers():
+    pool = ThreadPoolExecutor(3)
+    yield pool
+    pool.shutdown()
+
+
 class TestFusedPrimitives:
     """``linear``, ``attention`` and ``layer_norm`` against what they replace."""
 
@@ -440,6 +466,62 @@ class TestFusedPrimitives:
     def test_attention_contract(self, shapes, causal):
         with pytest.raises(ContractViolation):
             ad.attention(*(Tensor(np.zeros(s)) for s in shapes), causal=causal)
+
+    @pytest.mark.parametrize("grads", ["all", "first", "rest"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(_BLOCKED_CASES))
+    def test_blocked_runs_equal_one_inline_block(self, case, dtype, grads, monkeypatch,
+                                                 three_workers):
+        """Blocks of the leading axis, run on several threads, give the
+        bytes of one inline call: every block makes the same per-item calls."""
+        fn, shapes = _BLOCKED_CASES[case]
+        rng = np.random.default_rng(13)
+        arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        wants = {"all": [True] * 3, "first": [True, False, False], "rest": [False, True, True]}
+        g = None
+
+        def run():
+            nonlocal g
+            leaves = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, wants[grads])]
+            out = fn(*leaves)
+            if g is None:
+                g = rng.standard_normal(out.shape).astype(dtype)
+            ad.backward((out * ad.constant(g)).sum())
+            return [out.data] + [t.grad for t in leaves]
+
+        pools = ((ad._pool, ad._WORKERS), (three_workers, 3))
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)        # one leading row per block
+        monkeypatch.setattr(ad, "_pool", None)
+        inline = run()
+        for pool, workers in pools:
+            monkeypatch.setattr(ad, "_pool", pool)
+            monkeypatch.setattr(ad, "_WORKERS", workers)
+            for got, want in zip(run(), inline):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.dtype == dtype and np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 300), row_bytes=st.integers(0, 3 << 20),
+           block_bytes=st.integers(1, 1 << 21), workers=st.integers(1, 4))
+    def test_blocks_cover_range_once_in_order(self, n, row_bytes, block_bytes, workers):
+        """Consecutive blocks of at most ~block_bytes cover range(n) once, with
+        the threads switching as often as the interpreter allows."""
+        rows = np.broadcast_to(np.empty((1, 1, 1), np.uint8), (n, 1, row_bytes))
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool, mock.patch.multiple(
+                    ad, _BLOCK_BYTES=block_bytes, _pool=pool, _WORKERS=workers):
+                ad._blocked(lambda s: calls.append(range(n)[s]), rows)
+        finally:
+            sys.setswitchinterval(interval)
+        spans = sorted(calls, key=lambda r: r.start)
+        assert [i for r in spans for i in r] == list(range(n))
+        if len(spans) > 1:
+            step = max(1, block_bytes // max(1, row_bytes))
+            assert all(0 < len(r) <= step for r in spans)
 
 
 class TestNumericBehavior:

@@ -9,7 +9,11 @@ full-scale quantitative gates live in the acceptance suite.
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,9 @@ from soundloc.prompting import PromptConfig
 
 from _gradcheck import grad_check
 from _oracles import decode_export
+
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _tiny_cfg(out_dir, **overrides) -> RunConfig:
@@ -265,6 +272,18 @@ class TestTraining:
         assert disk["steps"] == log.steps
         assert disk["warmup_stats"] == log.warmup_stats
 
+    def test_trainlog_records_run_metadata(self, tiny_run):
+        _, _, log, out = tiny_run
+        run = json.loads((out / "trainlog.json").read_text())["run"]
+        assert run == log.run
+        assert set(run) == {"numpy", "blas", "blas_threads", "block_threads"}
+        assert run["numpy"] == np.__version__
+        assert run["blas"] and isinstance(run["blas"], str)
+        assert run["blas_threads"] == {v: os.environ.get(v) for v in
+                                       ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS")}
+        assert run["block_threads"] == ad.block_threads() >= 1
+
     def test_checkpoint_reproduces_final_loss(self, tiny_run):
         cfg, _, log, out = tiny_run
         reloaded = load_model(cfg, out / "model.splt")
@@ -436,6 +455,34 @@ class TestDeterminism:
         render_heatmaps(model_b, scenes, hb)
         for f in sorted(p.name for p in ha.iterdir()):
             assert (ha / f).read_bytes() == (hb / f).read_bytes()
+
+    @pytest.mark.skipif(_CPUS < 2, reason="needs two CPUs to compare with one")
+    def test_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
+        """Criterion 9's run on every CPU here, and in a process pinned to one
+        CPU before it imports soundloc (so its primitives run inline)."""
+        child = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from soundloc import autodiff as ad, harness\n"
+            "assert ad.block_threads() == 1\n"
+            "cfg = harness.RunConfig(epochs=1, train_samples=48, eval_samples=8,\n"
+            "                        warmup_epochs=1, out_dir=sys.argv[1])\n"
+            "model, _ = harness.train(cfg)\n"
+            "harness.evaluate(model, cfg, 's4-analog', out_dir=sys.argv[1])\n")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        subprocess.run([sys.executable, "-c", child, str(tmp_path / "one")], env=env,
+                       check=True, timeout=300)
+
+        assert ad.block_threads() > 1
+        cfg = RunConfig(epochs=1, train_samples=48, eval_samples=8, warmup_epochs=1,
+                        out_dir=str(tmp_path / "all"))
+        model, _ = train(cfg)
+        evaluate(model, cfg, "s4-analog", out_dir=tmp_path / "all")
+        for name in ("model.splt", "report_s4-analog.csv", "report_s4-analog.json"):
+            assert (tmp_path / "one" / name).read_bytes() == \
+                (tmp_path / "all" / name).read_bytes()
 
 
 class TestAblate:
