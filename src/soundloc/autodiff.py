@@ -59,7 +59,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -216,8 +216,25 @@ def _make(data: np.ndarray, op: str, parents: Sequence[Tensor], bwd: Callable) -
 _BLOCK_BYTES = 1 << 20
 _WORKERS = len(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
                else range(os.cpu_count() or 1)) - 1
-# Threads start on first use; a forked child, whose copy of the pool has none, runs inline.
-_pool = ThreadPoolExecutor(_WORKERS) if _WORKERS else None
+
+
+class _LazyPool:
+    """A ``ThreadPoolExecutor`` made at the first ``submit``: importing
+    ``concurrent.futures`` (and its ``logging``) costs ~10 ms that a process
+    which never runs a split block need not pay."""
+    executor = None
+    _made = threading.Lock()
+
+    def submit(self, fn):
+        with self._made:
+            if self.executor is None:
+                from concurrent.futures import ThreadPoolExecutor
+                self.executor = ThreadPoolExecutor(_WORKERS)
+        return self.executor.submit(fn)
+
+
+# A forked child, whose copy of the pool has no threads, runs inline.
+_pool = _LazyPool() if _WORKERS else None
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
 

@@ -77,7 +77,7 @@ def _parse_value(text: str):
 def cmd_render(args) -> int:
     cfg = _load_config(_config_beside(args.ckpt, args.config), args.seed)
     model = harness.load_model(cfg, args.ckpt)
-    scenes = harness.benchmark_scenes(cfg, args.benchmark)
+    scenes = harness.benchmark_stream(cfg, args.benchmark)
     index = harness.render_heatmaps(model, scenes, args.out)
     print(f"wrote {len(index)} heatmap triples to {args.out}")
     return 0
@@ -89,8 +89,8 @@ def cmd_gen_data(args) -> int:
     if count < 1:
         raise ContractViolation(f"--count must be >= 1, got {count}")
     mode = harness.BENCHMARKS.get(args.benchmark, args.benchmark)
-    samples = synth.make_batch(cfg.generator, count, mode, base_seed=cfg.seed)
-    synth.dump_dataset(samples, args.out)
+    synth.dump_dataset(synth.SceneStream(cfg.generator, count, mode, base_seed=cfg.seed),
+                       args.out)
     print(f"wrote {count} scenes ({mode}) to {args.out}")
     return 0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -303,9 +304,9 @@ def _build_spec(rng: np.random.Generator, cfg: GeneratorConfig, mode: str,
     raise ContractViolation(f"unknown sample kind {kind!r}")
 
 
-def make_batch(cfg: GeneratorConfig, batch_size: int, mode: str,
-               base_seed: int) -> list[SceneSample]:
-    """Generate ``batch_size`` scenes for one benchmark mode."""
+def _batch_plan(cfg: GeneratorConfig, batch_size: int,
+                mode: str) -> tuple[list[int], list[str]]:
+    """The class pool and the kind of every scene of a batch; checks the contract."""
     if batch_size < 1:
         raise ContractViolation(f"batch_size must be >= 1, got {batch_size}")
     if mode not in MODES:
@@ -333,9 +334,16 @@ def make_batch(cfg: GeneratorConfig, batch_size: int, mode: str,
             kinds[i] = "mismatched"
         for i in range(n_mismatch, n_mismatch + n_silent):
             kinds[i] = "silent"
+    return pool, kinds
 
+
+def make_batch(cfg: GeneratorConfig, batch_size: int, mode: str, base_seed: int,
+               start: int = 0, total: int | None = None) -> list[SceneSample]:
+    """Generate ``batch_size`` scenes for one benchmark mode: scenes ``start``,
+    ``start + 1``, ... of a ``total``-scene batch (by default this batch)."""
+    pool, kinds = _batch_plan(cfg, batch_size if total is None else total, mode)
     samples = []
-    for i in range(batch_size):
+    for i in range(start, start + batch_size):
         seed = _sample_seed(base_seed, mode, i)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         spec = _build_spec(rng, cfg, mode, seed, kinds[i], pool)
@@ -343,7 +351,27 @@ def make_batch(cfg: GeneratorConfig, batch_size: int, mode: str,
     return samples
 
 
-def dump_dataset(samples: list[SceneSample], out_dir: str | Path) -> Path:
+class SceneStream:
+    """``make_batch``'s scenes, each made when the iteration reaches it, so only
+    those the caller keeps stay alive; the contract is checked at construction.
+
+    ``len`` is the batch size and each scene comes from a one-scene
+    ``make_batch`` call: perfbench's tracer counts scenes with ``len`` and
+    times synthesis by wrapping ``make_batch``, so it sees a stream as a list."""
+
+    def __init__(self, cfg: GeneratorConfig, batch_size: int, mode: str, base_seed: int):
+        _batch_plan(cfg, batch_size, mode)
+        self._batch = (cfg, batch_size, mode, base_seed)
+
+    def __len__(self) -> int:
+        return self._batch[1]
+
+    def __iter__(self) -> Iterator[SceneSample]:
+        cfg, n, mode, base_seed = self._batch
+        return (make_batch(cfg, 1, mode, base_seed, i, n)[0] for i in range(n))
+
+
+def dump_dataset(samples: Iterable[SceneSample], out_dir: str | Path) -> Path:
     """Write images, masks, and audio plus an ``index.json`` manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -7,9 +7,12 @@ relative tolerance 1e-4).  Kinked ops (relu, absolute) get inputs
 bounded away from their kinks so the comparison is meaningful.
 """
 
+import os
+import subprocess
 import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -500,6 +503,26 @@ class TestFusedPrimitives:
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert got.dtype == dtype and np.array_equal(got, want)
+
+    def test_pool_is_made_on_first_use(self):
+        """``import soundloc`` leaves ``concurrent.futures`` unimported; the first
+        split block imports it, and ``block_threads`` reads the same throughout."""
+        child = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import soundloc\n"
+            "from soundloc import autodiff as ad\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "threads = ad.block_threads()\n"
+            "assert threads == 1 + ad._WORKERS\n"
+            "ad._BLOCK_BYTES = 1\n"
+            "ad._blocked(lambda s: None, np.zeros((4, 1, 1)))\n"
+            "assert ad.block_threads() == threads\n"
+            "assert ('concurrent.futures' in sys.modules) == (threads > 1)\n")
+        src = str(Path(ad.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        subprocess.run([sys.executable, "-c", child], env=env, check=True, timeout=60)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 300), row_bytes=st.integers(0, 3 << 20),

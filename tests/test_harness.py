@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -430,8 +431,32 @@ class TestEvaluate:
         small = predict_eval_samples(model, scenes)
         monkeypatch.setattr(harness, "PREDICT_CHUNK", 64)
         big = predict_eval_samples(model, scenes)
-        for a, b in zip(small, big):
+        monkeypatch.setattr(harness, "PREDICT_CHUNK", 5)     # 8 scenes: 5 + 3
+        streamed = predict_eval_samples(model, (s for s in scenes))
+        assert len(small) == len(big) == len(streamed) == len(scenes)
+        for a, b, c in zip(small, big, streamed):
             assert np.array_equal(a.pred_mask, b.pred_mask)
+            assert np.array_equal(a.pred_mask, c.pred_mask)
+
+    def test_peak_memory_does_not_grow_with_the_scenes(self):
+        """Scenes are made as they are predicted: past the per-scene results
+        (~11 KiB), a scene more costs no memory at the peak. Holding every
+        scene, as a list, costs ~108 KiB per scene."""
+        cfg = RunConfig()
+        model = build_model(cfg)
+
+        def peak(n):
+            run = dataclasses.replace(cfg, eval_samples=n)
+            tracemalloc.start()
+            try:
+                evaluate(model, run, "s4-analog")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)                                   # fills the generator's caches
+        growth = (peak(512) - peak(128)) / (512 - 128)
+        assert growth < 32 * 1024, f"{growth / 1024:.1f} KiB per scene"
 
 
 class TestDeterminism:

@@ -20,6 +20,7 @@ from soundloc.synth import (
     GeneratorConfig,
     SceneSpec,
     SceneSpecError,
+    SceneStream,
     dump_dataset,
     generate_scene,
     make_batch,
@@ -240,6 +241,67 @@ class TestMakeBatch:
             assert np.array_equal(x.image, y.image)
             assert np.array_equal(x.audio, y.audio)
             assert x.flags == y.flags
+
+    @pytest.mark.parametrize("mode", synth.MODES)
+    def test_part_of_a_batch_equals_its_slice(self, mode):
+        cfg = GeneratorConfig(train_class_count=5)
+        whole = make_batch(cfg, 13, mode, base_seed=15)
+        for start, count in ((0, 13), (0, 1), (3, 4), (12, 1)):
+            _assert_same_scenes(make_batch(cfg, count, mode, 15, start, 13),
+                                whole[start:start + count])
+
+
+def _assert_same_scenes(got, want):
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in SCENE_ARRAYS:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert (a.flags, a.class_ids, a.audible_ids, a.seed) == \
+            (b.flags, b.class_ids, b.audible_ids, b.seed)
+
+
+class TestSceneStream:
+    CFG = GeneratorConfig(train_class_count=5)
+
+    @pytest.mark.parametrize("mode", synth.MODES)
+    def test_scenes_equal_make_batch(self, mode):
+        stream = SceneStream(self.CFG, 24, mode, base_seed=16)
+        assert len(stream) == 24
+        want = make_batch(self.CFG, 24, mode, base_seed=16)
+        _assert_same_scenes(stream, want)
+        if mode == "extended":
+            kinds = {(s.flags.audible, s.flags.matched) for s in want}
+            assert kinds == {(True, True), (True, False), (False, False)}
+
+    def test_interleaved_streams_equal_make_batch(self):
+        """Each scene comes from its own seed: streams read in turns, or read
+        twice, give the scenes of separate ``make_batch`` calls."""
+        streams = [SceneStream(self.CFG, 9, mode, base_seed=17) for mode in synth.MODES]
+        turns = [[] for _ in streams]
+        for scenes in zip(*streams):
+            for got, s in zip(turns, scenes):
+                got.append(s)
+        for got, stream, mode in zip(turns, streams, synth.MODES):
+            want = make_batch(self.CFG, 9, mode, base_seed=17)
+            _assert_same_scenes(got, want)
+            _assert_same_scenes(stream, want)
+
+    @pytest.mark.parametrize("cfg,batch_size,mode,msg", [
+        (GeneratorConfig(), 0, "train", "batch_size"),
+        (GeneratorConfig(), 4, "s5-analog", "mode must be one of"),
+        (GeneratorConfig(), 4, "unheard", "held-out"),
+        (GeneratorConfig(num_classes=1, train_class_count=1), 4, "ms3", "ms3 mode"),
+        (GeneratorConfig(num_classes=1, train_class_count=1), 4, "extended",
+         "mismatched-audio"),
+    ])
+    def test_contract_checked_at_construction(self, cfg, batch_size, mode, msg, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a scene was made")
+
+        monkeypatch.setattr(synth, "generate_scene", fail)
+        with pytest.raises(ContractViolation, match=msg):
+            SceneStream(cfg, batch_size, mode, base_seed=0)
 
 
 class TestLinearProbe:
