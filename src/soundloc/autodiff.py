@@ -41,6 +41,9 @@ item, reduces the last axis row by row and applies elementwise ops element by
 element.  A 2-D GEMM's rows are never split: OpenBLAS may round differently
 when the row count changes.
 
+On glibc, importing the module keeps freed memory in the process
+(``FREED_MEMORY_KEPT``): the graph a training step drops is the next step's.
+
 Design notes that matter for reproducibility:
 
 * softmax and log-softmax subtract the row maximum before
@@ -57,6 +60,7 @@ Design notes that matter for reproducibility:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
 import os
 import threading
@@ -237,6 +241,27 @@ class _LazyPool:
 _pool = _LazyPool() if _WORKERS else None
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
+
+
+def _keep_freed_memory() -> bool:
+    """Ask glibc to keep freed memory in the process; whether it agreed.
+
+    A training step drops its graph (~180 MiB at B = 16) before the next one
+    builds the same shapes.  A fixed 32 MiB mmap threshold (glibc's largest; a
+    step's largest array is 16 MiB) puts them on the heap and a 1 GiB trim
+    threshold keeps it there, so the next step does not fault them in again.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):     # not glibc
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    trim = mallopt(-1, 1 << 30)      # M_TRIM_THRESHOLD
+    mmap = mallopt(-3, 32 << 20)     # M_MMAP_THRESHOLD
+    return bool(trim and mmap)
+
+
+FREED_MEMORY_KEPT = _keep_freed_memory()
 
 
 def _blocked(fn: Callable[[slice], None], *arrays: np.ndarray, core: int = 2) -> None:

@@ -217,12 +217,13 @@ def _fits(value, hint) -> bool:
 
 
 def run_metadata() -> dict:
-    """numpy, its BLAS ("?" before numpy 1.26), BLAS thread variables and block threads."""
+    """numpy, its BLAS ("?" before numpy 1.26), BLAS and block threads, memory retention."""
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     return {"numpy": np.__version__, "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
             "blas_threads": {v: os.environ.get(v) for v in
                              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-            "block_threads": ad.block_threads()}
+            "block_threads": ad.block_threads(),
+            "freed_memory_kept": ad.FREED_MEMORY_KEPT}
 
 
 @dataclass
@@ -330,7 +331,7 @@ def warmup_image_encoder(model: SoundLocalizer, samples: list[SceneSample],
             idx = order[start:start + cfg.batch_size]
             images, _ = stack_batch([samples[i] for i in idx])
             images_t = ad.constant(images.astype(model.dtype))
-            grid, _ = model.image_encoder.forward(images_t)
+            grid = model.image_encoder.forward(images_t)[0]
             flat = grid.reshape(idx.size * g * g, d)
             logits = flat @ ad.transpose(protos, (1, 0))
             logp = ad.log_softmax(logits, axis=-1)
@@ -342,6 +343,7 @@ def warmup_image_encoder(model: SoundLocalizer, samples: list[SceneSample],
             losses.append(nll.item())
             correct += int((logits.data.argmax(axis=-1) == y).sum())
             total += y.size
+            del grid, flat, logits, logp, nll    # the step's graph
         acc = correct / total
     return {"epochs": cfg.warmup_epochs, "final_cell_accuracy": acc,
             "first_loss": losses[0] if losses else None,
@@ -405,6 +407,7 @@ def train(cfg: RunConfig, write_artifacts: bool = True
                     f"non-finite gradient at step {step}: {', '.join(bad)}")
             opt.step()
             opt.zero_grad()
+            del total                # the step's graph, before the next is built
             log.steps.append({"epoch": epoch, "step": step, **parts})
             step += 1
         log.val_history.append(_validation_entry(model, val_scenes, epoch))

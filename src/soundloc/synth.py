@@ -330,6 +330,10 @@ def _batch_plan(cfg: GeneratorConfig, batch_size: int,
         if n_mismatch and cfg.num_classes < 2:
             raise ContractViolation(
                 "extended mode requires at least 2 classes for its mismatched-audio scenes")
+        if n_mismatch + n_silent > batch_size:
+            raise ContractViolation(
+                f"extended mode rounds its fractions to {n_mismatch} mismatched and "
+                f"{n_silent} silent scenes, more than the batch of {batch_size}")
         for i in range(n_mismatch):
             kinds[i] = "mismatched"
         for i in range(n_mismatch, n_mismatch + n_silent):

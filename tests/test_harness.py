@@ -10,10 +10,12 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
 import typing
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +62,16 @@ def _tiny_cfg(out_dir, **overrides) -> RunConfig:
                 batch_size=16, warmup_epochs=1, out_dir=str(out_dir))
     base.update(overrides)
     return RunConfig(**base)
+
+
+def _run_python(code: str, *args: str) -> str:
+    """Run ``code`` in a new Python process that imports soundloc from this
+    source tree; its standard output."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True, timeout=300).stdout
 
 
 @pytest.fixture(scope="module")
@@ -277,13 +289,28 @@ class TestTraining:
         _, _, log, out = tiny_run
         run = json.loads((out / "trainlog.json").read_text())["run"]
         assert run == log.run
-        assert set(run) == {"numpy", "blas", "blas_threads", "block_threads"}
+        assert set(run) == {"numpy", "blas", "blas_threads", "block_threads",
+                            "freed_memory_kept"}
         assert run["numpy"] == np.__version__
         assert run["blas"] and isinstance(run["blas"], str)
         assert run["blas_threads"] == {v: os.environ.get(v) for v in
                                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                         "MKL_NUM_THREADS")}
         assert run["block_threads"] == ad.block_threads() >= 1
+        assert run["freed_memory_kept"] is ad.FREED_MEMORY_KEPT
+
+    @pytest.mark.parametrize("mallopt", [True, False])
+    def test_freed_memory_kept_only_with_mallopt(self, mallopt):
+        """glibc keeps freed memory; where ``mallopt`` cannot be found the
+        import still succeeds and the run block says so."""
+        if mallopt and platform.libc_ver()[0] != "glibc":
+            pytest.skip("mallopt is glibc's")
+        hide = ("import ctypes, types\n"
+                "ctypes.CDLL = lambda name: types.SimpleNamespace()\n")
+        code = ((hide if not mallopt else "")
+                + "import soundloc\nfrom soundloc import harness\n"
+                  "print(harness.run_metadata()['freed_memory_kept'])")
+        assert _run_python(code).strip() == str(mallopt)
 
     def test_checkpoint_reproduces_final_loss(self, tiny_run):
         cfg, _, log, out = tiny_run
@@ -383,6 +410,40 @@ class TestTraining:
         stats = json.loads((tmp_path / "abort" / "abort_stats.json").read_text())
         assert stats["step"] == 0
         assert [v.get("grad_finite") for v in stats["params"].values()].count(False) == 1
+
+    def test_each_step_releases_its_graph(self, tmp_path, monkeypatch):
+        """No array of a step's graph is alive when the next step's
+        ``batch_loss`` starts: two graphs never coexist."""
+        cfg = _tiny_cfg(tmp_path, train_samples=48, warmup_epochs=0)
+        real, refs, alive = harness.batch_loss, [], []
+
+        def spy(model, images, audios, weights):
+            alive.append(sum(r() is not None for r in refs))
+            total, parts = real(model, images, audios, weights)
+            if total.parents:                   # not the no-grad probe loss
+                refs.append(weakref.ref(total.parents[0].data))
+            return total, parts
+
+        monkeypatch.setattr(harness, "batch_loss", spy)
+        train(cfg, write_artifacts=False)
+        assert len(refs) == 3 and alive == [0] * 4
+
+    def test_each_warmup_step_releases_its_graph(self, tmp_path):
+        """Likewise for the image encoder's warmup: a step's graph is gone
+        before the next step's encoder forward starts."""
+        cfg = _tiny_cfg(tmp_path, train_samples=48, warmup_epochs=2)
+        model = build_model(cfg)
+        real, refs, alive = model.image_encoder.forward, [], []
+
+        def spy(images):
+            alive.append(sum(r() is not None for r in refs))
+            grid, pooled = real(images)
+            refs.append(weakref.ref(grid.data))
+            return grid, pooled
+
+        model.image_encoder.forward = spy
+        harness.warmup_image_encoder(model, harness.split_scenes(cfg)[0], cfg)
+        assert len(refs) == 6 and alive == [0] * 6
 
 
 class TestEvaluate:
@@ -494,11 +555,7 @@ class TestDeterminism:
             "                        warmup_epochs=1, out_dir=sys.argv[1])\n"
             "model, _ = harness.train(cfg)\n"
             "harness.evaluate(model, cfg, 's4-analog', out_dir=sys.argv[1])\n")
-        src = str(Path(harness.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-        subprocess.run([sys.executable, "-c", child, str(tmp_path / "one")], env=env,
-                       check=True, timeout=300)
+        _run_python(child, str(tmp_path / "one"))
 
         assert ad.block_threads() > 1
         cfg = RunConfig(epochs=1, train_samples=48, eval_samples=8, warmup_epochs=1,
@@ -810,6 +867,22 @@ class TestCli:
         assert err.startswith("contract violation: context_length 40"), err
         assert "max_text_len" in err and err.count("\n") == 1
         assert trained == []
+
+    def test_extended_kinds_over_the_batch_exit_2(self, cli_run, tmp_path, capsys):
+        """Fractions that round to more mismatched and silent scenes than
+        ``eval_samples`` end in one line and exit 2, before any scene is scored."""
+        cfg_path, out = cli_run
+        d = RunConfig.load(cfg_path).to_dict()
+        d["eval_samples"] = 3
+        d["generator"].update(mismatch_fraction=0.5, silent_fraction=0.5)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(d))
+        assert main(["eval", "--ckpt", str(out / "model.splt"), "--config", str(cfg),
+                     "--benchmark", "extended-analog", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("contract violation: extended mode rounds its fractions to 2 "
+                       "mismatched and 2 silent scenes, more than the batch of 3\n")
+        assert not (tmp_path / "report_extended-analog.csv").exists()
 
     def test_missing_sibling_config_exits_2(self, tmp_path, capsys):
         ckpt = tmp_path / "model.splt"

@@ -220,6 +220,15 @@ class TestMakeBatch:
         batch = make_batch(cfg, 16, "extended", base_seed=7)
         assert sum(1 for s in batch if not s.flags.matched) == 8
 
+    def test_extended_kinds_must_fit_the_batch(self):
+        """0.5 of 3 scenes rounds to 2 twice: 4 kinds do not fit 3 scenes.
+        At 4 scenes they do, and every scene is mismatched or silent."""
+        cfg = GeneratorConfig(mismatch_fraction=0.5, silent_fraction=0.5)
+        with pytest.raises(ContractViolation, match=(
+                "2 mismatched and 2 silent scenes, more than the batch of 3")):
+            make_batch(cfg, 3, "extended", base_seed=0)
+        assert not any(s.flags.positive for s in make_batch(cfg, 4, "extended", 0))
+
     def test_heard_unheard_split(self):
         cfg = GeneratorConfig(train_class_count=4)
         heard = make_batch(cfg, 16, "heard", base_seed=8)
@@ -294,6 +303,8 @@ class TestSceneStream:
         (GeneratorConfig(num_classes=1, train_class_count=1), 4, "ms3", "ms3 mode"),
         (GeneratorConfig(num_classes=1, train_class_count=1), 4, "extended",
          "mismatched-audio"),
+        (GeneratorConfig(mismatch_fraction=0.5, silent_fraction=0.5), 3, "extended",
+         "more than the batch of 3"),
     ])
     def test_contract_checked_at_construction(self, cfg, batch_size, mode, msg, monkeypatch):
         def fail(*args):
