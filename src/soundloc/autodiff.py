@@ -26,8 +26,9 @@ bit for bit what its composition of primitives computes, so fusing
 changes no checkpoint byte; the saving is in tape nodes and
 temporaries.  ``attention`` scales, masks, shifts, exponentiates and
 normalizes its scores in place in one buffer and keeps only the
-probabilities and the output for backward; ``layer_norm`` centres its
-input once and scales and shifts in place.  Holding the scores
+probabilities and the output for backward; ``layer_norm`` normalizes
+into its output and keeps each row's mean and inverse deviation, from
+which backward rebuilds the normalized rows.  Holding the scores
 key-major, ``(..., keys, queries)``, would make the row max ~3x faster
 (numpy reduces a contiguous array's second-to-last axis faster than a
 short last one), but it changes the summation order, and so the
@@ -445,12 +446,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
             f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
     qd, kd, vd = q.data, k.data, v.data
     scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+    fold = np.frexp(scale)[0] == 0.5    # a power of two: the same bits on q as on the scores
     p = np.empty(q.shape[:-1] + k.shape[-2:-1], dtype=np.result_type(qd, kd))
     out = np.empty_like(qd)
 
     def fwd(s):
-        ps = np.matmul(qd[s], np.swapaxes(kd[s], -1, -2), out=p[s])
-        ps *= scale
+        ps = np.matmul(qd[s] * scale if fold else qd[s], np.swapaxes(kd[s], -1, -2), out=p[s])
+        if not fold:
+            ps *= scale
         if causal:
             np.copyto(ps, -np.inf, where=np.triu(np.ones(ps.shape[-2:], dtype=bool), k=1))
         ps -= np.fmax.reduce(ps, axis=-1, keepdims=True)
@@ -507,33 +510,37 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ContractViolation(
             f"layer_norm: gamma/beta must have shape ({x.shape[-1]},), "
             f"got {gamma.shape} and {beta.shape}")
-    xhat = np.empty_like(x.data)
-    inv = np.empty(x.shape[:-1] + (1,), dtype=x.dtype)
+    mean, inv = (np.empty(x.shape[:-1] + (1,), dtype=x.dtype) for _ in range(2))
     out = np.empty_like(x.data, dtype=np.result_type(x.data, gamma.data, beta.data))
 
     def fwd(s):
-        xs = np.subtract(x.data[s], x.data[s].mean(axis=-1, keepdims=True), out=xhat[s])
+        mean[s] = x.data[s].mean(axis=-1, keepdims=True)
+        # xhat is made in x's dtype: in ``out`` when that is x's, else in a temporary.
+        xs = np.subtract(x.data[s], mean[s], out=out[s] if out.dtype == x.dtype else None)
         inv[s] = 1.0 / np.sqrt((xs * xs).mean(axis=-1, keepdims=True) + eps)
         xs *= inv[s]
         np.add(np.multiply(xs, gamma.data, out=out[s]), beta.data, out=out[s])
     _blocked(fwd, x.data, out, core=1)
 
     def bwd(g):
-        dgamma = _unbroadcast(g * xhat, gamma.shape) if gamma.requires_grad else None
-        dbeta = _unbroadcast(g, beta.shape) if beta.requires_grad else None
-        dx = None
-        if x.requires_grad:
-            dx = np.empty_like(g, dtype=np.result_type(g, gamma.data))
+        dx = np.empty_like(g, dtype=np.result_type(g, gamma.data)) if x.requires_grad else None
+        gxhat = np.empty_like(g, dtype=np.result_type(g, x.data)) if gamma.requires_grad else None
 
-            def back(s):
+        def back(s):
+            xs = x.data[s] - mean[s]        # the forward's xhat, rebuilt bit for bit
+            xs *= inv[s]
+            if gxhat is not None:
+                np.multiply(g[s], xs, out=gxhat[s])
+            if dx is not None:
                 d = np.multiply(g[s], gamma.data, out=dx[s])    # dxhat
-                proj = d * xhat[s]
+                proj = d * xs
                 proj_mean = proj.mean(axis=-1, keepdims=True)
                 d -= d.mean(axis=-1, keepdims=True)
-                d -= np.multiply(xhat[s], proj_mean, out=proj)
+                d -= np.multiply(xs, proj_mean, out=proj)
                 d *= inv[s]
-            _blocked(back, g, dx, core=1)
-        return (dx, dgamma, dbeta)
+        _blocked(back, g, core=1)
+        return (dx, None if gxhat is None else _unbroadcast(gxhat, gamma.shape),
+                _unbroadcast(g, beta.shape) if beta.requires_grad else None)
     return _make(out, "layer_norm", (x, gamma, beta), bwd)
 
 

@@ -41,37 +41,51 @@ class MaskDecoder(Module):
         self.head_b = self.param("head_b", np.zeros(1))
 
     def decode_logits(self, grid: Tensor, cond: Tensor) -> Tensor:
-        """(B, cells, d) features + (B, d) conditions -> (B, cells) logits."""
-        if grid.ndim != 3 or cond.ndim != 2 or grid.shape[0] != cond.shape[0]:
+        """(B, cells, d) grids + (B·R, d) conditions -> (B·R, cells); row k is image k // R."""
+        if grid.ndim != 3 or cond.ndim != 2:
             raise ContractViolation(
-                f"decoder expects (B, cells, d) and (B, d), got {grid.shape} and {cond.shape}")
-        b = grid.shape[0]
-        scale = ad.linear(cond, self.scale_w, self.scale_b).reshape(b, 1, self.d)
-        shift = ad.linear(cond, self.shift_w, self.shift_b).reshape(b, 1, self.d)
-        x = self.block.forward(grid * scale + shift)
-        return ad.linear(x, self.head_w, self.head_b).reshape(b, grid.shape[1])
+                f"decoder expects (B, cells, d) and (B·R, d), got {grid.shape} and {cond.shape}")
+        (b, cells, d), n = grid.shape, cond.shape[0]
+        r = rows_per_image(b, n)
+        scale = ad.linear(cond, self.scale_w, self.scale_b).reshape(b, r, 1, d)
+        shift = ad.linear(cond, self.shift_w, self.shift_b).reshape(b, r, 1, d)
+        x = self.block.forward((grid.reshape(b, 1, cells, d) * scale + shift).reshape(n, cells, d))
+        return ad.linear(x, self.head_w, self.head_b).reshape(n, cells)
+
+
+def rows_per_image(b: int, rows: int) -> int:
+    """R, for ``rows`` rows grouped R >= 1 to each of ``b`` images."""
+    r = rows // b if b else 1
+    if r < 1 or rows != b * r:
+        raise ContractViolation(f"{rows} rows are not R >= 1 rows for each of {b} images")
+    return r
 
 
 def masked_reencode(images: Tensor, image_masks: Tensor, encoder: ImageEncoder) -> Tensor:
-    """Re-encode mask-weighted images: (N, S, S, C) + (N, S, S) -> (N, d), unit rows."""
-    if images.shape[:3] != image_masks.shape:
+    """Re-encode mask-weighted images: (B, S, S, C) + (B·R, S, S) -> (B·R, d), unit
+    rows; mask row k weights image k // R."""
+    if images.ndim != 4 or image_masks.shape[1:] != images.shape[1:3]:
         raise ContractViolation(
             f"images {images.shape} and masks {image_masks.shape} are not aligned")
-    _, pooled = encoder.forward(images * image_masks.reshape(image_masks.shape + (1,)))
+    (b, *pixel), n = images.shape, image_masks.shape[0]
+    w = image_masks.reshape(b, rows_per_image(b, n), *pixel[:2], 1)
+    _, pooled = encoder.forward((images.reshape(b, 1, *pixel) * w).reshape(n, *pixel))
     return ad.l2_normalize(pooled, axis=-1)
 
 
 def masked_pool(grids: Tensor, feature_masks: Tensor) -> Tensor:
-    """Mask-weighted mean of grid cells: (N, cells, d) + (N, cells) -> (N, d), unit rows.
+    """Mask-weighted mean of grid cells: (B, cells, d) + (B·R, cells) -> (B·R, d),
+    unit rows; mask row k weights grid k // R.
 
     Scale-free in the mask: multiplying a mask by any k > 0 cancels in the
     ratio.  The mass is floored at ``POOL_EPS``, so the mask should have
     positive mass (true for sigmoid masks).
     """
-    if feature_masks.shape != grids.shape[:2]:
+    if grids.ndim != 3 or feature_masks.shape[1:] != grids.shape[1:2]:
         raise ContractViolation(
             f"masks {feature_masks.shape} do not match grids {grids.shape}")
-    w = feature_masks.reshape(feature_masks.shape + (1,))
-    num = (grids * w).sum(axis=1)
-    denom = ad.relu(w.sum(axis=1) - POOL_EPS) + POOL_EPS   # max(mass, eps), differentiably
-    return ad.l2_normalize(num / denom, axis=-1)
+    (b, cells, d), n = grids.shape, feature_masks.shape[0]
+    w = feature_masks.reshape(b, rows_per_image(b, n), cells, 1)
+    num = (grids.reshape(b, 1, cells, d) * w).sum(axis=2)
+    denom = ad.relu(w.sum(axis=2) - POOL_EPS) + POOL_EPS   # max(mass, eps), differentiably
+    return ad.l2_normalize((num / denom).reshape(n, d), axis=-1)

@@ -89,6 +89,8 @@ class SoundLocalizer(Module):
 
     def trainable_parameters(self) -> dict[str, Tensor]:
         out = dict(self.prompt_parameters())
+        if self.prompt_cfg.context_length == 0:     # the meta-net feeds no prompt
+            out = {k: v for k, v in out.items() if not k.startswith("meta_net.")}
         if self.prompt_cfg.fusion_mode == "fused":
             # Fused prompts bypass attention pooling (only the frame MLP
             # feeds the fused feature), so its parameters never get grads.
@@ -142,18 +144,18 @@ class SoundLocalizer(Module):
         tokens = prompting.assemble_prompt(context, audio_j, cfg.va_position)
         return self.text_encoder.forward(tokens)
 
-    def decode_pairs(self, percept: Perception, idx_i: np.ndarray,
-                     idx_j: np.ndarray) -> PairDecode:
-        """Decode a mask for every requested (image, audio) index pair."""
+    def decode_pairs(self, percept: Perception, idx_j: np.ndarray) -> PairDecode:
+        """Decode a mask for image k // R with audio ``idx_j[k]``, for R rows per image."""
         s = self.enc_cfg.image_size
         g = self.enc_cfg.grid_size
+        b = percept.grid.shape[0]
+        image_of_row = np.repeat(np.arange(b), grounding.rows_per_image(b, len(idx_j)))
         tokenize = (self.tokenizer.pooled_mean if self.prompt_cfg.fusion_mode == "fused"
                     else self.tokenizer.forward)
         audio = tokenize(percept.audio_feats)
-        conditions = self.prompt_embeddings(percept.pooled[idx_i], audio[idx_j])
-        logits = self.decoder.decode_logits(percept.grid[idx_i], conditions)
-        n = logits.shape[0]
-        up = ad.resize_bilinear(logits.reshape(n, g, g), s, s)
+        conditions = self.prompt_embeddings(percept.pooled[image_of_row], audio[idx_j])
+        logits = self.decoder.decode_logits(percept.grid, conditions)
+        up = ad.resize_bilinear(logits.reshape(-1, g, g), s, s)
         return PairDecode(conditions=conditions, logits=logits,
                           feature_masks=ad.sigmoid(logits), image_masks=ad.sigmoid(up))
 
@@ -162,17 +164,14 @@ class SoundLocalizer(Module):
         """All-pairs decode -> (image-level table, feature-level table, pair mask
         means, decode), each table (B, B) and indexed by (image, audio)."""
         b = percept.grid.shape[0]
-        idx_i = np.repeat(np.arange(b), b)
-        idx_j = np.tile(np.arange(b), b)
-        dec = self.decode_pairs(percept, idx_i, idx_j)
+        dec = self.decode_pairs(percept, np.tile(np.arange(b), b))
 
         # Similarity targets are each sample's own (diagonal) condition.
         diag = np.arange(b) * b + np.arange(b)
         targets = ad.l2_normalize(dec.conditions[diag], axis=-1)        # (B, d)
 
-        v_feat = grounding.masked_pool(percept.grid[idx_i], dec.feature_masks)
-        v_img = grounding.masked_reencode(percept.images[idx_i], dec.image_masks,
-                                          self.image_encoder)
+        v_feat = grounding.masked_pool(percept.grid, dec.feature_masks)
+        v_img = grounding.masked_reencode(percept.images, dec.image_masks, self.image_encoder)
 
         d = self.enc_cfg.embed_dim
         s_img = (v_img.reshape(b, b, d) * targets.reshape(1, b, d)).sum(axis=-1)
@@ -186,6 +185,5 @@ class SoundLocalizer(Module):
         """Per-sample (matched-index) image-level masks as plain arrays."""
         with ad.no_grad():
             percept = self.perceive(images, audios)
-            idx = np.arange(percept.grid.shape[0])
-            dec = self.decode_pairs(percept, idx, idx)
+            dec = self.decode_pairs(percept, np.arange(percept.grid.shape[0]))
             return dec.image_masks.data.copy()

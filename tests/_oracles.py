@@ -4,7 +4,9 @@ Everything here is written as plain loops over Python scalars, on
 purpose: no shared code with the package, no vectorization.  Where a
 test asserts exact (``==``) agreement, the oracle performs its sums and
 divisions in the same order as the library's documented fixed order;
-everything else is free-form.
+everything else is free-form.  The exception is the gathered grounding
+forms, which compose the package's primitives: they are the per-row
+copies that the broadcast forms must match bit for bit.
 """
 
 import cmath
@@ -13,6 +15,9 @@ import struct
 from pathlib import Path
 
 import numpy as np
+
+from soundloc import autodiff as ad
+from soundloc.grounding import POOL_EPS
 
 
 # -- finite differences ------------------------------------------------------
@@ -205,6 +210,38 @@ def masked_pool_loops(cells, mask):
               for k in range(d)]
     norm = math.sqrt(sum(v * v for v in pooled))
     return [v / norm for v in pooled]
+
+
+# -- gathered grounding -------------------------------------------------------
+# Row k of N conditions or masks belongs to image k // (N / B).  These gather a
+# copy of that image's grid or pixels for every row: the reference that the
+# broadcast forms must match bit for bit.
+
+def _gather_rows(t, n):
+    return t[np.arange(n) // (n // t.shape[0])]
+
+
+def gathered_decode_logits(decoder, grid, cond):
+    """``MaskDecoder.decode_logits`` on a gathered (N, cells, d) grid."""
+    n, (_, cells, d) = cond.shape[0], grid.shape
+    scale = ad.linear(cond, decoder.scale_w, decoder.scale_b).reshape(n, 1, d)
+    shift = ad.linear(cond, decoder.shift_w, decoder.shift_b).reshape(n, 1, d)
+    x = decoder.block.forward(_gather_rows(grid, n) * scale + shift)
+    return ad.linear(x, decoder.head_w, decoder.head_b).reshape(n, cells)
+
+
+def gathered_masked_pool(grids, masks):
+    """``masked_pool`` on gathered (N, cells, d) grids."""
+    w = masks.reshape(masks.shape + (1,))
+    num = (_gather_rows(grids, masks.shape[0]) * w).sum(axis=1)
+    denom = ad.relu(w.sum(axis=1) - POOL_EPS) + POOL_EPS
+    return ad.l2_normalize(num / denom, axis=-1)
+
+
+def gathered_masked_reencode(images, masks, encoder):
+    """``masked_reencode`` on gathered (N, S, S, C) images."""
+    weighted = _gather_rows(images, masks.shape[0]) * masks.reshape(masks.shape + (1,))
+    return ad.l2_normalize(encoder.forward(weighted)[1], axis=-1)
 
 
 # -- image resizing ----------------------------------------------------------

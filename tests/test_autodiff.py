@@ -10,6 +10,7 @@ bounded away from their kinks so the comparison is meaningful.
 import os
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -362,7 +363,8 @@ def _composed_attention(q, k, v, causal):
 
 
 def _layer_norm_formula(x, gamma, beta, g, eps=1e-5):
-    """Forward and input gradient of layer norm, written as plain expressions."""
+    """Forward and gradients of layer norm, written as plain expressions; the
+    parameter gradients sum the leading axes one at a time, first to last."""
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
@@ -370,7 +372,10 @@ def _layer_norm_formula(x, gamma, beta, g, eps=1e-5):
     dxhat = g * gamma
     dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-    return xhat * gamma + beta, dx
+    dgamma, dbeta = g * xhat, g
+    for _ in range(x.ndim - 1):
+        dgamma, dbeta = dgamma.sum(axis=0), dbeta.sum(axis=0)
+    return xhat * gamma + beta, dx, dgamma, dbeta
 
 
 # Each case: a primitive and its operand shapes, mostly with a leading axis of 7.
@@ -404,14 +409,17 @@ class TestFusedPrimitives:
         out = ad.attention(*(ad.constant(a) for a in (q, k, v)), causal=causal)
         assert rel_err(out.data, attention_loops(q, k, v, causal)) < 1e-12
 
+    # dh = 4 scales by 0.5, a power of two that attention folds into q; dh = 3
+    # scales the scores, as the composed layer does.
+    @pytest.mark.parametrize("dh", [4, 3])
     @pytest.mark.parametrize("causal", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_attention_is_bit_equal_to_the_composed_layer(self, dtype, causal):
+    def test_attention_is_bit_equal_to_the_composed_layer(self, dtype, causal, dh):
         """Output and every input gradient, with the inputs laid out as the
         attention layer lays them out (heads split off by a transpose)."""
         rng = np.random.default_rng(10)
-        arrays = [rng.standard_normal((3, 6, 2, 4)).astype(dtype) for _ in range(3)]
-        w = ad.constant(rng.standard_normal((3, 2, 6, 4)).astype(dtype))
+        arrays = [rng.standard_normal((3, 6, 2, dh)).astype(dtype) for _ in range(3)]
+        w = ad.constant(rng.standard_normal((3, 2, 6, dh)).astype(dtype))
         results = []
         for fn in (ad.attention, _composed_attention):
             leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -443,17 +451,38 @@ class TestFusedPrimitives:
         assert x.grad is None and b.grad is None
         assert np.array_equal(w.grad, np.full((3, 4), 2.0))
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_layer_norm_is_bit_equal_to_the_formula(self, dtype):
+    # The second shape is split into 2 or 3 blocks of ~1 MiB when the pool runs.
+    @pytest.mark.parametrize("shape", [(4, 5, 16), (20, 64, 256)])
+    @pytest.mark.parametrize("x_dtype,param_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float32, np.float64), (np.float64, np.float32)])
+    def test_layer_norm_is_bit_equal_to_the_formula(self, x_dtype, param_dtype, shape):
+        """Output and the gradients of x, gamma and beta; xhat stays in x's dtype."""
         rng = np.random.default_rng(12)
-        x, gamma, beta, g = (rng.standard_normal(s).astype(dtype)
-                             for s in ((4, 5, 16), (16,), (16,), (4, 5, 16)))
-        t = Tensor(x.copy(), requires_grad=True)
-        out = ad.layer_norm(t, ad.constant(gamma), ad.constant(beta))
+        x = rng.standard_normal(shape).astype(x_dtype)
+        gamma, beta = (rng.standard_normal(shape[-1]).astype(param_dtype) for _ in range(2))
+        g = rng.standard_normal(shape).astype(np.result_type(x_dtype, param_dtype))
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+        out = ad.layer_norm(*leaves)
         ad.backward((out * ad.constant(g)).sum())
-        want_out, want_dx = _layer_norm_formula(x, gamma, beta, g)
-        assert np.array_equal(out.data, want_out)
-        assert np.array_equal(t.grad, want_dx)
+        wants = _layer_norm_formula(x, gamma, beta, g)
+        for got, want in zip([out.data] + [t.grad for t in leaves], wants):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_layer_norm_keeps_no_normalized_copy(self):
+        """Besides x and its output, a layer_norm node keeps only per-row
+        statistics: backward rebuilds xhat from x."""
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((64, 8, 64)), requires_grad=True)
+        gamma, beta = (Tensor(rng.standard_normal(64), requires_grad=True) for _ in range(2))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.layer_norm(x, gamma, beta)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes <= kept < out.data.nbytes + x.data.nbytes // 2
 
     @pytest.mark.parametrize("shapes", [
         ((2, 3), (4, 5), (5,)), ((2, 4), (4, 5), (4,)), ((2, 4), (2, 4, 5), (5,)),

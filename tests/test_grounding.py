@@ -17,7 +17,13 @@ from soundloc.grounding import MaskDecoder, masked_pool, masked_reencode
 from soundloc.model import SoundLocalizer
 from soundloc.prompting import PromptConfig, assemble_prompt
 
-from _oracles import bilinear_loops, masked_pool_loops
+from _oracles import (
+    bilinear_loops,
+    gathered_decode_logits,
+    gathered_masked_pool,
+    gathered_masked_reencode,
+    masked_pool_loops,
+)
 
 
 def _grid(cells, d, seed):
@@ -26,12 +32,13 @@ def _grid(cells, d, seed):
 
 
 def _count_decodes(monkeypatch) -> list[int]:
-    """Record the batch size of every ``MaskDecoder.decode_logits`` call."""
+    """Record the masks decoded by every ``MaskDecoder.decode_logits`` call:
+    one per condition row."""
     counted = []
     real = MaskDecoder.decode_logits
 
     def spy(self, grid, cond):
-        counted.append(grid.shape[0])
+        counted.append(cond.shape[0])
         return real(self, grid, cond)
 
     monkeypatch.setattr(MaskDecoder, "decode_logits", spy)
@@ -62,7 +69,9 @@ class TestMaskDecoder:
     @pytest.mark.parametrize("grid_shape,cond_shape", [
         ((4, 8), (1, 8)),        # grid not batched
         ((1, 4, 8), (8,)),       # condition not batched
-        ((2, 4, 8), (3, 8)),     # batch mismatch
+        ((2, 4, 8), (3, 8)),     # rows not R per image
+        ((2, 4, 8), (0, 8)),     # no rows
+        ((0, 4, 8), (2, 8)),     # rows without images
     ])
     def test_shape_contract(self, grid_shape, cond_shape):
         dec = MaskDecoder(8, 2, np.random.default_rng(9))
@@ -80,7 +89,7 @@ class TestDecodeMask:
                                              text_heads=2), PromptConfig(), seed=seed)
         rng = np.random.default_rng(seed + 1)
         percept = model.perceive(rng.uniform(size=(1, 8, 8, 3)), rng.normal(size=(1, 8000)))
-        return model.decode_pairs(percept, np.arange(1), np.arange(1))
+        return model.decode_pairs(percept, np.arange(1))
 
     def test_output_ranges_and_shapes(self):
         dec = self._decode(10)
@@ -192,6 +201,80 @@ class TestMaskedPoolBatch:
                                    atol=1e-9, rtol=0)
 
 
+class TestBroadcastEqualsGathered:
+    """The grounding functions broadcast each image over its R rows; their
+    values and gradients are those of gathering a copy per row, bit for bit."""
+
+    B = 3
+
+    @staticmethod
+    def _run(fn, inputs, rng):
+        """``fn``'s output and the gradients of ``inputs`` under a random weighting."""
+        out = fn(*inputs)
+        w = rng.standard_normal(out.shape).astype(out.dtype)
+        ad.backward((out * ad.constant(w)).sum())
+        return [out.data] + [t.grad for t in inputs if t.requires_grad]
+
+    def _compare(self, broadcast, gathered, make_inputs, params=()):
+        results = []
+        for fn in (broadcast, gathered):
+            for p in params:
+                p.zero_grad()
+            inputs = make_inputs()
+            results.append(self._run(fn, inputs, np.random.default_rng(70))
+                           + [p.grad for p in params])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("r", [1, B])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_decode_logits(self, dtype, r):
+        dec = MaskDecoder(16, 2, np.random.default_rng(71))
+        rng = np.random.default_rng(72)
+        for p in (dec.scale_w, dec.shift_w):
+            p.data[:] = rng.normal(size=p.shape)
+        dec.to_dtype(dtype)
+        grid = rng.normal(size=(self.B, 9, 16)).astype(dtype)
+        cond = rng.normal(size=(self.B * r, 16)).astype(dtype)
+        self._compare(dec.decode_logits, lambda g, c: gathered_decode_logits(dec, g, c),
+                      lambda: [ad.constant(grid), ad.Tensor(cond.copy(), requires_grad=True)],
+                      params=list(dec.parameters().values()))
+
+    @pytest.mark.parametrize("r", [1, B])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masked_pool(self, dtype, r):
+        rng = np.random.default_rng(73)
+        grids = rng.normal(size=(self.B, 9, 16)).astype(dtype)
+        masks = rng.uniform(0.05, 0.95, size=(self.B * r, 9)).astype(dtype)
+        self._compare(masked_pool, gathered_masked_pool,
+                      lambda: [ad.constant(grids), ad.Tensor(masks.copy(), requires_grad=True)])
+
+    @pytest.mark.parametrize("r", [1, B])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masked_reencode(self, dtype, r):
+        encoder = ImageEncoder(EncoderConfig(), np.random.default_rng(74))
+        encoder.to_dtype(dtype)
+        for p in encoder.parameters().values():
+            p.requires_grad = False
+        rng = np.random.default_rng(75)
+        images = rng.uniform(size=(self.B, 32, 32, 3)).astype(dtype)
+        masks = rng.uniform(size=(self.B * r, 32, 32)).astype(dtype)
+        self._compare(lambda i, m: masked_reencode(i, m, encoder),
+                      lambda i, m: gathered_masked_reencode(i, m, encoder),
+                      lambda: [ad.constant(images), ad.Tensor(masks.copy(), requires_grad=True)])
+
+    @pytest.mark.parametrize("rows", [2, 4, 0])
+    def test_rows_must_be_r_per_image(self, encoder, rows):
+        with pytest.raises(ContractViolation):
+            masked_pool(ad.constant(np.ones((3, 9, 16))), ad.constant(np.ones((rows, 9))))
+        with pytest.raises(ContractViolation):
+            masked_reencode(ad.constant(np.zeros((3, 32, 32, 3))),
+                            ad.constant(np.ones((rows, 32, 32))), encoder)
+        with pytest.raises(ContractViolation):
+            MaskDecoder(8, 2, np.random.default_rng(77)).decode_logits(
+                ad.constant(np.zeros((3, 4, 8))), ad.constant(np.zeros((rows, 8))))
+
+
 class TestSimilarityTables:
     def _batch(self, b, seed=50):
         rng = np.random.default_rng(seed)
@@ -232,6 +315,10 @@ class TestSimilarityTables:
         for table in (s_img.data, s_feat.data):
             assert np.array_equal(table[0], table[1])
             assert np.array_equal(table[:, 0], table[:, 1])
+
+    def test_empty_batch_predicts_no_masks(self, model):
+        masks = model.predict_masks(np.zeros((0, 32, 32, 3)), np.zeros((0, 8000)))
+        assert masks.shape == (0, 32, 32)
 
     def test_predict_masks_diagonal_only(self, model, monkeypatch):
         images, audios = self._batch(3, seed=54)

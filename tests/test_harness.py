@@ -285,6 +285,21 @@ class TestTraining:
         assert disk["steps"] == log.steps
         assert disk["warmup_stats"] == log.warmup_stats
 
+    @pytest.mark.parametrize("mode", ["none", "ensemble"])
+    def test_trains_without_context_tokens(self, tmp_path, mode):
+        """With ``context_length`` 0 the meta-net feeds no prompt: it is not
+        trained, and its records keep their initial values."""
+        cfg = _tiny_cfg(tmp_path, train_samples=24, batch_size=8, warmup_epochs=0)
+        cfg.prompt = PromptConfig(context_length=0, fusion_mode=mode)
+        model, log = train(cfg)
+        assert log.steps and all(math.isfinite(e["total"]) for e in log.steps)
+        assert not any(k.startswith("meta_net.") for k in model.trainable_parameters())
+        init = build_model(cfg).parameters()
+        saved = load_checkpoint(tmp_path / "model.splt")
+        meta = [k for k in init if k.startswith("meta_net.")]
+        assert meta and all(np.array_equal(saved[k], init[k].data) for k in meta)
+        assert not np.array_equal(saved["decoder.head_w"], init["decoder.head_w"].data)
+
     def test_trainlog_records_run_metadata(self, tiny_run):
         _, _, log, out = tiny_run
         run = json.loads((out / "trainlog.json").read_text())["run"]
