@@ -2,12 +2,14 @@
 
 Tensors wrap numpy arrays (float64 by default, float32 behind a config
 switch) and record the operations applied to them on a tape of graph
-nodes.  Calling :func:`backward` on a scalar result walks the recorded
-DAG once in reverse topological order (deterministic tie-break by
-creation index, so runs are bit-reproducible) and accumulates gradients
-additively across fan-out.  ``PRIMITIVES`` names every operation that
-can appear on the tape; the test suite checks each one against central
-differences.
+nodes.  A graph has one dtype: an operation whose operands' dtype differs
+from its result's raises ``ContractViolation`` naming the operation, and
+a leaf's gradient has the leaf's dtype.  Calling :func:`backward` on a
+scalar result walks the recorded DAG once in reverse topological order
+(deterministic tie-break by creation index, so runs are bit-reproducible)
+and accumulates gradients additively across fan-out.  ``PRIMITIVES``
+names every operation that can appear on the tape; the test suite checks
+each one against central differences.
 
 Backward does only the work whose result someone reads:
 
@@ -207,6 +209,8 @@ def constant(x, dtype=None) -> Tensor:
 
 
 def _make(data: np.ndarray, op: str, parents: Sequence[Tensor], bwd: Callable) -> Tensor:
+    if any(p.dtype != data.dtype for p in parents):
+        raise ContractViolation(f"{op}: operands of dtypes {[str(p.dtype) for p in parents]}")
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -362,29 +366,22 @@ def log(a: Tensor) -> Tensor:
 
 # -- reductions --------------------------------------------------------------
 
+def _spread(g: np.ndarray, a: Tensor, axis, keepdims: bool) -> np.ndarray:
+    """A reduction's gradient ``g`` copied back over the axes it took from ``a``."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, a.shape).copy()
+
+
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a,), bwd)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a,),
+                 lambda g: (_spread(g, a, axis, keepdims),))
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([a.shape[ax] for ax in axis]))
-    else:
-        n = a.shape[axis]
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / n, a.shape).copy(),)
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), "mean", (a,), bwd)
+    out = a.data.mean(axis=axis, keepdims=keepdims)
+    n = a.size // max(out.size, 1)      # entries averaged into each output
+    return _make(out, "mean", (a,), lambda g: (_spread(g / n, a, axis, keepdims),))
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -410,16 +407,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ContractViolation(
             f"linear: expected (..., n) @ (n, m) + (m,), got {x.shape}, {w.shape}, {b.shape}")
     xd, wd = x.data, w.data
-    out = np.empty(x.shape[:-1] + wd.shape[1:], dtype=np.result_type(xd, wd))
+    out = np.empty(x.shape[:-1] + wd.shape[1:], dtype=xd.dtype)
     _blocked(lambda s: np.add(np.matmul(xd[s], wd, out=out[s]), b.data, out=out[s]), xd, out)
 
     def bwd(g):
         gx = gw = None
         if x.requires_grad:
-            gx = np.empty(x.shape, dtype=np.result_type(g, wd))
+            gx = np.empty(x.shape, dtype=xd.dtype)
             _blocked(lambda s: np.matmul(g[s], wd.T, out=gx[s]), g, gx)
         if w.requires_grad:
-            gw = np.empty(x.shape[:-2] + wd.shape, dtype=np.result_type(xd, g))
+            gw = np.empty(x.shape[:-2] + wd.shape, dtype=wd.dtype)
             _blocked(lambda s: np.matmul(np.swapaxes(xd[s], -1, -2), g[s], out=gw[s]),
                      xd, g, gw)
             gw = _unbroadcast(gw, w.shape)
@@ -446,14 +443,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
             f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
     qd, kd, vd = q.data, k.data, v.data
     scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
-    fold = np.frexp(scale)[0] == 0.5    # a power of two: the same bits on q as on the scores
-    p = np.empty(q.shape[:-1] + k.shape[-2:-1], dtype=np.result_type(qd, kd))
+    p = np.empty(q.shape[:-1] + k.shape[-2:-1], dtype=qd.dtype)
     out = np.empty_like(qd)
 
     def fwd(s):
-        ps = np.matmul(qd[s] * scale if fold else qd[s], np.swapaxes(kd[s], -1, -2), out=p[s])
-        if not fold:
-            ps *= scale
+        ps = np.matmul(qd[s], np.swapaxes(kd[s], -1, -2), out=p[s])
+        ps *= scale
         if causal:
             np.copyto(ps, -np.inf, where=np.triu(np.ones(ps.shape[-2:], dtype=bool), k=1))
         ps -= np.fmax.reduce(ps, axis=-1, keepdims=True)
@@ -511,20 +506,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm: gamma/beta must have shape ({x.shape[-1]},), "
             f"got {gamma.shape} and {beta.shape}")
     mean, inv = (np.empty(x.shape[:-1] + (1,), dtype=x.dtype) for _ in range(2))
-    out = np.empty_like(x.data, dtype=np.result_type(x.data, gamma.data, beta.data))
+    out = np.empty_like(x.data)
 
     def fwd(s):
         mean[s] = x.data[s].mean(axis=-1, keepdims=True)
-        # xhat is made in x's dtype: in ``out`` when that is x's, else in a temporary.
-        xs = np.subtract(x.data[s], mean[s], out=out[s] if out.dtype == x.dtype else None)
+        xs = np.subtract(x.data[s], mean[s], out=out[s])
         inv[s] = 1.0 / np.sqrt((xs * xs).mean(axis=-1, keepdims=True) + eps)
         xs *= inv[s]
         np.add(np.multiply(xs, gamma.data, out=out[s]), beta.data, out=out[s])
     _blocked(fwd, x.data, out, core=1)
 
     def bwd(g):
-        dx = np.empty_like(g, dtype=np.result_type(g, gamma.data)) if x.requires_grad else None
-        gxhat = np.empty_like(g, dtype=np.result_type(g, x.data)) if gamma.requires_grad else None
+        dx = np.empty_like(g) if x.requires_grad else None
+        gxhat = np.empty_like(g) if gamma.requires_grad else None
 
         def back(s):
             xs = x.data[s] - mean[s]        # the forward's xhat, rebuilt bit for bit
@@ -713,6 +707,6 @@ def _first_grad(p: Tensor, g: np.ndarray) -> np.ndarray:
             g.strides == p.data.strides
             or (g.flags.c_contiguous and p.data.flags.c_contiguous)):
         return g
-    out = np.empty_like(p.data, dtype=np.result_type(p.data, g))
+    out = np.empty_like(p.data)
     np.copyto(out, g)
     return out

@@ -149,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2
-    except (OSError, CheckpointError, json.JSONDecodeError) as exc:
+    except (OSError, CheckpointError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except TrainingAborted as exc:

@@ -492,19 +492,13 @@ def benchmark_scenes(cfg: RunConfig, benchmark: str) -> list[SceneSample]:
 
 def predict_eval_samples(model: SoundLocalizer, scenes: Iterable[SceneSample]
                          ) -> list[metrics.EvalSample]:
-    # Chunk k + 1 is made after chunk k is stacked, before it is predicted:
-    # a prototype measured fewer page faults than making it after the prediction.
     out = []
     scenes = iter(scenes)
-    part = list(itertools.islice(scenes, PREDICT_CHUNK))
-    while part:
-        batch = stack_batch(part)
-        following = list(itertools.islice(scenes, PREDICT_CHUNK))
-        for s, pred in zip(part, model.predict_masks(*batch)):
+    while part := list(itertools.islice(scenes, PREDICT_CHUNK)):
+        for s, pred in zip(part, model.predict_masks(*stack_batch(part))):
             out.append(metrics.EvalSample(
                 pred_mask=pred.astype(np.float64), gt_mask=s.gt_mask,
                 flags=s.flags, gt_box_mask=s.gt_box_mask))
-        part = following
     return out
 
 

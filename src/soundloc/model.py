@@ -132,15 +132,12 @@ class SoundLocalizer(Module):
         context = self.meta_net.forward(pooled_i)
         if cfg.fusion_mode == "ensemble":
             # All M + 1 audio-token positions go through the text encoder as
-            # one stacked batch; the slices are summed in position order.
+            # one stacked batch; numpy sums its leading axis in position order.
             n, m1 = context.shape[0], cfg.context_length + 1
             variants = [prompting.assemble_prompt(context, audio_j, pos)
                         for pos in range(1, m1 + 1)]
             emb = self.text_encoder.forward(ad.concat(variants, axis=0))
-            total = emb[:n]
-            for k in range(1, m1):
-                total = total + emb[k * n:(k + 1) * n]
-            return total * (1.0 / m1)
+            return emb.reshape(m1, n, emb.shape[-1]).sum(axis=0) * (1.0 / m1)
         tokens = prompting.assemble_prompt(context, audio_j, cfg.va_position)
         return self.text_encoder.forward(tokens)
 

@@ -70,12 +70,8 @@ class MetaNet(Module):
         """(B, d) image features -> (B, M, d) conditioned context tokens."""
         if feats.ndim != 2 or feats.shape[1] != self.d:
             raise ContractViolation(f"meta-net input must be (B, {self.d}), got {feats.shape}")
-        b = feats.shape[0]
-        m = self.n_ctx
-        if m == 0:
-            return ad.constant(np.zeros((b, 0, self.d), dtype=self.base.dtype))
         pi = ad.linear(ad.relu(ad.linear(feats, self.w1, self.b1)), self.w2, self.b2)  # (B, d)
-        return self.base.reshape(1, m, self.d) + pi.reshape(b, 1, self.d)
+        return self.base.reshape(1, self.n_ctx, self.d) + pi.reshape(feats.shape[0], 1, self.d)
 
 
 class AudioTokenizer(Module):
@@ -129,14 +125,6 @@ def assemble_prompt(context: Tensor, va: Tensor, position: int) -> Tensor:
     m, p = context.shape[1], position
     if not 1 <= p <= m + 1:
         raise ContractViolation(f"audio token position {p} outside [1, {m + 1}]")
-    va_row = va.reshape(va.shape[0], 1, va.shape[-1])
-    if m == 0:
-        return va_row
-    parts = []
-    if p > 1:
-        parts.append(context[:, : p - 1])
-    parts.append(va_row)
-    if p <= m:
-        parts.append(context[:, p - 1:])
-    return ad.concat(parts, axis=1)
+    parts = (context[:, :p - 1], va.reshape(va.shape[0], 1, va.shape[-1]), context[:, p - 1:])
+    return ad.concat([t for t in parts if t.shape[1]], axis=1)
 

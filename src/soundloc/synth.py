@@ -40,6 +40,9 @@ PALETTE = (
 
 MAX_PLACEMENT_TRIES = 200
 OVERLAP_LIMIT = 0.3
+# The generator's snr_db bounds, inside the band where a small float32 run
+# was measured finite (-350 to 3080 dB; it failed at -400 and 3090 dB).
+SNR_DB_RANGE = (-100.0, 300.0)
 
 
 class SceneSpecError(ContractViolation):
@@ -70,6 +73,8 @@ class GeneratorConfig:
             raise ContractViolation("train_class_count outside [1, num_classes]")
         if self.mismatch_fraction + self.silent_fraction > 1.0:
             raise ContractViolation("extended-mode fractions exceed 1")
+        if not SNR_DB_RANGE[0] <= self.snr_db <= SNR_DB_RANGE[1]:
+            raise ContractViolation(f"snr_db {self.snr_db} outside {list(SNR_DB_RANGE)} dB")
         for name in ("single_radius", "multi_radius"):
             lo, hi = getattr(self, name)
             if not 2 <= lo <= hi or 2 * hi >= self.image_size:

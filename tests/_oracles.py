@@ -4,9 +4,10 @@ Everything here is written as plain loops over Python scalars, on
 purpose: no shared code with the package, no vectorization.  Where a
 test asserts exact (``==``) agreement, the oracle performs its sums and
 divisions in the same order as the library's documented fixed order;
-everything else is free-form.  The exception is the gathered grounding
-forms, which compose the package's primitives: they are the per-row
-copies that the broadcast forms must match bit for bit.
+everything else is free-form.  The exceptions are the gathered grounding
+forms and the ensemble slice sum, which compose the package's primitives:
+they are the per-row copies and the position-by-position sum that the
+package's forms must match bit for bit.
 """
 
 import cmath
@@ -18,6 +19,7 @@ import numpy as np
 
 from soundloc import autodiff as ad
 from soundloc.grounding import POOL_EPS
+from soundloc.prompting import assemble_prompt
 
 
 # -- finite differences ------------------------------------------------------
@@ -242,6 +244,21 @@ def gathered_masked_reencode(images, masks, encoder):
     """``masked_reencode`` on gathered (N, S, S, C) images."""
     weighted = _gather_rows(images, masks.shape[0]) * masks.reshape(masks.shape + (1,))
     return ad.l2_normalize(encoder.forward(weighted)[1], axis=-1)
+
+
+# -- ensemble prompts ----------------------------------------------------------
+
+def ensemble_slice_sum(model, pooled_i, audio_j):
+    """Ensemble-mode ``prompt_embeddings``: the M + 1 position slices of the
+    stacked text-encoder output added one after another, then scaled."""
+    context = model.meta_net.forward(pooled_i)
+    n, m1 = context.shape[0], model.prompt_cfg.context_length + 1
+    variants = [assemble_prompt(context, audio_j, pos) for pos in range(1, m1 + 1)]
+    emb = model.text_encoder.forward(ad.concat(variants, axis=0))
+    total = emb[:n]
+    for k in range(1, m1):
+        total = total + emb[k * n:(k + 1) * n]
+    return total * (1.0 / m1)
 
 
 # -- image resizing ----------------------------------------------------------

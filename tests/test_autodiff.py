@@ -409,8 +409,7 @@ class TestFusedPrimitives:
         out = ad.attention(*(ad.constant(a) for a in (q, k, v)), causal=causal)
         assert rel_err(out.data, attention_loops(q, k, v, causal)) < 1e-12
 
-    # dh = 4 scales by 0.5, a power of two that attention folds into q; dh = 3
-    # scales the scores, as the composed layer does.
+    # dh = 4 scales by 0.5, a power of two; dh = 3 by a scale that rounds.
     @pytest.mark.parametrize("dh", [4, 3])
     @pytest.mark.parametrize("causal", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -453,15 +452,13 @@ class TestFusedPrimitives:
 
     # The second shape is split into 2 or 3 blocks of ~1 MiB when the pool runs.
     @pytest.mark.parametrize("shape", [(4, 5, 16), (20, 64, 256)])
-    @pytest.mark.parametrize("x_dtype,param_dtype", [
-        (np.float32, np.float32), (np.float64, np.float64),
-        (np.float32, np.float64), (np.float64, np.float32)])
-    def test_layer_norm_is_bit_equal_to_the_formula(self, x_dtype, param_dtype, shape):
-        """Output and the gradients of x, gamma and beta; xhat stays in x's dtype."""
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_is_bit_equal_to_the_formula(self, dtype, shape):
+        """Output and the gradients of x, gamma and beta."""
         rng = np.random.default_rng(12)
-        x = rng.standard_normal(shape).astype(x_dtype)
-        gamma, beta = (rng.standard_normal(shape[-1]).astype(param_dtype) for _ in range(2))
-        g = rng.standard_normal(shape).astype(np.result_type(x_dtype, param_dtype))
+        x = rng.standard_normal(shape).astype(dtype)
+        gamma, beta = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
+        g = rng.standard_normal(shape).astype(dtype)
         leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
         out = ad.layer_norm(*leaves)
         ad.backward((out * ad.constant(g)).sum())
@@ -574,6 +571,30 @@ class TestFusedPrimitives:
         if len(spans) > 1:
             step = max(1, block_bytes // max(1, row_bytes))
             assert all(0 < len(r) <= step for r in spans)
+
+
+# Each case: a primitive and its operands' shapes.
+_DTYPE_CASES = {
+    "add": ((2, 3), (2, 3)),
+    "linear": ((2, 3), (3, 4), (4,)),
+    "attention": ((2, 3, 4),) * 3,
+    "layer_norm": ((2, 4), (4,), (4,)),
+}
+
+
+class TestOneDtypePerGraph:
+    @pytest.mark.parametrize("op", sorted(_DTYPE_CASES))
+    @pytest.mark.parametrize("dtype,other", [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_operands_of_two_dtypes_are_refused(self, op, dtype, other):
+        """Each operand in turn has the other dtype: the node is refused,
+        naming its op, whether or not it would be on the tape."""
+        shapes = _DTYPE_CASES[op]
+        for odd in range(len(shapes)):
+            for grad in (False, True):
+                args = [Tensor(np.ones(s, dtype=other if i == odd else dtype),
+                               requires_grad=grad) for i, s in enumerate(shapes)]
+                with pytest.raises(ContractViolation, match=f"^{op}: operands of dtypes"):
+                    ad.PRIMITIVES[op](*args)
 
 
 class TestNumericBehavior:

@@ -19,6 +19,7 @@ from soundloc.prompting import PromptConfig, assemble_prompt
 
 from _oracles import (
     bilinear_loops,
+    ensemble_slice_sum,
     gathered_decode_logits,
     gathered_masked_pool,
     gathered_masked_reencode,
@@ -383,8 +384,35 @@ class TestFusionModes:
         assert np.all(np.abs(s_img.data) <= 1.0 + 1e-9)
 
         # Pair n = 2 * i + j decodes image i with audio j.
-        context = model.meta_net.forward(percept.pooled[np.repeat(np.arange(2), 2)])
+        pooled_i = percept.pooled[np.repeat(np.arange(2), 2)]
+        context = model.meta_net.forward(pooled_i)
         va = model.tokenizer.forward(percept.audio_feats)[np.tile(np.arange(2), 2)]
         singles = [orig(assemble_prompt(context, va, pos)).data
                    for pos in range(1, 6)]
         assert np.abs(dec.conditions.data - np.mean(singles, axis=0)).max() <= 1e-6
+        assert np.array_equal(dec.conditions.data, ensemble_slice_sum(model, pooled_i, va).data)
+
+    @pytest.mark.parametrize("context_length", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ensemble_sum_is_bit_equal_to_the_slice_chain(self, dtype, context_length):
+        """The conditions and the gradients of every meta-net and tokenizer
+        parameter equal those of adding the M + 1 slices one by one."""
+        model = SoundLocalizer(EncoderConfig(), PromptConfig(
+            context_length=context_length, fusion_mode="ensemble"), seed=9, dtype=dtype)
+        model.apply_freezing()
+        percept = model.perceive(*self._batch(3, seed=62))
+        pooled_i = percept.pooled[np.repeat(np.arange(3), 3)]
+        w = ad.constant(np.random.default_rng(63).standard_normal((9, 64)).astype(dtype))
+        params = {k: t for k, t in model.prompt_parameters().items()
+                  if k.startswith(("meta_net.", "tokenizer."))}
+        results = []
+        for embed in (model.prompt_embeddings, lambda p, a: ensemble_slice_sum(model, p, a)):
+            for t in params.values():
+                t.zero_grad()
+            va = model.tokenizer.forward(percept.audio_feats)[np.tile(np.arange(3), 3)]
+            cond = embed(pooled_i, va)
+            ad.backward((cond * w).sum())
+            results.append([cond.data] + [params[k].grad for k in sorted(params)])
+        assert len(results[0]) == 1 + 12
+        for got, want in zip(*results):
+            assert got.dtype == dtype and np.array_equal(got, want)

@@ -300,6 +300,18 @@ class TestTraining:
         assert meta and all(np.array_equal(saved[k], init[k].data) for k in meta)
         assert not np.array_equal(saved["decoder.head_w"], init["decoder.head_w"].data)
 
+    @pytest.mark.parametrize("snr_db", synth.SNR_DB_RANGE)
+    def test_trains_finite_at_the_snr_edges(self, tmp_path, snr_db):
+        """float32 training at either end of the accepted range keeps every
+        step's loss, the probe loss and the checkpoint finite."""
+        cfg = _tiny_cfg(tmp_path, train_samples=24, batch_size=8)
+        cfg.generator = dataclasses.replace(cfg.generator, snr_db=snr_db)
+        assert cfg.dtype == "float32"
+        _, log = train(cfg)
+        assert log.steps and all(math.isfinite(e["total"]) for e in log.steps)
+        assert math.isfinite(log.final_loss)
+        assert all(np.isfinite(a).all() for a in load_checkpoint(tmp_path / "model.splt").values())
+
     def test_trainlog_records_run_metadata(self, tiny_run):
         _, _, log, out = tiny_run
         run = json.loads((out / "trainlog.json").read_text())["run"]
@@ -778,7 +790,9 @@ class TestCli:
                                   ("optimizer", "beta2", -0.5),
                                   ("optimizer", "eps", 0.0),
                                   ("optimizer", "lr", math.inf),
-                                  ("loss", "temperature", math.nan)):
+                                  ("loss", "temperature", math.nan),
+                                  ("generator", "snr_db", synth.SNR_DB_RANGE[0] - 0.5),
+                                  ("generator", "snr_db", synth.SNR_DB_RANGE[1] + 0.5)):
             d = RunConfig().to_dict()
             (d if block is None else d[block])[key] = value
             bad.write_text(json.dumps(d))
@@ -909,6 +923,18 @@ class TestCli:
         garbled = tmp_path / "config.json"
         garbled.write_text("{not json")
         assert main(["train", "--config", str(garbled)]) == 3
+        capsys.readouterr()
+        # A config that is not UTF-8, for every subcommand that loads one.
+        garbled.write_bytes(b"\xff" + json.dumps(RunConfig().to_dict()).encode())
+        for argv in (["train"], ["ablate", "--dimension", "epochs", "--values", "0"],
+                     ["gen-data", "--out", str(tmp_path / "data")],
+                     ["eval", "--ckpt", str(tmp_path / "model.splt"), "--benchmark", "heard"],
+                     ["render", "--ckpt", str(tmp_path / "model.splt"),
+                      "--out", str(tmp_path / "maps")]):
+            assert main(argv + ["--config", str(garbled)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("i/o error: ") and err.count("\n") == 1, err
+            assert "utf-8" in err
         assert main(["eval", "--ckpt", str(tmp_path / "missing.splt"),
                      "--config", str(tmp_path / "nowhere.json"),
                      "--benchmark", "s4-analog"]) == 3
