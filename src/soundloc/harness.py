@@ -38,7 +38,7 @@ from .losses import LossWeights, area_regularization, infonce_symmetric, total_l
 from .model import SoundLocalizer
 from .optim import Adam
 from .prompting import BOTTLENECK_RATIO, PromptConfig
-from .synth import GeneratorConfig, SceneSample
+from .synth import PREDICT_CHUNK, GeneratorConfig, SceneSample
 
 # benchmark name (CLI / report) -> scene generator mode
 BENCHMARKS = {
@@ -51,7 +51,6 @@ BENCHMARKS = {
 
 # Validation scenes scored after each epoch (the first ones of the split).
 VALIDATION_SCENES = 32
-PREDICT_CHUNK = 32   # scenes per predict_masks call when scoring
 
 REPORT_COLUMNS = ("benchmark", "ciou", "auc", "miou", "fscore", "ap", "max_f1", "loc_acc")
 
@@ -217,12 +216,14 @@ def _fits(value, hint) -> bool:
 
 
 def run_metadata() -> dict:
-    """numpy, its BLAS ("?" before numpy 1.26), BLAS and block threads, memory retention."""
+    """numpy, its BLAS ("?" before numpy 1.26), BLAS and block threads, scene
+    processes, memory retention."""
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     return {"numpy": np.__version__, "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
             "blas_threads": {v: os.environ.get(v) for v in
                              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
             "block_threads": ad.block_threads(),
+            "synth_processes": synth.scene_processes(),
             "freed_memory_kept": ad.FREED_MEMORY_KEPT}
 
 

@@ -9,12 +9,22 @@ Benchmarks are emulated as modes: single-source (``train``/``s4``),
 multi-source (``ms3``), a negatives-heavy ``extended`` mix (matched /
 mismatched-audio / silent), and the open-set ``heard``/``unheard`` class
 splits.
+
+``make_batch`` splits the scenes of each chunk between the calling process
+and, when it has more than one CPU, a forked worker, so a batch's bytes do not
+depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import functools
 import json
+import os
+import pickle
+import signal
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audiofeat, formats
+from . import autodiff as ad
 from .autodiff import ContractViolation
 
 MODES = ("train", "s4", "ms3", "extended", "heard", "unheard")
@@ -43,6 +54,9 @@ OVERLAP_LIMIT = 0.3
 # The generator's snr_db bounds, inside the band where a small float32 run
 # was measured finite (-350 to 3080 dB; it failed at -400 and 3090 dB).
 SNR_DB_RANGE = (-100.0, 300.0)
+# Scenes per chunk: per worker request, per ``SceneStream`` make_batch call and
+# per ``predict_masks`` call when scoring.
+PREDICT_CHUNK = 32
 
 
 class SceneSpecError(ContractViolation):
@@ -349,24 +363,214 @@ def _batch_plan(cfg: GeneratorConfig, batch_size: int,
 def make_batch(cfg: GeneratorConfig, batch_size: int, mode: str, base_seed: int,
                start: int = 0, total: int | None = None) -> list[SceneSample]:
     """Generate ``batch_size`` scenes for one benchmark mode: scenes ``start``,
-    ``start + 1``, ... of a ``total``-scene batch (by default this batch)."""
+    ``start + 1``, ... of a ``total``-scene batch (by default this batch).
+
+    Each chunk of ``PREDICT_CHUNK`` scenes is split between this process and
+    its worker (see ``_split``); every scene comes from its own seed, so the
+    scenes do not depend on who makes them."""
     pool, kinds = _batch_plan(cfg, batch_size if total is None else total, mode)
+    if not 0 <= start <= len(kinds) - batch_size:
+        raise ContractViolation(
+            f"scenes {start} to {start + batch_size - 1} lie outside a batch of {len(kinds)}")
     samples = []
-    for i in range(start, start + batch_size):
+    for lo in range(start, start + batch_size, PREDICT_CHUNK):
+        samples += _split(cfg, mode, base_seed, pool, lo,
+                          kinds[lo:min(lo + PREDICT_CHUNK, start + batch_size)])
+    return samples
+
+
+def _make_scenes(cfg: GeneratorConfig, mode: str, base_seed: int, pool: list[int],
+                 first: int, kinds: list[str]) -> list[SceneSample]:
+    """Scenes ``first``, ``first + 1``, ... of a batch, one of each of ``kinds``."""
+    samples = []
+    for i, kind in enumerate(kinds, first):
         seed = _sample_seed(base_seed, mode, i)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        spec = _build_spec(rng, cfg, mode, seed, kinds[i], pool)
+        spec = _build_spec(rng, cfg, mode, seed, kind, pool)
         samples.append(generate_scene(spec, cfg))
     return samples
 
 
-class SceneStream:
-    """``make_batch``'s scenes, each made when the iteration reaches it, so only
-    those the caller keeps stay alive; the contract is checked at construction.
+# -- the worker process --------------------------------------------------------
+#
+# Synthesis is Python around short numpy calls, so it holds the GIL and threads
+# do not speed it up; a second process does.  The worker is forked at the first
+# split, which costs no import and shares the parent's pages copy-on-write, and
+# serves the rest of the process.  A program forks it before the block pool's
+# threads exist (training's first call is make_batch, and an evaluation makes
+# its first chunk before it predicts); a worker forked again later, after an
+# error, runs only synthesis, which touches none of the pool's state.
 
-    ``len`` is the batch size and each scene comes from a one-scene
-    ``make_batch`` call: perfbench's tracer counts scenes with ``len`` and
-    times synthesis by wrapping ``make_batch``, so it sees a stream as a list."""
+# One worker when the affinity mask holds more than one CPU and fork exists:
+# two processes is the configuration that was measured (2 vCPUs), and each
+# further worker would add ~22 MiB of PSS that a parent's peak RSS does not
+# show.  A chunk of two or more scenes is split: on 2 vCPUs two scenes took
+# 1.91 ms split and 2.21 ms inline (medians of 15 rounds, split faster in 12).
+_WORKERS = min(1, ad._WORKERS) if hasattr(os, "fork") else 0
+
+
+class _Worker:
+    """A forked process that makes the scenes it is sent and sends them back.
+
+    Requests and replies are pickles on two pipes, one reply per request: the
+    scenes, or ``None`` when making them raised (the parent then makes them
+    itself and raises inline synthesis's error).  A worker that a pipe fails
+    on is ended, and its share made inline."""
+
+    def __init__(self):
+        """Fork the process; OSError if it cannot be forked."""
+        req_r, req_w = os.pipe()
+        rep_r, rep_w = os.pipe()
+        # The child keeps SIGINT blocked for life, so a Ctrl-C meant for the
+        # caller leaves it running; the parent unblocks once it holds the
+        # worker, so a Ctrl-C cannot strand it.
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (req_r, req_w, rep_r, rep_w):
+                    os.close(fd)
+                raise
+            if pid == 0:
+                try:
+                    os.close(req_w)
+                    os.close(rep_r)
+                    _serve(os.fdopen(req_r, "rb"), os.fdopen(rep_w, "wb"))
+                finally:
+                    os._exit(0)
+            os.close(req_r)
+            os.close(rep_w)
+            self.pid: int | None = pid
+            self.requests = os.fdopen(req_w, "wb")
+            self.replies = os.fdopen(rep_r, "rb")
+        finally:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+    def post(self, request: tuple) -> bool:
+        """Send ``_make_scenes``'s arguments; False if the worker is gone."""
+        try:
+            pickle.dump(request, self.requests, pickle.HIGHEST_PROTOCOL)
+            self.requests.flush()
+        except OSError:
+            self.close()
+            return False
+        return True
+
+    def reply(self) -> list[SceneSample] | None:
+        """The scenes of the posted request; None if they failed or the worker is gone."""
+        try:
+            return pickle.load(self.replies)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            self.close()
+            return None
+
+    def close(self) -> None:
+        """End the process and reap it; a no-op once done."""
+        if self.pid is None:
+            return
+        self.release()
+        with contextlib.suppress(ProcessLookupError, ChildProcessError):
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        self.pid = None
+
+    def release(self) -> None:
+        """Close this process's ends of the pipes."""
+        for f in (self.requests, self.replies):
+            with contextlib.suppress(OSError):
+                f.close()
+
+
+def _serve(requests, replies) -> None:
+    """A worker's loop; it returns when the parent's end of ``requests`` closes."""
+    while True:
+        try:
+            request = pickle.load(requests)
+        except EOFError:
+            return
+        try:
+            scenes = _make_scenes(*request)
+        except Exception:
+            scenes = None
+        pickle.dump(scenes, replies, pickle.HIGHEST_PROTOCOL)
+        replies.flush()
+
+
+_worker: _Worker | None = None
+_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    """In a forked child: the parent's worker is not the child's to use."""
+    global _worker, _lock
+    if _worker is not None:
+        _worker.release()
+    _worker, _lock = None, threading.Lock()
+
+
+def _close_worker() -> None:
+    """End and reap the worker: at exit, and after a split that raised."""
+    global _worker
+    if _worker is not None:
+        _worker.close()
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+atexit.register(_close_worker)
+
+
+def _split(cfg: GeneratorConfig, mode: str, base_seed: int, pool: list[int],
+           first: int, kinds: list[str]) -> list[SceneSample]:
+    """A chunk's scenes: the worker makes the back half while this process
+    makes the front half (the larger: the worker's pays for the pipe).  A back
+    half the worker did not send, because it raised or the worker is gone, is
+    made here after the front, so the first error raised is the one inline
+    synthesis would raise.  Inline without a worker, for one scene, or on a
+    second thread while a split is running."""
+    global _worker, _WORKERS
+    args = (cfg, mode, base_seed, pool)
+    n = len(kinds)
+    if not _WORKERS or n < 2 or not _lock.acquire(blocking=False):
+        return _make_scenes(*args, first, kinds)
+    try:
+        if _worker is None or _worker.pid is None:
+            try:
+                _worker = _Worker()
+            except OSError:     # no fork: every scene inline from now on
+                _WORKERS = 0
+                return _make_scenes(*args, first, kinds)
+        half = n - n // 2
+        back = (*args, first + half, kinds[half:])
+        sent = _worker.post(back)
+        samples = _make_scenes(*args, first, kinds[:half])
+        scenes = _worker.reply() if sent else None
+        return samples + (_make_scenes(*back) if scenes is None else scenes)
+    except BaseException:
+        # A reply may be left unread, or half read, in the pipe: the next call
+        # forks a new worker rather than read it as its own.
+        _close_worker()
+        raise
+    finally:
+        _lock.release()
+
+
+def scene_processes() -> int:
+    """Processes that make a split chunk's scenes: this one and its worker,
+    if it has one (more than one CPU, and fork that has not failed)."""
+    return 1 + _WORKERS
+
+
+class SceneStream:
+    """``make_batch``'s scenes, made a chunk of ``PREDICT_CHUNK`` at a time as
+    the iteration reaches them, so only the current chunk and the scenes the
+    caller keeps stay alive; the contract is checked at construction.
+
+    ``len`` is the batch size and each chunk comes from one ``make_batch``
+    call: perfbench's tracer counts scenes with ``len`` and times synthesis by
+    wrapping ``make_batch``, so it sees a stream as a list."""
 
     def __init__(self, cfg: GeneratorConfig, batch_size: int, mode: str, base_seed: int):
         _batch_plan(cfg, batch_size, mode)
@@ -377,7 +581,8 @@ class SceneStream:
 
     def __iter__(self) -> Iterator[SceneSample]:
         cfg, n, mode, base_seed = self._batch
-        return (make_batch(cfg, 1, mode, base_seed, i, n)[0] for i in range(n))
+        for lo in range(0, n, PREDICT_CHUNK):
+            yield from make_batch(cfg, min(PREDICT_CHUNK, n - lo), mode, base_seed, lo, n)
 
 
 def dump_dataset(samples: Iterable[SceneSample], out_dir: str | Path) -> Path:

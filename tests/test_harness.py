@@ -317,13 +317,15 @@ class TestTraining:
         run = json.loads((out / "trainlog.json").read_text())["run"]
         assert run == log.run
         assert set(run) == {"numpy", "blas", "blas_threads", "block_threads",
-                            "freed_memory_kept"}
+                            "synth_processes", "freed_memory_kept"}
         assert run["numpy"] == np.__version__
         assert run["blas"] and isinstance(run["blas"], str)
         assert run["blas_threads"] == {v: os.environ.get(v) for v in
                                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                         "MKL_NUM_THREADS")}
         assert run["block_threads"] == ad.block_threads() >= 1
+        assert run["synth_processes"] == synth.scene_processes() == \
+            (1 + min(1, ad._WORKERS) if hasattr(os, "fork") else 1)
         assert run["freed_memory_kept"] is ad.FREED_MEMORY_KEPT
 
     @pytest.mark.parametrize("mallopt", [True, False])
@@ -572,26 +574,32 @@ class TestDeterminism:
     @pytest.mark.skipif(_CPUS < 2, reason="needs two CPUs to compare with one")
     def test_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
         """Criterion 9's run on every CPU here, and in a process pinned to one
-        CPU before it imports soundloc (so its primitives run inline)."""
+        CPU before it imports soundloc (so its primitives run inline and it
+        makes every scene itself), scored on each benchmark of perfbench's
+        suite: 40 scenes each, a split chunk of 32 and one of 8."""
+        suite = ("s4-analog", "ms3-analog", "extended-analog", "heard")
         child = (
             "import os, sys\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "from soundloc import autodiff as ad, harness\n"
-            "assert ad.block_threads() == 1\n"
-            "cfg = harness.RunConfig(epochs=1, train_samples=48, eval_samples=8,\n"
+            "from soundloc import autodiff as ad, harness, synth\n"
+            "assert ad.block_threads() == synth.scene_processes() == 1\n"
+            "cfg = harness.RunConfig(epochs=1, train_samples=48, eval_samples=40,\n"
             "                        warmup_epochs=1, out_dir=sys.argv[1])\n"
             "model, _ = harness.train(cfg)\n"
-            "harness.evaluate(model, cfg, 's4-analog', out_dir=sys.argv[1])\n")
+            f"for bench in {suite!r}:\n"
+            "    harness.evaluate(model, cfg, bench, out_dir=sys.argv[1])\n")
         _run_python(child, str(tmp_path / "one"))
 
-        assert ad.block_threads() > 1
-        cfg = RunConfig(epochs=1, train_samples=48, eval_samples=8, warmup_epochs=1,
+        assert ad.block_threads() > 1 and synth.scene_processes() > 1
+        cfg = RunConfig(epochs=1, train_samples=48, eval_samples=40, warmup_epochs=1,
                         out_dir=str(tmp_path / "all"))
         model, _ = train(cfg)
-        evaluate(model, cfg, "s4-analog", out_dir=tmp_path / "all")
-        for name in ("model.splt", "report_s4-analog.csv", "report_s4-analog.json"):
+        for bench in suite:
+            evaluate(model, cfg, bench, out_dir=tmp_path / "all")
+        names = ["model.splt"] + [f"report_{b}.{ext}" for b in suite for ext in ("csv", "json")]
+        for name in names:
             assert (tmp_path / "one" / name).read_bytes() == \
-                (tmp_path / "all" / name).read_bytes()
+                (tmp_path / "all" / name).read_bytes(), name
 
 
 class TestAblate:

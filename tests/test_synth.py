@@ -8,7 +8,16 @@ linear readout of the filterbank features cannot identify the sounding
 class, no trained model result downstream means anything.
 """
 
+import hashlib
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -448,6 +457,7 @@ class TestByteIdentity:
         cfg = GeneratorConfig(image_size=image_size, train_class_count=5)
         got = make_batch(cfg, 24, mode, base_seed=image_size + 1)
         with monkeypatch.context() as m:
+            m.setattr(synth, "_WORKERS", 0)     # every scene from the expressions here
             m.setattr(synth, "_disc_mask", _disc_mask_uncached)
             m.setattr(synth, "_paint_disc", _paint_disc_uncached)
             m.setattr(synth, "_synthesize_audio", _synthesize_audio_uncached)
@@ -505,3 +515,290 @@ class TestCachesDoNotLeak:
         for batch, wanted in zip(again, want, strict=True):
             for s, w in zip(batch, wanted, strict=True):
                 assert {n: getattr(s, n).tobytes() for n in SCENE_ARRAYS} == w
+
+
+# -- scenes made by worker processes -------------------------------------------
+
+_SPLITS = synth._WORKERS > 0
+_LINUX_PROC = Path("/proc/self/stat").is_file()
+
+
+def _inline_batch(monkeypatch, *args, **kwargs):
+    """``make_batch`` with every scene made in this process."""
+    with monkeypatch.context() as m:
+        m.setattr(synth, "_WORKERS", 0)
+        return make_batch(*args, **kwargs)
+
+
+def _failing_at(monkeypatch, base_seed, mode, indices):
+    """Make scenes ``indices`` of a batch raise a placement error naming them.
+    A worker forked afterwards inherits the patch."""
+    seeds = {synth._sample_seed(base_seed, mode, i): i for i in indices}
+    build = synth._build_spec
+
+    def build_spec(rng, cfg, mode, seed, kind, pool):
+        if seed in seeds:
+            raise SceneSpecError(f"could not place the objects of scene {seeds[seed]}")
+        return build(rng, cfg, mode, seed, kind, pool)
+
+    monkeypatch.setattr(synth, "_build_spec", build_spec)
+
+
+def _error_of(call):
+    with pytest.raises(BaseException) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def _scene_digest(scenes):
+    h = hashlib.sha256()
+    for s in scenes:
+        for name in SCENE_ARRAYS:
+            h.update(getattr(s, name).tobytes())
+        h.update(repr((s.flags, s.class_ids, s.audible_ids, s.seed)).encode())
+    return h.hexdigest()
+
+
+def _python(code, *args, **popen):
+    """A new Python process running ``code`` on this source tree."""
+    src = str(Path(synth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.Popen([sys.executable, "-c", code, *args], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen)
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process; an exited one waiting to be reaped is not."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _gone_within(pid, seconds):
+    deadline = time.monotonic() + seconds
+    while _running(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+@pytest.fixture
+def fresh_worker():
+    """A worker forked after the test's patches, and ended after the test."""
+    synth._close_worker()
+    yield
+    synth._close_worker()
+
+
+class TestWorkers:
+    """Inline with one CPU (the CI step pinned to one CPU runs these too)."""
+    CFG = GeneratorConfig(train_class_count=5)
+
+    @pytest.mark.parametrize("mode", synth.MODES)
+    def test_split_equals_inline(self, mode, monkeypatch):
+        """Two full chunks and one of 7 scenes, from an offset, and batches
+        of 1 to 5 scenes: the scenes are the inline scenes."""
+        for count, start, total in ((71, 9, 90), (1, 0, 1), (2, 3, 5), (3, 0, 3), (5, 1, 9)):
+            got = make_batch(self.CFG, count, mode, 21, start, total)
+            _assert_same_scenes(got, _inline_batch(monkeypatch, self.CFG, count, mode, 21,
+                                                   start, total))
+        assert (synth._worker is not None) == (synth._WORKERS == 1)
+
+    def test_scenes_outside_the_batch_are_refused(self):
+        for start, count in ((-1, 2), (12, 2), (14, 1)):
+            with pytest.raises(ContractViolation, match="outside a batch of 13"):
+                make_batch(self.CFG, count, "s4", 0, start, 13)
+
+    @pytest.mark.parametrize("failing,lowest", [
+        ((7,), 7),          # only the worker's half (scenes 4 to 7) fails
+        ((1,), 1),          # only this process's half fails
+        ((1, 7), 1),        # both fail: the lowest index's error
+    ])
+    def test_error_is_inlines(self, monkeypatch, fresh_worker, failing, lowest):
+        """The call raises the error inline synthesis raises, and the next
+        calls' scenes are inline's: no reply from the failed call reaches them."""
+        _failing_at(monkeypatch, 3, "s4", failing)
+        want = _error_of(lambda: _inline_batch(monkeypatch, self.CFG, 8, "s4", 3))
+        assert want == (SceneSpecError, f"could not place the objects of scene {lowest}")
+        assert _error_of(lambda: make_batch(self.CFG, 8, "s4", 3)) == want
+        for mode, seed in (("ms3", 4), ("heard", 5)):
+            _assert_same_scenes(make_batch(self.CFG, 8, mode, seed),
+                                _inline_batch(monkeypatch, self.CFG, 8, mode, seed))
+
+    def test_interrupt_leaves_no_stale_reply(self, monkeypatch):
+        """A KeyboardInterrupt in this process's scenes leaves the worker's
+        reply unread; the next calls get their own scenes."""
+        make_batch(self.CFG, 4, "s4", 5)
+        build = synth._build_spec
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(synth, "_build_spec", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            make_batch(self.CFG, 8, "s4", 5)
+        monkeypatch.setattr(synth, "_build_spec", build)
+        for mode, seed in (("heard", 6), ("ms3", 7)):
+            _assert_same_scenes(make_batch(self.CFG, 8, mode, seed),
+                                _inline_batch(monkeypatch, self.CFG, 8, mode, seed))
+
+    @pytest.mark.skipif(not _SPLITS, reason="needs a worker")
+    def test_worker_ignores_sigint(self, monkeypatch):
+        """A Ctrl-C reaches the whole process group; a caller that goes on
+        keeps its worker."""
+        make_batch(self.CFG, 4, "s4", 5)
+        pid = synth._worker.pid
+        os.kill(pid, signal.SIGINT)
+        time.sleep(0.2)
+        _assert_same_scenes(make_batch(self.CFG, 8, "s4", 9),
+                            _inline_batch(monkeypatch, self.CFG, 8, "s4", 9))
+        assert synth._worker.pid == pid
+
+    @pytest.mark.skipif(not _SPLITS, reason="needs a worker")
+    @pytest.mark.parametrize("when", ["between calls", "mid-call"])
+    def test_killed_worker(self, monkeypatch, fresh_worker, when):
+        """A worker killed between calls (the request cannot be sent) or
+        while it makes its scenes (the reply never comes): the call makes
+        those scenes here, without hanging, and the next forks a new worker."""
+        build = synth._build_spec
+        if when == "between calls":
+            make_batch(self.CFG, 4, "s4", 5)
+            pid = synth._worker.pid
+            os.kill(pid, signal.SIGKILL)
+            assert _gone_within(pid, 5)
+        else:
+            parent = os.getpid()
+
+            def build_spec(*args):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return build(*args)
+
+            monkeypatch.setattr(synth, "_build_spec", build_spec)
+        got = []
+        call = threading.Thread(target=lambda: got.append(make_batch(self.CFG, 8, "ms3", 7)))
+        call.start()
+        call.join(timeout=30)
+        assert not call.is_alive() and len(got) == 1
+        monkeypatch.setattr(synth, "_build_spec", build)
+        assert synth._worker.pid is None
+        _assert_same_scenes(got[0], _inline_batch(monkeypatch, self.CFG, 8, "ms3", 7))
+        _assert_same_scenes(make_batch(self.CFG, 8, "ms3", 8),
+                            _inline_batch(monkeypatch, self.CFG, 8, "ms3", 8))
+        assert _running(synth._worker.pid)
+
+    @pytest.mark.skipif(not _SPLITS, reason="needs a worker")
+    def test_failed_fork_makes_every_scene_here(self, monkeypatch, fresh_worker):
+        """A fork that fails turns the split off: the scenes are inline's and
+        the process reports one scene process."""
+        monkeypatch.setattr(synth, "_WORKERS", synth._WORKERS)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _assert_same_scenes(make_batch(self.CFG, 8, "ms3", 11),
+                            _inline_batch(monkeypatch, self.CFG, 8, "ms3", 11))
+        assert synth._worker is None and synth.scene_processes() == 1
+
+    @pytest.mark.skipif(not _SPLITS, reason="needs a worker")
+    def test_forked_child_forks_its_own_worker(self, monkeypatch):
+        """A process forked from one with a worker does not use that worker;
+        both get their own scenes."""
+        make_batch(self.CFG, 4, "s4", 5)
+        pid = synth._worker.pid
+        want = _scene_digest(_inline_batch(monkeypatch, self.CFG, 8, "ms3", 10))
+        r, w = os.pipe()
+        child = os.fork()
+        if child == 0:
+            try:
+                ok = synth._worker is None and \
+                    _scene_digest(make_batch(self.CFG, 8, "ms3", 10)) == want and \
+                    synth._worker.pid not in (None, pid)
+                synth._close_worker()
+                os.write(w, b"1" if ok else b"0")
+            finally:
+                os._exit(0)
+        os.close(w)
+        with os.fdopen(r, "rb") as result:
+            assert select.select([result], [], [], 60)[0] and result.read() == b"1"
+        os.waitpid(child, 0)
+        assert _scene_digest(make_batch(self.CFG, 8, "ms3", 10)) == want
+        assert synth._worker.pid == pid
+
+    @pytest.mark.skipif(not _SPLITS, reason="needs two CPUs to compare with one")
+    def test_scenes_do_not_depend_on_the_cpu_count(self):
+        """13 scenes from an offset in a batch of 33, split here and made in a
+        process pinned to one CPU before it imports soundloc."""
+        child = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from soundloc import synth\n"
+            "from test_synth import _scene_digest\n"
+            "assert synth.scene_processes() == 1\n"
+            "cfg = synth.GeneratorConfig(train_class_count=5)\n"
+            "for mode in synth.MODES:\n"
+            "    print(_scene_digest(synth.make_batch(cfg, 13, mode, 22, 17, 33)))\n")
+        proc = _python(child, str(Path(__file__).parent))
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert synth.scene_processes() > 1
+        assert out.split() == [_scene_digest(make_batch(self.CFG, 13, mode, 22, 17, 33))
+                               for mode in synth.MODES]
+
+
+@pytest.mark.skipif(not (_SPLITS and _LINUX_PROC), reason="needs a worker and /proc")
+class TestNoOrphanWorker:
+    """A process's worker ends with it, however it ends."""
+    CHILD = (
+        "import sys, time\n"
+        "from soundloc import synth\n"
+        "cfg = synth.GeneratorConfig()\n"
+        "synth.make_batch(cfg, 4, 's4', 0)\n"
+        "print(synth._worker.pid, flush=True)\n"
+        "if sys.argv[1] == 'sleep':\n"
+        "    time.sleep(120)\n"
+        "elif sys.argv[1] == 'loop':\n"
+        "    try:\n"
+        "        while True:\n"
+        "            synth.make_batch(cfg, 32, 'ms3', 1)\n"
+        "    except KeyboardInterrupt:\n"
+        "        print('interrupted', flush=True)\n")
+
+    def test_normal_exit(self):
+        """The interpreter's exit ends and reaps the worker."""
+        proc = _python(self.CHILD, "exit")
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert not Path(f"/proc/{int(out.split()[0])}").exists()
+
+    def test_killed(self):
+        proc = _python(self.CHILD, "sleep")
+        try:
+            pid = int(proc.stdout.readline())
+            assert _running(pid)
+            proc.kill()
+            proc.wait(timeout=30)
+            assert _gone_within(pid, 5)
+        finally:
+            proc.kill()
+            proc.communicate()
+
+    def test_sigint_to_the_process_group(self):
+        proc = _python(self.CHILD, "loop", start_new_session=True)
+        try:
+            pid = int(proc.stdout.readline())
+            time.sleep(0.5)
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0, err
+        assert out.split() == ["interrupted"]
+        assert "Traceback" not in err, err
+        assert _gone_within(pid, 5)
