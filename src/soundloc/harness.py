@@ -10,6 +10,11 @@ Training is fully deterministic under a fixed seed: data generation,
 splits, batch order, and parameter init all derive from it, and
 parameters are snapped to float32 values before the final loss is logged
 so a reloaded checkpoint reproduces that loss bit-for-bit.
+
+Evaluation scores a chunk of ``PREDICT_CHUNK`` scenes at a time.  Given a
+``synth.SceneStream`` of several chunks, this process makes and scores the
+even chunks while ``synth``'s scene worker makes and scores the odd ones (see
+``predict_eval_samples``); the rows do not depend on who scored them.
 """
 
 from __future__ import annotations
@@ -491,15 +496,67 @@ def benchmark_scenes(cfg: RunConfig, benchmark: str) -> list[SceneSample]:
     return list(benchmark_stream(cfg, benchmark))
 
 
+def _score_chunk(model: SoundLocalizer, scenes: list[SceneSample]
+                 ) -> tuple[np.ndarray, list[tuple]]:
+    """What ``EvalSample`` needs of a chunk's scenes: their predicted masks, in
+    the model's dtype, and each scene's ``(gt_mask, flags, gt_box_mask)``."""
+    return (model.predict_masks(*stack_batch(scenes)),
+            [(s.gt_mask, s.flags, s.gt_box_mask) for s in scenes])
+
+
+# Tags the model a predict_eval_samples call ships to the scene worker.
+_calls = itertools.count()
+# In the scene worker: the last model shipped to it, with its call's tag.
+_shipped: tuple[int, SoundLocalizer] | None = None
+
+
+def _score_shipped(tag: int, shipment: tuple | None, stream: synth.SceneStream,
+                   k: int) -> tuple[np.ndarray, list[tuple]]:
+    """The scene worker's share of a ``predict_eval_samples`` call: chunk ``k``
+    of ``stream``, made and scored with the model of call ``tag``, whose
+    ``_shipment`` comes with the call's first request."""
+    global _shipped
+    if shipment is not None:
+        enc_cfg, prompt_cfg, dtype, state = shipment
+        rebuilt = SoundLocalizer(enc_cfg, prompt_cfg, dtype=dtype)
+        rebuilt.load_state(state)
+        _shipped = (tag, rebuilt)
+    if _shipped is None or _shipped[0] != tag:
+        raise ContractViolation(f"the scene worker holds no model of call {tag}")
+    return _score_chunk(_shipped[1], stream.chunk(k))
+
+
+def _shipment(model: SoundLocalizer) -> tuple:
+    """What the scene worker rebuilds ``model`` from."""
+    return (model.enc_cfg, model.prompt_cfg, model.dtype,
+            {name: p.data for name, p in model.parameters().items()})
+
+
 def predict_eval_samples(model: SoundLocalizer, scenes: Iterable[SceneSample]
                          ) -> list[metrics.EvalSample]:
+    """Score ``scenes`` a chunk of ``PREDICT_CHUNK`` at a time.
+
+    A ``SceneStream`` scored by a ``SoundLocalizer`` has its chunks shared
+    with the scene worker (``synth.alternate``): the worker rebuilds the model
+    from its parameters, shipped once per call, and makes and scores the odd
+    chunks while this process makes and scores the even ones.  Any other
+    iterable, or model (the worker would rebuild it as a plain
+    ``SoundLocalizer``), is scored here."""
+    if isinstance(scenes, synth.SceneStream) and type(model) is SoundLocalizer:
+        tag = next(_calls)
+        chunks = synth.alternate(
+            scenes.chunks, lambda k: _score_chunk(model, scenes.chunk(k)),
+            lambda k, first: (_score_shipped, tag, _shipment(model) if first else None,
+                              scenes, k))
+    else:
+        scenes = iter(scenes)
+        parts = iter(lambda: list(itertools.islice(scenes, PREDICT_CHUNK)), [])
+        chunks = (_score_chunk(model, part) for part in parts)
     out = []
-    scenes = iter(scenes)
-    while part := list(itertools.islice(scenes, PREDICT_CHUNK)):
-        for s, pred in zip(part, model.predict_masks(*stack_batch(part))):
-            out.append(metrics.EvalSample(
-                pred_mask=pred.astype(np.float64), gt_mask=s.gt_mask,
-                flags=s.flags, gt_box_mask=s.gt_box_mask))
+    for preds, truths in chunks:
+        out += [metrics.EvalSample(pred_mask=pred.astype(np.float64), gt_mask=gt,
+                                   flags=flags, gt_box_mask=box)
+                for pred, (gt, flags, box) in zip(preds, truths)]
     return out
 
 

@@ -10,8 +10,10 @@ multi-source (``ms3``), a negatives-heavy ``extended`` mix (matched /
 mismatched-audio / silent), and the open-set ``heard``/``unheard`` class
 splits.
 
-``make_batch`` splits the scenes of each chunk between the calling process
-and, when it has more than one CPU, a forked worker, so a batch's bytes do not
+When the process has more than one CPU, a forked worker shares the work
+(see ``alternate``): ``make_batch`` splits each chunk of scenes with it, and
+``harness.predict_eval_samples`` has it make and score every other chunk of a
+``SceneStream``.  Every scene comes from its own seed, so the bytes do not
 depend on the CPU count.
 """
 
@@ -25,7 +27,7 @@ import os
 import pickle
 import signal
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,8 +56,8 @@ OVERLAP_LIMIT = 0.3
 # The generator's snr_db bounds, inside the band where a small float32 run
 # was measured finite (-350 to 3080 dB; it failed at -400 and 3090 dB).
 SNR_DB_RANGE = (-100.0, 300.0)
-# Scenes per chunk: per worker request, per ``SceneStream`` make_batch call and
-# per ``predict_masks`` call when scoring.
+# Scenes per chunk: per ``make_batch`` split, per ``SceneStream`` chunk and per
+# ``predict_masks`` call when scoring.
 PREDICT_CHUNK = 32
 
 
@@ -395,27 +397,30 @@ def _make_scenes(cfg: GeneratorConfig, mode: str, base_seed: int, pool: list[int
 #
 # Synthesis is Python around short numpy calls, so it holds the GIL and threads
 # do not speed it up; a second process does.  The worker is forked at the first
-# split, which costs no import and shares the parent's pages copy-on-write, and
-# serves the rest of the process.  A program forks it before the block pool's
-# threads exist (training's first call is make_batch, and an evaluation makes
-# its first chunk before it predicts); a worker forked again later, after an
-# error, runs only synthesis, which touches none of the pool's state.
+# call of ``alternate`` that needs it, which costs no import and shares the
+# parent's pages copy-on-write, and serves the rest of the process.  It makes
+# scenes for ``make_batch`` and makes and scores whole chunks for
+# ``harness.predict_eval_samples``, all inline: a forked child has no block pool
+# (see ``autodiff``), which changes no byte.  After an error it is forked again,
+# possibly once the block pool's threads exist: only from the thread that calls
+# ``alternate``, between operations, and the child never touches the pool.
 
 # One worker when the affinity mask holds more than one CPU and fork exists:
 # two processes is the configuration that was measured (2 vCPUs), and each
-# further worker would add ~22 MiB of PSS that a parent's peak RSS does not
-# show.  A chunk of two or more scenes is split: on 2 vCPUs two scenes took
-# 1.91 ms split and 2.21 ms inline (medians of 15 rounds, split faster in 12).
+# further worker would add ~35 MiB of PSS (measured in an evaluation) that a
+# parent's peak RSS does not show.  A chunk of two or more scenes is split: on
+# 2 vCPUs two scenes took 1.91 ms split and 2.21 ms inline (medians of 15
+# rounds, split faster in 12).
 _WORKERS = min(1, ad._WORKERS) if hasattr(os, "fork") else 0
 
 
 class _Worker:
-    """A forked process that makes the scenes it is sent and sends them back.
+    """A forked process that runs the requests it is sent and sends back the results.
 
     Requests and replies are pickles on two pipes, one reply per request: the
-    scenes, or ``None`` when making them raised (the parent then makes them
-    itself and raises inline synthesis's error).  A worker that a pipe fails
-    on is ended, and its share made inline."""
+    result, or ``None`` when the function raised (the parent then runs it
+    itself and raises its error).  A worker that a pipe fails on is ended,
+    and its share run inline."""
 
     def __init__(self):
         """Fork the process; OSError if it cannot be forked."""
@@ -448,7 +453,9 @@ class _Worker:
             signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
 
     def post(self, request: tuple) -> bool:
-        """Send ``_make_scenes``'s arguments; False if the worker is gone."""
+        """Send a ``(function, *args)`` request; False if the worker is gone."""
+        if self.pid is None:
+            return False
         try:
             pickle.dump(request, self.requests, pickle.HIGHEST_PROTOCOL)
             self.requests.flush()
@@ -457,8 +464,8 @@ class _Worker:
             return False
         return True
 
-    def reply(self) -> list[SceneSample] | None:
-        """The scenes of the posted request; None if they failed or the worker is gone."""
+    def reply(self):
+        """The posted request's result; None if it raised or the worker is gone."""
         try:
             return pickle.load(self.replies)
         except (EOFError, OSError, pickle.UnpicklingError):
@@ -483,17 +490,20 @@ class _Worker:
 
 
 def _serve(requests, replies) -> None:
-    """A worker's loop; it returns when the parent's end of ``requests`` closes."""
+    """A worker's loop; it returns when the parent's end of ``requests`` closes.
+    What it runs, it runs inline: it forks no worker of its own."""
+    global _WORKERS
+    _WORKERS = 0
     while True:
         try:
-            request = pickle.load(requests)
+            function, *args = pickle.load(requests)
         except EOFError:
             return
         try:
-            scenes = _make_scenes(*request)
+            result = function(*args)
         except Exception:
-            scenes = None
-        pickle.dump(scenes, replies, pickle.HIGHEST_PROTOCOL)
+            result = None
+        pickle.dump(result, replies, pickle.HIGHEST_PROTOCOL)
         replies.flush()
 
 
@@ -510,7 +520,7 @@ def _forget_worker() -> None:
 
 
 def _close_worker() -> None:
-    """End and reap the worker: at exit, and after a split that raised."""
+    """End and reap the worker: at exit, and after a call of ``alternate`` that raised."""
     global _worker
     if _worker is not None:
         _worker.close()
@@ -522,43 +532,62 @@ if hasattr(os, "register_at_fork"):
 atexit.register(_close_worker)
 
 
-def _split(cfg: GeneratorConfig, mode: str, base_seed: int, pool: list[int],
-           first: int, kinds: list[str]) -> list[SceneSample]:
-    """A chunk's scenes: the worker makes the back half while this process
-    makes the front half (the larger: the worker's pays for the pipe).  A back
-    half the worker did not send, because it raised or the worker is gone, is
-    made here after the front, so the first error raised is the one inline
-    synthesis would raise.  Inline without a worker, for one scene, or on a
-    second thread while a split is running."""
+def alternate(count: int, here: Callable[[int], object],
+              there: Callable[[int, bool], tuple]) -> Iterator:
+    """``here(0)``, ..., ``here(count - 1)`` in order, the worker computing the
+    odd ones while this process computes the even ones.
+
+    For odd ``k`` the worker runs ``there(k, first)``, a ``(function, *args)``
+    request whose result equals ``here(k)`` and is not None; ``first`` marks
+    the call's first request, so a large argument can travel once.  One
+    request is in flight at a time: a request or a reply can exceed a pipe.
+    An item the worker did not send (its function raised, or the worker is
+    gone) is computed here after the item before it, so the first error is the
+    one computing everything here would raise.  An error, a KeyboardInterrupt
+    or an abandoned iteration ends the worker, so no stale reply reaches a
+    later call.  Everything is computed here without a worker, for fewer than
+    two items, or while another call holds the worker (one nested in ``here``,
+    or on another thread)."""
     global _worker, _WORKERS
-    args = (cfg, mode, base_seed, pool)
-    n = len(kinds)
-    if not _WORKERS or n < 2 or not _lock.acquire(blocking=False):
-        return _make_scenes(*args, first, kinds)
+    if not _WORKERS or count < 2 or not _lock.acquire(blocking=False):
+        yield from map(here, range(count))
+        return
     try:
         if _worker is None or _worker.pid is None:
             try:
                 _worker = _Worker()
-            except OSError:     # no fork: every scene inline from now on
-                _WORKERS = 0
-                return _make_scenes(*args, first, kinds)
-        half = n - n // 2
-        back = (*args, first + half, kinds[half:])
-        sent = _worker.post(back)
-        samples = _make_scenes(*args, first, kinds[:half])
-        scenes = _worker.reply() if sent else None
-        return samples + (_make_scenes(*back) if scenes is None else scenes)
+            except OSError:     # no fork: every item inline from now on
+                _worker, _WORKERS = None, 0
+        first = True
+        for k in range(0, count, 2):
+            sent = k + 1 < count and _worker is not None and _worker.post(there(k + 1, first))
+            first = first and not sent
+            yield here(k)
+            if k + 1 < count:
+                result = _worker.reply() if sent else None
+                yield here(k + 1) if result is None else result
     except BaseException:
-        # A reply may be left unread, or half read, in the pipe: the next call
-        # forks a new worker rather than read it as its own.
         _close_worker()
         raise
     finally:
         _lock.release()
 
 
+def _split(cfg: GeneratorConfig, mode: str, base_seed: int, pool: list[int],
+           first: int, kinds: list[str]) -> list[SceneSample]:
+    """A chunk's scenes: the worker makes the back half while this process
+    makes the front half (the larger: the worker's pays for the pipe), as
+    ``alternate`` shares items; one scene is made here."""
+    half = len(kinds) - len(kinds) // 2
+    halves = [(cfg, mode, base_seed, pool, first, kinds[:half]),
+              (cfg, mode, base_seed, pool, first + half, kinds[half:])]
+    parts = alternate(2 if len(kinds) > 1 else 1, lambda k: _make_scenes(*halves[k]),
+                      lambda k, _: (_make_scenes, *halves[k]))
+    return [s for part in parts for s in part]
+
+
 def scene_processes() -> int:
-    """Processes that make a split chunk's scenes: this one and its worker,
+    """Processes that share ``alternate``'s items: this one and its worker,
     if it has one (more than one CPU, and fork that has not failed)."""
     return 1 + _WORKERS
 
@@ -570,7 +599,8 @@ class SceneStream:
 
     ``len`` is the batch size and each chunk comes from one ``make_batch``
     call: perfbench's tracer counts scenes with ``len`` and times synthesis by
-    wrapping ``make_batch``, so it sees a stream as a list."""
+    wrapping ``make_batch``, so it sees a stream as a list.  A stream pickles
+    to its arguments, so the scene worker can make any of its chunks."""
 
     def __init__(self, cfg: GeneratorConfig, batch_size: int, mode: str, base_seed: int):
         _batch_plan(cfg, batch_size, mode)
@@ -579,10 +609,19 @@ class SceneStream:
     def __len__(self) -> int:
         return self._batch[1]
 
-    def __iter__(self) -> Iterator[SceneSample]:
+    @property
+    def chunks(self) -> int:
+        return -(-self._batch[1] // PREDICT_CHUNK)
+
+    def chunk(self, k: int) -> list[SceneSample]:
+        """Chunk ``k``: up to ``PREDICT_CHUNK`` scenes from scene ``k * PREDICT_CHUNK``."""
         cfg, n, mode, base_seed = self._batch
-        for lo in range(0, n, PREDICT_CHUNK):
-            yield from make_batch(cfg, min(PREDICT_CHUNK, n - lo), mode, base_seed, lo, n)
+        lo = k * PREDICT_CHUNK
+        return make_batch(cfg, min(PREDICT_CHUNK, n - lo), mode, base_seed, lo, n)
+
+    def __iter__(self) -> Iterator[SceneSample]:
+        for k in range(self.chunks):
+            yield from self.chunk(k)
 
 
 def dump_dataset(samples: Iterable[SceneSample], out_dir: str | Path) -> Path:

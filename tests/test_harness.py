@@ -11,8 +11,10 @@ import json
 import math
 import os
 import platform
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 import typing
 import weakref
@@ -72,6 +74,54 @@ def _run_python(code: str, *args: str) -> str:
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
                           stdout=subprocess.PIPE, text=True, timeout=300).stdout
+
+
+# -- scoring shared with the scene worker -------------------------------------
+
+_SHARES = synth._WORKERS > 0        # a scene worker scores every other chunk
+_OPEN_SET = synth.GeneratorConfig(train_class_count=5)      # unheard needs held-out classes
+
+
+def _stream_cfg(cfg: RunConfig, eval_samples: int) -> RunConfig:
+    return dataclasses.replace(cfg, eval_samples=eval_samples, generator=_OPEN_SET)
+
+
+def _inline(monkeypatch, call):
+    """``call()`` with every scene made and scored in this process."""
+    with monkeypatch.context() as m:
+        m.setattr(synth, "_WORKERS", 0)
+        return call()
+
+
+def _assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in ("pred_mask", "gt_mask", "gt_box_mask"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert a.flags == b.flags
+
+
+def _error_of(call):
+    with pytest.raises(BaseException) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def _chunk_of(cfg: RunConfig, benchmark: str):
+    """The chunk a list of a benchmark's stream's scenes is, by its first scene's seed."""
+    mode = harness.BENCHMARKS[benchmark]
+    first = {synth._sample_seed(cfg.seed, mode, k * synth.PREDICT_CHUNK): k
+             for k in range(harness.benchmark_stream(cfg, benchmark).chunks)}
+    return lambda scenes: first[scenes[0].seed]
+
+
+@pytest.fixture
+def fresh_worker():
+    """A scene worker forked after the test's patches, and ended after the test."""
+    synth._close_worker()
+    yield
+    synth._close_worker()
 
 
 @pytest.fixture(scope="module")
@@ -547,6 +597,174 @@ class TestEvaluate:
         peak(64)                                   # fills the generator's caches
         growth = (peak(512) - peak(128)) / (512 - 128)
         assert growth < 32 * 1024, f"{growth / 1024:.1f} KiB per scene"
+
+    @pytest.mark.parametrize("eval_samples", [40, 72])      # chunks of 32 + 8 and 32 + 32 + 8
+    @pytest.mark.parametrize("bench", sorted(harness.BENCHMARKS))
+    def test_stream_scores_equal_inline(self, tiny_run, tmp_path, monkeypatch, bench,
+                                        eval_samples):
+        """With a scene worker this process scores only the even chunks; the
+        rows and reports are inline's, byte for byte."""
+        model = tiny_run[1]
+        cfg = _stream_cfg(tiny_run[0], eval_samples)
+        scored = []
+        score = harness._score_chunk
+        monkeypatch.setattr(harness, "_score_chunk",
+                            lambda m, scenes: scored.append(len(scenes)) or score(m, scenes))
+        got = predict_eval_samples(model, harness.benchmark_stream(cfg, bench))
+        chunks = harness.benchmark_stream(cfg, bench).chunks
+        assert len(scored) == ((chunks + 1) // 2 if _SHARES else chunks)
+        if _SHARES:     # what the worker makes, it makes itself
+            pid = synth._worker.pid
+            children = Path(f"/proc/{pid}/task/{pid}/children")
+            assert not children.is_file() or children.read_text() == ""
+        want = _inline(monkeypatch, lambda: predict_eval_samples(
+            model, harness.benchmark_stream(cfg, bench)))
+        _assert_same_rows(got, want)
+        evaluate(model, cfg, bench, out_dir=tmp_path / "shared")
+        _inline(monkeypatch, lambda: evaluate(model, cfg, bench, out_dir=tmp_path / "inline"))
+        for ext in ("csv", "json"):
+            name = f"report_{bench}.{ext}"
+            assert (tmp_path / "shared" / name).read_bytes() == \
+                (tmp_path / "inline" / name).read_bytes()
+
+    def test_render_over_a_stream_equals_inline(self, tiny_run, tmp_path, monkeypatch):
+        model = tiny_run[1]
+        cfg = _stream_cfg(tiny_run[0], 72)
+        render_heatmaps(model, harness.benchmark_stream(cfg, "ms3-analog"), tmp_path / "shared")
+        _inline(monkeypatch, lambda: render_heatmaps(
+            model, harness.benchmark_stream(cfg, "ms3-analog"), tmp_path / "inline"))
+        names = sorted(p.name for p in (tmp_path / "inline").iterdir())
+        assert len(names) == 3 * 72 + 1
+        assert sorted(p.name for p in (tmp_path / "shared").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "shared" / name).read_bytes() == \
+                (tmp_path / "inline" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("failing,lowest", [
+        ((1,), 1),          # only a worker's chunk fails
+        ((2, 3), 2),        # this process's chunk and the worker's next one
+        ((1, 2), 1),        # the worker's chunk and this process's next one
+    ])
+    def test_scoring_error_is_inlines(self, tiny_run, monkeypatch, fresh_worker, failing,
+                                      lowest):
+        """Scoring that raises, in the worker or here, raises the error inline
+        scoring raises, lowest chunk first; the next call's rows are inline's."""
+        model = tiny_run[1]
+        cfg = _stream_cfg(tiny_run[0], 136)      # five chunks
+        chunk_of = _chunk_of(cfg, "s4-analog")
+        score = harness._score_chunk
+
+        def failing_score(m, scenes):
+            if chunk_of(scenes) in failing:
+                raise ContractViolation(f"chunk {chunk_of(scenes)} cannot be scored")
+            return score(m, scenes)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_score_chunk", failing_score)
+            want = _inline(monkeypatch,
+                           lambda: _error_of(lambda: evaluate(model, cfg, "s4-analog")))
+            assert want == (ContractViolation, f"chunk {lowest} cannot be scored")
+            assert _error_of(lambda: evaluate(model, cfg, "s4-analog")) == want
+        _assert_same_rows(
+            predict_eval_samples(model, harness.benchmark_stream(cfg, "heard")),
+            _inline(monkeypatch, lambda: predict_eval_samples(
+                model, harness.benchmark_stream(cfg, "heard"))))
+
+    @pytest.mark.skipif(not _SHARES, reason="needs a scene worker")
+    @pytest.mark.parametrize("when", ["between calls", "mid-call"])
+    def test_killed_worker(self, tiny_run, monkeypatch, fresh_worker, when):
+        """A worker killed between calls (the model cannot be sent) or while it
+        scores (the reply never comes): the call scores its chunks here, without
+        hanging, with inline's reports, and the next call forks a new worker."""
+        model = tiny_run[1]
+        cfg = _stream_cfg(tiny_run[0], 136)
+        want = _inline(monkeypatch, lambda: evaluate(model, cfg, "extended-analog"))
+        with monkeypatch.context() as patch:
+            if when == "between calls":
+                evaluate(model, cfg, "s4-analog")
+                pid = synth._worker.pid
+                os.kill(pid, signal.SIGKILL)
+            else:
+                parent, score = os.getpid(), harness._score_chunk
+
+                def score_or_die(m, scenes):
+                    if os.getpid() != parent:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    return score(m, scenes)
+
+                patch.setattr(harness, "_score_chunk", score_or_die)
+            got = []
+            call = threading.Thread(
+                target=lambda: got.append(evaluate(model, cfg, "extended-analog")))
+            call.start()
+            call.join(timeout=120)
+            assert not call.is_alive() and len(got) == 1
+        assert synth._worker.pid is None
+        assert got[0].as_dict() == want.as_dict()
+        assert got[0].per_sample_iou == want.per_sample_iou
+        assert evaluate(model, cfg, "extended-analog").as_dict() == want.as_dict()
+        assert synth._worker.pid is not None
+
+    @pytest.mark.skipif(not _SHARES, reason="needs a scene worker")
+    def test_interrupt_leaves_no_stale_reply(self, tiny_run, monkeypatch, fresh_worker):
+        """A KeyboardInterrupt while this process scores chunk 2 leaves the
+        worker's chunk 3 unread; the worker is ended and the next call's rows
+        are inline's."""
+        model = tiny_run[1]
+        cfg = _stream_cfg(tiny_run[0], 136)
+        chunk_of, score, parent = _chunk_of(cfg, "ms3-analog"), harness._score_chunk, os.getpid()
+
+        def interrupted(m, scenes):
+            if os.getpid() == parent and chunk_of(scenes) == 2:
+                raise KeyboardInterrupt
+            return score(m, scenes)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_score_chunk", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                evaluate(model, cfg, "ms3-analog")
+        assert synth._worker is None
+        for bench in ("ms3-analog", "s4-analog"):
+            _assert_same_rows(
+                predict_eval_samples(model, harness.benchmark_stream(cfg, bench)),
+                _inline(monkeypatch, lambda: predict_eval_samples(
+                    model, harness.benchmark_stream(cfg, bench))))
+
+    @pytest.mark.skipif(not _SHARES, reason="needs a scene worker")
+    def test_worker_scores_only_with_its_calls_model(self, tiny_run, monkeypatch,
+                                                     fresh_worker):
+        """A model the worker could not rebuild leaves that call's chunks to
+        this process: the worker never scores them with an earlier call's model."""
+        cfg = _stream_cfg(tiny_run[0], 136)
+        first, second = tiny_run[1], build_model(dataclasses.replace(cfg, seed=1))
+        parent, rebuilds, load = os.getpid(), [], SoundLocalizer.load_state
+
+        def load_once(self, state):
+            if os.getpid() != parent:
+                rebuilds.append(1)
+                if len(rebuilds) > 1:
+                    raise ValueError("cannot load a second model")
+            return load(self, state)
+
+        monkeypatch.setattr(SoundLocalizer, "load_state", load_once)
+        for model in (first, second):
+            _assert_same_rows(
+                predict_eval_samples(model, harness.benchmark_stream(cfg, "s4-analog")),
+                _inline(monkeypatch, lambda: predict_eval_samples(
+                    model, harness.benchmark_stream(cfg, "s4-analog"))))
+
+    @pytest.mark.skipif(not _SHARES, reason="needs a scene worker")
+    def test_worker_forked_after_the_block_pool(self, tiny_run, monkeypatch, fresh_worker):
+        """A worker forked once the block pool's threads run scores the same
+        bytes; it runs the blocked primitives inline."""
+        model = tiny_run[1]
+        cfg = _stream_cfg(tiny_run[0], 72)
+        ad._pool.submit(lambda: None).result()
+        assert ad._pool.executor is not None and threading.active_count() > 1
+        got = predict_eval_samples(model, harness.benchmark_stream(cfg, "extended-analog"))
+        assert synth._worker is not None and synth._worker.pid is not None
+        _assert_same_rows(got, _inline(monkeypatch, lambda: predict_eval_samples(
+            model, harness.benchmark_stream(cfg, "extended-analog"))))
 
 
 class TestDeterminism:
