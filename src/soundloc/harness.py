@@ -11,10 +11,12 @@ splits, batch order, and parameter init all derive from it, and
 parameters are snapped to float32 values before the final loss is logged
 so a reloaded checkpoint reproduces that loss bit-for-bit.
 
-Evaluation scores a chunk of ``PREDICT_CHUNK`` scenes at a time.  Given a
-``synth.SceneStream`` of several chunks, this process makes and scores the
-even chunks while ``synth``'s scene worker makes and scores the odd ones (see
-``predict_eval_samples``); the rows do not depend on who scored them.
+The training scenes come from a ``synth.SceneStream``, whose odd chunks
+``synth``'s scene worker makes.  Evaluation scores a chunk of
+``PREDICT_CHUNK`` scenes at a time.  Given a ``synth.SceneStream`` of several
+chunks, this process makes and scores the even chunks while the scene worker
+makes and scores the odd ones (see ``predict_eval_samples``); the scenes and
+rows do not depend on who made or scored them.
 """
 
 from __future__ import annotations
@@ -267,8 +269,8 @@ def parameter_checksum(params: dict[str, Tensor]) -> str:
 
 def split_scenes(cfg: RunConfig) -> tuple[list[SceneSample], list[SceneSample]]:
     """The run's training scenes, split by its seed into (train, validation)."""
-    scenes = synth.make_batch(cfg.generator, cfg.train_samples, "train",
-                              base_seed=cfg.seed)
+    scenes = list(synth.SceneStream(cfg.generator, cfg.train_samples, "train",
+                                    base_seed=cfg.seed))
     split_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
     perm = split_rng.permutation(len(scenes))
     return [scenes[i] for i in perm[cfg.n_val:]], [scenes[i] for i in perm[:cfg.n_val]]

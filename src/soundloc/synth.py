@@ -10,11 +10,11 @@ multi-source (``ms3``), a negatives-heavy ``extended`` mix (matched /
 mismatched-audio / silent), and the open-set ``heard``/``unheard`` class
 splits.
 
-When the process has more than one CPU, a forked worker shares the work
-(see ``alternate``): ``make_batch`` splits each chunk of scenes with it, and
-``harness.predict_eval_samples`` has it make and score every other chunk of a
-``SceneStream``.  Every scene comes from its own seed, so the bytes do not
-depend on the CPU count.
+When the process has more than one CPU, a forked worker shares the work a
+whole chunk at a time (see ``alternate``): it makes every other chunk of an
+iterated ``SceneStream``, and ``harness.predict_eval_samples`` has it make and
+score every other chunk of one.  Every scene comes from its own seed, so the
+bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import atexit
 import contextlib
 import functools
+import itertools
 import json
 import os
 import pickle
@@ -56,8 +57,8 @@ OVERLAP_LIMIT = 0.3
 # The generator's snr_db bounds, inside the band where a small float32 run
 # was measured finite (-350 to 3080 dB; it failed at -400 and 3090 dB).
 SNR_DB_RANGE = (-100.0, 300.0)
-# Scenes per chunk: per ``make_batch`` split, per ``SceneStream`` chunk and per
-# ``predict_masks`` call when scoring.
+# Scenes per chunk: per ``SceneStream`` chunk, the unit the scene worker
+# shares, and per ``predict_masks`` call when scoring.
 PREDICT_CHUNK = 32
 
 
@@ -367,28 +368,17 @@ def make_batch(cfg: GeneratorConfig, batch_size: int, mode: str, base_seed: int,
     """Generate ``batch_size`` scenes for one benchmark mode: scenes ``start``,
     ``start + 1``, ... of a ``total``-scene batch (by default this batch).
 
-    Each chunk of ``PREDICT_CHUNK`` scenes is split between this process and
-    its worker (see ``_split``); every scene comes from its own seed, so the
-    scenes do not depend on who makes them."""
+    Every scene comes from its own seed, so a part of a batch equals the
+    same slice of the whole, whichever process makes it."""
     pool, kinds = _batch_plan(cfg, batch_size if total is None else total, mode)
     if not 0 <= start <= len(kinds) - batch_size:
         raise ContractViolation(
             f"scenes {start} to {start + batch_size - 1} lie outside a batch of {len(kinds)}")
     samples = []
-    for lo in range(start, start + batch_size, PREDICT_CHUNK):
-        samples += _split(cfg, mode, base_seed, pool, lo,
-                          kinds[lo:min(lo + PREDICT_CHUNK, start + batch_size)])
-    return samples
-
-
-def _make_scenes(cfg: GeneratorConfig, mode: str, base_seed: int, pool: list[int],
-                 first: int, kinds: list[str]) -> list[SceneSample]:
-    """Scenes ``first``, ``first + 1``, ... of a batch, one of each of ``kinds``."""
-    samples = []
-    for i, kind in enumerate(kinds, first):
+    for i in range(start, start + batch_size):
         seed = _sample_seed(base_seed, mode, i)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        spec = _build_spec(rng, cfg, mode, seed, kind, pool)
+        spec = _build_spec(rng, cfg, mode, seed, kinds[i], pool)
         samples.append(generate_scene(spec, cfg))
     return samples
 
@@ -399,7 +389,7 @@ def _make_scenes(cfg: GeneratorConfig, mode: str, base_seed: int, pool: list[int
 # do not speed it up; a second process does.  The worker is forked at the first
 # call of ``alternate`` that needs it, which costs no import and shares the
 # parent's pages copy-on-write, and serves the rest of the process.  It makes
-# scenes for ``make_batch`` and makes and scores whole chunks for
+# whole chunks for an iterated ``SceneStream`` and makes and scores them for
 # ``harness.predict_eval_samples``, all inline: a forked child has no block pool
 # (see ``autodiff``), which changes no byte.  After an error it is forked again,
 # possibly once the block pool's threads exist: only from the thread that calls
@@ -408,9 +398,7 @@ def _make_scenes(cfg: GeneratorConfig, mode: str, base_seed: int, pool: list[int
 # One worker when the affinity mask holds more than one CPU and fork exists:
 # two processes is the configuration that was measured (2 vCPUs), and each
 # further worker would add ~35 MiB of PSS (measured in an evaluation) that a
-# parent's peak RSS does not show.  A chunk of two or more scenes is split: on
-# 2 vCPUs two scenes took 1.91 ms split and 2.21 ms inline (medians of 15
-# rounds, split faster in 12).
+# parent's peak RSS does not show.
 _WORKERS = min(1, ad._WORKERS) if hasattr(os, "fork") else 0
 
 
@@ -505,6 +493,7 @@ def _serve(requests, replies) -> None:
             result = None
         pickle.dump(result, replies, pickle.HIGHEST_PROTOCOL)
         replies.flush()
+        del function, args, result      # not held while the next request waits
 
 
 _worker: _Worker | None = None
@@ -546,8 +535,8 @@ def alternate(count: int, here: Callable[[int], object],
     one computing everything here would raise.  An error, a KeyboardInterrupt
     or an abandoned iteration ends the worker, so no stale reply reaches a
     later call.  Everything is computed here without a worker, for fewer than
-    two items, or while another call holds the worker (one nested in ``here``,
-    or on another thread)."""
+    two items, or while another call holds the worker: an iteration that is
+    suspended, as a ``SceneStream`` read part way, or one on another thread."""
     global _worker, _WORKERS
     if not _WORKERS or count < 2 or not _lock.acquire(blocking=False):
         yield from map(here, range(count))
@@ -566,24 +555,12 @@ def alternate(count: int, here: Callable[[int], object],
             if k + 1 < count:
                 result = _worker.reply() if sent else None
                 yield here(k + 1) if result is None else result
+                del result      # not held while the next items are computed
     except BaseException:
         _close_worker()
         raise
     finally:
         _lock.release()
-
-
-def _split(cfg: GeneratorConfig, mode: str, base_seed: int, pool: list[int],
-           first: int, kinds: list[str]) -> list[SceneSample]:
-    """A chunk's scenes: the worker makes the back half while this process
-    makes the front half (the larger: the worker's pays for the pipe), as
-    ``alternate`` shares items; one scene is made here."""
-    half = len(kinds) - len(kinds) // 2
-    halves = [(cfg, mode, base_seed, pool, first, kinds[:half]),
-              (cfg, mode, base_seed, pool, first + half, kinds[half:])]
-    parts = alternate(2 if len(kinds) > 1 else 1, lambda k: _make_scenes(*halves[k]),
-                      lambda k, _: (_make_scenes, *halves[k]))
-    return [s for part in parts for s in part]
 
 
 def scene_processes() -> int:
@@ -600,7 +577,8 @@ class SceneStream:
     ``len`` is the batch size and each chunk comes from one ``make_batch``
     call: perfbench's tracer counts scenes with ``len`` and times synthesis by
     wrapping ``make_batch``, so it sees a stream as a list.  A stream pickles
-    to its arguments, so the scene worker can make any of its chunks."""
+    to its arguments, so the scene worker can make any of its chunks: it
+    makes the odd ones while this process makes the even ones (``alternate``)."""
 
     def __init__(self, cfg: GeneratorConfig, batch_size: int, mode: str, base_seed: int):
         _batch_plan(cfg, batch_size, mode)
@@ -620,8 +598,10 @@ class SceneStream:
         return make_batch(cfg, min(PREDICT_CHUNK, n - lo), mode, base_seed, lo, n)
 
     def __iter__(self) -> Iterator[SceneSample]:
-        for k in range(self.chunks):
-            yield from self.chunk(k)
+        parts = alternate(self.chunks, self.chunk, lambda k, _: (SceneStream.chunk, self, k))
+        # chain drops each chunk before it asks for the next, and runs
+        # ``parts`` to its end, so a finished iteration keeps its worker.
+        yield from itertools.chain.from_iterable(parts)
 
 
 def dump_dataset(samples: Iterable[SceneSample], out_dir: str | Path) -> Path:

@@ -598,6 +598,29 @@ class TestEvaluate:
         growth = (peak(512) - peak(128)) / (512 - 128)
         assert growth < 32 * 1024, f"{growth / 1024:.1f} KiB per scene"
 
+    @pytest.mark.skipif(not (_SHARES and Path("/proc/self/status").is_file()),
+                        reason="needs a scene worker and /proc")
+    def test_worker_peak_memory_does_not_grow_with_the_scenes(self, fresh_worker):
+        """The scene worker's share of a stream does not pile up either: a
+        fresh worker's peak RSS (``VmHWM``) after 16 chunks exceeds its peak
+        after 4 by less than two chunks of scenes (0.0-1.0 MiB measured; a
+        worker that kept each chunk it scored grew by ~18 MiB)."""
+        cfg = RunConfig()
+        model = build_model(cfg)
+
+        def worker_peak(chunks):
+            synth._close_worker()
+            run = dataclasses.replace(cfg, eval_samples=chunks * synth.PREDICT_CHUNK)
+            evaluate(model, run, "s4-analog")
+            status = Path(f"/proc/{synth._worker.pid}/status").read_text()
+            synth._close_worker()
+            kib = next(line for line in status.splitlines() if line.startswith("VmHWM:"))
+            return int(kib.split()[1]) * 1024
+
+        worker_peak(2)                              # fills the generator's caches
+        growth = worker_peak(16) - worker_peak(4)
+        assert growth < 6 * 2 ** 20, f"{growth / 2 ** 20:.1f} MiB"
+
     @pytest.mark.parametrize("eval_samples", [40, 72])      # chunks of 32 + 8 and 32 + 32 + 8
     @pytest.mark.parametrize("bench", sorted(harness.BENCHMARKS))
     def test_stream_scores_equal_inline(self, tiny_run, tmp_path, monkeypatch, bench,
@@ -794,7 +817,9 @@ class TestDeterminism:
         """Criterion 9's run on every CPU here, and in a process pinned to one
         CPU before it imports soundloc (so its primitives run inline and it
         makes every scene itself), scored on each benchmark of perfbench's
-        suite: 40 scenes each, a split chunk of 32 and one of 8."""
+        suite.  Here the worker makes the second chunk of the 48 training
+        scenes (32 + 16) and makes and scores the second of each benchmark's
+        40 (32 + 8)."""
         suite = ("s4-analog", "ms3-analog", "extended-analog", "heard")
         child = (
             "import os, sys\n"

@@ -9,6 +9,7 @@ class, no trained model result downstream means anything.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import select
@@ -17,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +307,23 @@ class TestSceneStream:
             _assert_same_scenes(got, want)
             _assert_same_scenes(stream, want)
 
+    def test_iteration_holds_one_chunk(self):
+        """Read scene by scene, a stream of four chunks holds one chunk of
+        scenes at a time, whichever process made it: its traced peak lies
+        between one chunk and one and a half (1.09-1.10 chunks measured)."""
+        size = sum(getattr(s, name).nbytes
+                   for s in make_batch(self.CFG, synth.PREDICT_CHUNK, "extended", 19)
+                   for name in SCENE_ARRAYS)
+        list(SceneStream(self.CFG, 64, "s4", 18))      # forks the worker, fills the caches
+        tracemalloc.start()
+        try:
+            for _ in SceneStream(self.CFG, 4 * synth.PREDICT_CHUNK, "extended", 19):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size < peak < 1.5 * size, f"{peak / size:.2f} chunks"
+
     @pytest.mark.parametrize("cfg,batch_size,mode,msg", [
         (GeneratorConfig(), 0, "train", "batch_size"),
         (GeneratorConfig(), 4, "s5-analog", "mode must be one of"),
@@ -519,15 +538,33 @@ class TestCachesDoNotLeak:
 
 # -- scenes made by worker processes -------------------------------------------
 
-_SPLITS = synth._WORKERS > 0
+_SHARES = synth._WORKERS > 0        # a worker makes every other chunk of a stream
 _LINUX_PROC = Path("/proc/self/stat").is_file()
 
 
-def _inline_batch(monkeypatch, *args, **kwargs):
-    """``make_batch`` with every scene made in this process."""
+def _streamed(*args):
+    """A ``SceneStream``'s scenes, read to the end."""
+    return list(SceneStream(*args))
+
+
+def _inline_stream(monkeypatch, *args):
+    """A ``SceneStream``'s scenes, every one made in this process."""
     with monkeypatch.context() as m:
         m.setattr(synth, "_WORKERS", 0)
-        return make_batch(*args, **kwargs)
+        return _streamed(*args)
+
+
+def _chunks_made_here(monkeypatch):
+    """The chunks, by index, that this process makes of the streams it reads
+    from now on (every call of ``make_batch``)."""
+    made, make = [], synth.make_batch
+
+    def spy(cfg, batch_size, mode, base_seed, start=0, total=None):
+        made.append(start // synth.PREDICT_CHUNK)
+        return make(cfg, batch_size, mode, base_seed, start, total)
+
+    monkeypatch.setattr(synth, "make_batch", spy)
+    return made
 
 
 def _failing_at(monkeypatch, base_seed, mode, indices):
@@ -595,18 +632,26 @@ def fresh_worker():
 
 
 class TestWorkers:
-    """Inline with one CPU (the CI step pinned to one CPU runs these too)."""
+    """Streams read with a worker, which makes their odd chunks.  Inline with
+    one CPU (the CI step pinned to one CPU runs these too)."""
     CFG = GeneratorConfig(train_class_count=5)
 
     @pytest.mark.parametrize("mode", synth.MODES)
-    def test_split_equals_inline(self, mode, monkeypatch):
-        """Two full chunks and one of 7 scenes, from an offset, and batches
-        of 1 to 5 scenes: the scenes are the inline scenes."""
-        for count, start, total in ((71, 9, 90), (1, 0, 1), (2, 3, 5), (3, 0, 3), (5, 1, 9)):
-            got = make_batch(self.CFG, count, mode, 21, start, total)
-            _assert_same_scenes(got, _inline_batch(monkeypatch, self.CFG, count, mode, 21,
-                                                   start, total))
-        assert (synth._worker is not None) == (synth._WORKERS == 1)
+    def test_stream_equals_inline(self, mode, monkeypatch):
+        """Five chunks (the last of 2 scenes), three, two full ones, a full one
+        and one scene, and one-chunk streams: the scenes are inline's, this
+        process makes only the even chunks of a stream, and one worker serves
+        them all."""
+        made = _chunks_made_here(monkeypatch)
+        workers = set()
+        for count in (130, 90, 64, 33, 32, 5, 1):
+            made.clear()
+            got = _streamed(self.CFG, count, mode, 21)
+            chunks = SceneStream(self.CFG, count, mode, 21).chunks
+            assert made == list(range(0, chunks, 2 if _SHARES else 1))
+            workers.add(synth._worker and synth._worker.pid)
+            _assert_same_scenes(got, _inline_stream(monkeypatch, self.CFG, count, mode, 21))
+        assert len(workers) == 1 and (None in workers) != _SHARES
 
     def test_scenes_outside_the_batch_are_refused(self):
         for start, count in ((-1, 2), (12, 2), (14, 1)):
@@ -614,25 +659,27 @@ class TestWorkers:
                 make_batch(self.CFG, count, "s4", 0, start, 13)
 
     @pytest.mark.parametrize("failing,lowest", [
-        ((7,), 7),          # only the worker's half (scenes 4 to 7) fails
-        ((1,), 1),          # only this process's half fails
-        ((1, 7), 1),        # both fail: the lowest index's error
+        ((40,), 40),        # only the worker's chunk (scenes 32 to 63) fails
+        ((70,), 70),        # only this process's chunk 2 fails
+        ((5, 40), 5),       # this process's chunk 0 and the worker's chunk 1
+        ((40, 70), 40),     # the worker's chunk 1 and this process's chunk 2
     ])
     def test_error_is_inlines(self, monkeypatch, fresh_worker, failing, lowest):
-        """The call raises the error inline synthesis raises, and the next
-        calls' scenes are inline's: no reply from the failed call reaches them."""
+        """Reading the stream raises the error inline synthesis raises, and the
+        next streams' scenes are inline's: no reply from the failed one reaches them."""
         _failing_at(monkeypatch, 3, "s4", failing)
-        want = _error_of(lambda: _inline_batch(monkeypatch, self.CFG, 8, "s4", 3))
+        want = _error_of(lambda: _inline_stream(monkeypatch, self.CFG, 80, "s4", 3))
         assert want == (SceneSpecError, f"could not place the objects of scene {lowest}")
-        assert _error_of(lambda: make_batch(self.CFG, 8, "s4", 3)) == want
+        assert _error_of(lambda: _streamed(self.CFG, 80, "s4", 3)) == want
         for mode, seed in (("ms3", 4), ("heard", 5)):
-            _assert_same_scenes(make_batch(self.CFG, 8, mode, seed),
-                                _inline_batch(monkeypatch, self.CFG, 8, mode, seed))
+            _assert_same_scenes(_streamed(self.CFG, 80, mode, seed),
+                                _inline_stream(monkeypatch, self.CFG, 80, mode, seed))
 
     def test_interrupt_leaves_no_stale_reply(self, monkeypatch):
-        """A KeyboardInterrupt in this process's scenes leaves the worker's
-        reply unread; the next calls get their own scenes."""
-        make_batch(self.CFG, 4, "s4", 5)
+        """A KeyboardInterrupt in this process's chunk 0 leaves the worker's
+        chunk 1 unread; the worker is ended and the next streams get their own
+        scenes."""
+        _streamed(self.CFG, 64, "s4", 5)
         build = synth._build_spec
 
         def interrupted(*args):
@@ -640,33 +687,53 @@ class TestWorkers:
 
         monkeypatch.setattr(synth, "_build_spec", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            make_batch(self.CFG, 8, "s4", 5)
+            _streamed(self.CFG, 80, "s4", 5)
         monkeypatch.setattr(synth, "_build_spec", build)
+        assert synth._worker is None
         for mode, seed in (("heard", 6), ("ms3", 7)):
-            _assert_same_scenes(make_batch(self.CFG, 8, mode, seed),
-                                _inline_batch(monkeypatch, self.CFG, 8, mode, seed))
+            _assert_same_scenes(_streamed(self.CFG, 80, mode, seed),
+                                _inline_stream(monkeypatch, self.CFG, 80, mode, seed))
 
-    @pytest.mark.skipif(not _SPLITS, reason="needs a worker")
+    @pytest.mark.parametrize("taken", [20, 40])     # the worker's chunk 1 in flight; read
+    def test_abandoned_iteration_ends_the_worker(self, monkeypatch, fresh_worker, taken):
+        """A stream read part way and dropped ends the worker, so no reply of
+        it reaches a later stream, and frees it: the next stream forks a new
+        worker, which makes its odd chunks."""
+        want = _inline_stream(monkeypatch, self.CFG, 80, "s4", 12)[:taken]
+        stream = iter(SceneStream(self.CFG, 80, "s4", 12))
+        _assert_same_scenes(itertools.islice(stream, taken), want)
+        pid = synth._worker and synth._worker.pid
+        assert (pid is not None) == _SHARES
+        del stream
+        assert synth._worker is None and not synth._lock.locked()
+        made = _chunks_made_here(monkeypatch)
+        again = _streamed(self.CFG, 80, "ms3", 13)
+        assert made == ([0, 2] if _SHARES else [0, 1, 2])
+        if _SHARES:
+            assert synth._worker.pid not in (None, pid)
+        _assert_same_scenes(again, _inline_stream(monkeypatch, self.CFG, 80, "ms3", 13))
+
+    @pytest.mark.skipif(not _SHARES, reason="needs a worker")
     def test_worker_ignores_sigint(self, monkeypatch):
         """A Ctrl-C reaches the whole process group; a caller that goes on
         keeps its worker."""
-        make_batch(self.CFG, 4, "s4", 5)
+        _streamed(self.CFG, 64, "s4", 5)
         pid = synth._worker.pid
         os.kill(pid, signal.SIGINT)
         time.sleep(0.2)
-        _assert_same_scenes(make_batch(self.CFG, 8, "s4", 9),
-                            _inline_batch(monkeypatch, self.CFG, 8, "s4", 9))
+        _assert_same_scenes(_streamed(self.CFG, 80, "s4", 9),
+                            _inline_stream(monkeypatch, self.CFG, 80, "s4", 9))
         assert synth._worker.pid == pid
 
-    @pytest.mark.skipif(not _SPLITS, reason="needs a worker")
+    @pytest.mark.skipif(not _SHARES, reason="needs a worker")
     @pytest.mark.parametrize("when", ["between calls", "mid-call"])
     def test_killed_worker(self, monkeypatch, fresh_worker, when):
-        """A worker killed between calls (the request cannot be sent) or
-        while it makes its scenes (the reply never comes): the call makes
-        those scenes here, without hanging, and the next forks a new worker."""
+        """A worker killed between streams (the request cannot be sent) or
+        while it makes its chunk (the reply never comes): the stream makes
+        that chunk here, without hanging, and the next forks a new worker."""
         build = synth._build_spec
         if when == "between calls":
-            make_batch(self.CFG, 4, "s4", 5)
+            _streamed(self.CFG, 64, "s4", 5)
             pid = synth._worker.pid
             os.kill(pid, signal.SIGKILL)
             assert _gone_within(pid, 5)
@@ -680,44 +747,46 @@ class TestWorkers:
 
             monkeypatch.setattr(synth, "_build_spec", build_spec)
         got = []
-        call = threading.Thread(target=lambda: got.append(make_batch(self.CFG, 8, "ms3", 7)))
+        call = threading.Thread(target=lambda: got.append(_streamed(self.CFG, 80, "ms3", 7)))
         call.start()
         call.join(timeout=30)
         assert not call.is_alive() and len(got) == 1
         monkeypatch.setattr(synth, "_build_spec", build)
         assert synth._worker.pid is None
-        _assert_same_scenes(got[0], _inline_batch(monkeypatch, self.CFG, 8, "ms3", 7))
-        _assert_same_scenes(make_batch(self.CFG, 8, "ms3", 8),
-                            _inline_batch(monkeypatch, self.CFG, 8, "ms3", 8))
+        _assert_same_scenes(got[0], _inline_stream(monkeypatch, self.CFG, 80, "ms3", 7))
+        _assert_same_scenes(_streamed(self.CFG, 80, "ms3", 8),
+                            _inline_stream(monkeypatch, self.CFG, 80, "ms3", 8))
         assert _running(synth._worker.pid)
 
-    @pytest.mark.skipif(not _SPLITS, reason="needs a worker")
+    @pytest.mark.skipif(not _SHARES, reason="needs a worker")
     def test_failed_fork_makes_every_scene_here(self, monkeypatch, fresh_worker):
-        """A fork that fails turns the split off: the scenes are inline's and
-        the process reports one scene process."""
+        """A fork that fails turns the worker off: this process makes every
+        chunk, the scenes are inline's and it reports one scene process."""
         monkeypatch.setattr(synth, "_WORKERS", synth._WORKERS)
 
         def no_fork():
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        _assert_same_scenes(make_batch(self.CFG, 8, "ms3", 11),
-                            _inline_batch(monkeypatch, self.CFG, 8, "ms3", 11))
+        made = _chunks_made_here(monkeypatch)
+        got = _streamed(self.CFG, 80, "ms3", 11)
+        assert made == [0, 1, 2]
+        _assert_same_scenes(got, _inline_stream(monkeypatch, self.CFG, 80, "ms3", 11))
         assert synth._worker is None and synth.scene_processes() == 1
 
-    @pytest.mark.skipif(not _SPLITS, reason="needs a worker")
+    @pytest.mark.skipif(not _SHARES, reason="needs a worker")
     def test_forked_child_forks_its_own_worker(self, monkeypatch):
         """A process forked from one with a worker does not use that worker;
         both get their own scenes."""
-        make_batch(self.CFG, 4, "s4", 5)
+        _streamed(self.CFG, 64, "s4", 5)
         pid = synth._worker.pid
-        want = _scene_digest(_inline_batch(monkeypatch, self.CFG, 8, "ms3", 10))
+        want = _scene_digest(_inline_stream(monkeypatch, self.CFG, 80, "ms3", 10))
         r, w = os.pipe()
         child = os.fork()
         if child == 0:
             try:
                 ok = synth._worker is None and \
-                    _scene_digest(make_batch(self.CFG, 8, "ms3", 10)) == want and \
+                    _scene_digest(_streamed(self.CFG, 80, "ms3", 10)) == want and \
                     synth._worker.pid not in (None, pid)
                 synth._close_worker()
                 os.write(w, b"1" if ok else b"0")
@@ -727,13 +796,13 @@ class TestWorkers:
         with os.fdopen(r, "rb") as result:
             assert select.select([result], [], [], 60)[0] and result.read() == b"1"
         os.waitpid(child, 0)
-        assert _scene_digest(make_batch(self.CFG, 8, "ms3", 10)) == want
+        assert _scene_digest(_streamed(self.CFG, 80, "ms3", 10)) == want
         assert synth._worker.pid == pid
 
-    @pytest.mark.skipif(not _SPLITS, reason="needs two CPUs to compare with one")
+    @pytest.mark.skipif(not _SHARES, reason="needs two CPUs to compare with one")
     def test_scenes_do_not_depend_on_the_cpu_count(self):
-        """13 scenes from an offset in a batch of 33, split here and made in a
-        process pinned to one CPU before it imports soundloc."""
+        """Streams of three chunks, read here with the worker and in a process
+        pinned to one CPU before it imports soundloc."""
         child = (
             "import os, sys\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
@@ -743,30 +812,30 @@ class TestWorkers:
             "assert synth.scene_processes() == 1\n"
             "cfg = synth.GeneratorConfig(train_class_count=5)\n"
             "for mode in synth.MODES:\n"
-            "    print(_scene_digest(synth.make_batch(cfg, 13, mode, 22, 17, 33)))\n")
+            "    print(_scene_digest(synth.SceneStream(cfg, 70, mode, 22)))\n")
         proc = _python(child, str(Path(__file__).parent))
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
         assert synth.scene_processes() > 1
-        assert out.split() == [_scene_digest(make_batch(self.CFG, 13, mode, 22, 17, 33))
+        assert out.split() == [_scene_digest(_streamed(self.CFG, 70, mode, 22))
                                for mode in synth.MODES]
 
 
-@pytest.mark.skipif(not (_SPLITS and _LINUX_PROC), reason="needs a worker and /proc")
+@pytest.mark.skipif(not (_SHARES and _LINUX_PROC), reason="needs a worker and /proc")
 class TestNoOrphanWorker:
     """A process's worker ends with it, however it ends."""
     CHILD = (
         "import sys, time\n"
         "from soundloc import synth\n"
         "cfg = synth.GeneratorConfig()\n"
-        "synth.make_batch(cfg, 4, 's4', 0)\n"
+        "list(synth.SceneStream(cfg, 64, 's4', 0))\n"
         "print(synth._worker.pid, flush=True)\n"
         "if sys.argv[1] == 'sleep':\n"
         "    time.sleep(120)\n"
         "elif sys.argv[1] == 'loop':\n"
         "    try:\n"
         "        while True:\n"
-        "            synth.make_batch(cfg, 32, 'ms3', 1)\n"
+        "            list(synth.SceneStream(cfg, 96, 'ms3', 1))\n"
         "    except KeyboardInterrupt:\n"
         "        print('interrupted', flush=True)\n")
 
