@@ -159,9 +159,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, _wrap(other, self.dtype))
 
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other, self.dtype))
 
@@ -169,9 +166,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, _wrap(other, self.dtype))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self.dtype), self)
 
     def __neg__(self):
         return neg(self)
@@ -186,9 +180,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)

@@ -20,6 +20,9 @@ from .autodiff import ContractViolation, Tensor
 from .layers import Module, TransformerBlock, normal_init
 
 CHANNELS = 3   # scenes are RGB
+# The largest image a config may ask for: the cells of a decode grow with its
+# square, so 128 is 16 times the default's per-step memory (and a scene's).
+MAX_IMAGE_SIZE = 128
 
 
 @dataclass
@@ -32,10 +35,16 @@ class EncoderConfig:
     max_text_len: int = 32
 
     def __post_init__(self):
-        for name, low in (("embed_dim", 1), ("patch_size", 1), ("text_heads", 1),
-                          ("text_layers", 0)):
-            if getattr(self, name) < low:
-                raise ContractViolation(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # Ceilings at about 16 times the default's memory (per-step arrays grow
+        # with embed_dim and text_layers, the position table with max_text_len)
+        # refuse an oversized config before it allocates; patch_size and
+        # text_heads cannot exceed image_size and embed_dim anyway.
+        for name, low, high in (("embed_dim", 1, 1024), ("image_size", 1, MAX_IMAGE_SIZE),
+                                ("patch_size", 1, MAX_IMAGE_SIZE), ("text_heads", 1, 1024),
+                                ("text_layers", 0, 32), ("max_text_len", 1, 512)):
+            if not low <= getattr(self, name) <= high:
+                raise ContractViolation(
+                    f"{name} must be in [{low}, {high}], got {getattr(self, name)}")
         if self.image_size % self.patch_size:
             raise ContractViolation(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")

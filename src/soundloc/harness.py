@@ -15,13 +15,15 @@ The training scenes come from a ``synth.SceneStream``, whose odd chunks
 ``synth``'s scene worker makes.  Evaluation scores a chunk of
 ``PREDICT_CHUNK`` scenes at a time.  Given a ``synth.SceneStream`` of several
 chunks, this process makes and scores the even chunks while the scene worker
-makes and scores the odd ones (see ``predict_eval_samples``); the scenes and
-rows do not depend on who made or scored them.
+makes and scores the odd ones with the model pickled to it once per call (see
+``predict_eval_samples``); the scenes and rows do not depend on who made or
+scored them.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -105,8 +107,12 @@ class RunConfig:
     def __post_init__(self):
         if self.dtype not in ("float64", "float32"):
             raise ContractViolation(f"dtype must be float64 or float32, got {self.dtype!r}")
-        if self.batch_size < 2:
-            raise ContractViolation("batch_size must be >= 2 (contrastive pairs)")
+        # Ceilings at 16 times the default's memory: B² decodes a step, held scenes.
+        if not 2 <= self.batch_size <= 64:
+            raise ContractViolation(
+                f"batch_size must be in [2, 64] (contrastive pairs), got {self.batch_size}")
+        if self.train_samples > 8192:
+            raise ContractViolation(f"train_samples must be <= 8192, got {self.train_samples}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ContractViolation("val_fraction outside [0, 1)")
         n_train = self.train_samples - self.n_val
@@ -506,50 +512,24 @@ def _score_chunk(model: SoundLocalizer, scenes: list[SceneSample]
             [(s.gt_mask, s.flags, s.gt_box_mask) for s in scenes])
 
 
-# Tags the model a predict_eval_samples call ships to the scene worker.
-_calls = itertools.count()
-# In the scene worker: the last model shipped to it, with its call's tag.
-_shipped: tuple[int, SoundLocalizer] | None = None
-
-
-def _score_shipped(tag: int, shipment: tuple | None, stream: synth.SceneStream,
-                   k: int) -> tuple[np.ndarray, list[tuple]]:
-    """The scene worker's share of a ``predict_eval_samples`` call: chunk ``k``
-    of ``stream``, made and scored with the model of call ``tag``, whose
-    ``_shipment`` comes with the call's first request."""
-    global _shipped
-    if shipment is not None:
-        enc_cfg, prompt_cfg, dtype, state = shipment
-        rebuilt = SoundLocalizer(enc_cfg, prompt_cfg, dtype=dtype)
-        rebuilt.load_state(state)
-        _shipped = (tag, rebuilt)
-    if _shipped is None or _shipped[0] != tag:
-        raise ContractViolation(f"the scene worker holds no model of call {tag}")
-    return _score_chunk(_shipped[1], stream.chunk(k))
-
-
-def _shipment(model: SoundLocalizer) -> tuple:
-    """What the scene worker rebuilds ``model`` from."""
-    return (model.enc_cfg, model.prompt_cfg, model.dtype,
-            {name: p.data for name, p in model.parameters().items()})
+def _score_stream_chunk(model: SoundLocalizer, stream: synth.SceneStream,
+                        k: int) -> tuple[np.ndarray, list[tuple]]:
+    """Chunk ``k`` of ``stream``, made and scored by ``model``."""
+    return _score_chunk(model, stream.chunk(k))
 
 
 def predict_eval_samples(model: SoundLocalizer, scenes: Iterable[SceneSample]
                          ) -> list[metrics.EvalSample]:
     """Score ``scenes`` a chunk of ``PREDICT_CHUNK`` at a time.
 
-    A ``SceneStream`` scored by a ``SoundLocalizer`` has its chunks shared
-    with the scene worker (``synth.alternate``): the worker rebuilds the model
-    from its parameters, shipped once per call, and makes and scores the odd
-    chunks while this process makes and scores the even ones.  Any other
-    iterable, or model (the worker would rebuild it as a plain
-    ``SoundLocalizer``), is scored here."""
-    if isinstance(scenes, synth.SceneStream) and type(model) is SoundLocalizer:
-        tag = next(_calls)
-        chunks = synth.alternate(
-            scenes.chunks, lambda k: _score_chunk(model, scenes.chunk(k)),
-            lambda k, first: (_score_shipped, tag, _shipment(model) if first else None,
-                              scenes, k))
+    A ``SceneStream`` has its chunks shared with the scene worker
+    (``synth.alternate``): the model travels to it once per call, pickled
+    with the stream, and the worker makes and scores the odd chunks while this
+    process makes and scores the even ones.  Any other iterable, or a model
+    that does not pickle, is scored here."""
+    if isinstance(scenes, synth.SceneStream):
+        chunks = synth.alternate(scenes.chunks,
+                                 functools.partial(_score_stream_chunk, model, scenes))
     else:
         scenes = iter(scenes)
         parts = iter(lambda: list(itertools.islice(scenes, PREDICT_CHUNK)), [])

@@ -10,11 +10,11 @@ multi-source (``ms3``), a negatives-heavy ``extended`` mix (matched /
 mismatched-audio / silent), and the open-set ``heard``/``unheard`` class
 splits.
 
-When the process has more than one CPU, a forked worker shares the work a
-whole chunk at a time (see ``alternate``): it makes every other chunk of an
-iterated ``SceneStream``, and ``harness.predict_eval_samples`` has it make and
-score every other chunk of one.  Every scene comes from its own seed, so the
-bytes do not depend on the CPU count.
+When the process has more than one CPU, a forked worker computes every other
+chunk (see ``alternate``) from a job pickled to it once per call: it makes the
+chunks of an iterated ``SceneStream``, and makes and scores them, with the model
+in the job, for ``harness.predict_eval_samples``.  Every scene comes from its
+own seed, so the bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 from . import audiofeat, formats
 from . import autodiff as ad
 from .autodiff import ContractViolation
+from .encoders import MAX_IMAGE_SIZE
 
 MODES = ("train", "s4", "ms3", "extended", "heard", "unheard")
 
@@ -90,6 +91,8 @@ class GeneratorConfig:
             raise ContractViolation("train_class_count outside [1, num_classes]")
         if self.mismatch_fraction + self.silent_fraction > 1.0:
             raise ContractViolation("extended-mode fractions exceed 1")
+        if self.image_size > MAX_IMAGE_SIZE:
+            raise ContractViolation(f"image_size must be <= {MAX_IMAGE_SIZE}, got {self.image_size}")
         if not SNR_DB_RANGE[0] <= self.snr_db <= SNR_DB_RANGE[1]:
             raise ContractViolation(f"snr_db {self.snr_db} outside {list(SNR_DB_RANGE)} dB")
         for name in ("single_radius", "multi_radius"):
@@ -388,12 +391,11 @@ def make_batch(cfg: GeneratorConfig, batch_size: int, mode: str, base_seed: int,
 # Synthesis is Python around short numpy calls, so it holds the GIL and threads
 # do not speed it up; a second process does.  The worker is forked at the first
 # call of ``alternate`` that needs it, which costs no import and shares the
-# parent's pages copy-on-write, and serves the rest of the process.  It makes
-# whole chunks for an iterated ``SceneStream`` and makes and scores them for
-# ``harness.predict_eval_samples``, all inline: a forked child has no block pool
-# (see ``autodiff``), which changes no byte.  After an error it is forked again,
-# possibly once the block pool's threads exist: only from the thread that calls
-# ``alternate``, between operations, and the child never touches the pool.
+# parent's pages copy-on-write, and serves the rest of the process.  It runs
+# each call's job inline: a forked child has no block pool (see ``autodiff``),
+# which changes no byte.  After an error it is forked again, possibly once the
+# block pool's threads exist: only from the thread that calls ``alternate``,
+# between operations, and the child never touches the pool.
 
 # One worker when the affinity mask holds more than one CPU and fork exists:
 # two processes is the configuration that was measured (2 vCPUs), and each
@@ -403,12 +405,9 @@ _WORKERS = min(1, ad._WORKERS) if hasattr(os, "fork") else 0
 
 
 class _Worker:
-    """A forked process that runs the requests it is sent and sends back the results.
-
-    Requests and replies are pickles on two pipes, one reply per request: the
-    result, or ``None`` when the function raised (the parent then runs it
-    itself and raises its error).  A worker that a pipe fails on is ended,
-    and its share run inline."""
+    """A forked process that answers each request ``(job, count)``, pickled on
+    a pipe, with ``job(1)``, ``job(3)``, ... in order, pickled on another, None
+    for an item that raised.  A worker that a pipe fails on is ended."""
 
     def __init__(self):
         """Fork the process; OSError if it cannot be forked."""
@@ -440,12 +439,15 @@ class _Worker:
         finally:
             signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
 
-    def post(self, request: tuple) -> bool:
-        """Send a ``(function, *args)`` request; False if the worker is gone."""
-        if self.pid is None:
+    def post(self, job: Callable[[int], object], count: int) -> bool:
+        """Send ``(job, count)``; False if the worker is gone or the job does
+        not pickle, which is found before a byte is written."""
+        try:
+            request = pickle.dumps((job, count), pickle.HIGHEST_PROTOCOL)
+        except Exception:
             return False
         try:
-            pickle.dump(request, self.requests, pickle.HIGHEST_PROTOCOL)
+            self.requests.write(request)
             self.requests.flush()
         except OSError:
             self.close()
@@ -453,7 +455,7 @@ class _Worker:
         return True
 
     def reply(self):
-        """The posted request's result; None if it raised or the worker is gone."""
+        """The next result; None if its item raised or the worker is gone."""
         try:
             return pickle.load(self.replies)
         except (EOFError, OSError, pickle.UnpicklingError):
@@ -478,22 +480,25 @@ class _Worker:
 
 
 def _serve(requests, replies) -> None:
-    """A worker's loop; it returns when the parent's end of ``requests`` closes.
-    What it runs, it runs inline: it forks no worker of its own."""
+    """A worker's loop; it returns when the parent's end of ``requests`` closes
+    or a job does not unpickle.  What it runs, it runs inline: it forks no
+    worker of its own."""
     global _WORKERS
     _WORKERS = 0
     while True:
         try:
-            function, *args = pickle.load(requests)
-        except EOFError:
+            job, count = pickle.load(requests)
+        except Exception:       # EOFError: the parent is done with the worker
             return
-        try:
-            result = function(*args)
-        except Exception:
-            result = None
-        pickle.dump(result, replies, pickle.HIGHEST_PROTOCOL)
-        replies.flush()
-        del function, args, result      # not held while the next request waits
+        for k in range(1, count, 2):
+            try:
+                result = job(k)
+            except Exception:
+                result = None
+            pickle.dump(result, replies, pickle.HIGHEST_PROTOCOL)
+            replies.flush()
+            del result          # not held while the next item is computed
+        del job                 # nor while the next request waits
 
 
 _worker: _Worker | None = None
@@ -509,7 +514,7 @@ def _forget_worker() -> None:
 
 
 def _close_worker() -> None:
-    """End and reap the worker: at exit, and after a call of ``alternate`` that raised."""
+    """End and reap the worker: at exit, and once ``alternate`` stops with replies unread."""
     global _worker
     if _worker is not None:
         _worker.close()
@@ -521,45 +526,42 @@ if hasattr(os, "register_at_fork"):
 atexit.register(_close_worker)
 
 
-def alternate(count: int, here: Callable[[int], object],
-              there: Callable[[int, bool], tuple]) -> Iterator:
-    """``here(0)``, ..., ``here(count - 1)`` in order, the worker computing the
+def alternate(count: int, job: Callable[[int], object]) -> Iterator:
+    """``job(0)``, ..., ``job(count - 1)`` in order, the worker computing the
     odd ones while this process computes the even ones.
 
-    For odd ``k`` the worker runs ``there(k, first)``, a ``(function, *args)``
-    request whose result equals ``here(k)`` and is not None; ``first`` marks
-    the call's first request, so a large argument can travel once.  One
-    request is in flight at a time: a request or a reply can exceed a pipe.
-    An item the worker did not send (its function raised, or the worker is
-    gone) is computed here after the item before it, so the first error is the
-    one computing everything here would raise.  An error, a KeyboardInterrupt
-    or an abandoned iteration ends the worker, so no stale reply reaches a
-    later call.  Everything is computed here without a worker, for fewer than
-    two items, or while another call holds the worker: an iteration that is
-    suspended, as a ``SceneStream`` read part way, or one on another thread."""
+    The worker is sent ``(job, count)`` once, pickled here before a byte is
+    written, so ``job`` and its results must pickle, and no result may be
+    None.  A job that does not pickle is computed here; one that does not
+    unpickle ends the worker.  An item the worker did not send is computed here
+    after the one before it, so the first error is the one computing everything
+    here would raise.  An iteration that stops (an error, a KeyboardInterrupt
+    or a close) with replies unread ends the worker, so no stale reply reaches
+    a later call.  Everything is computed here without a worker, for fewer
+    than two items, or while another call holds the worker: an iteration that
+    is suspended, as a ``SceneStream`` read part way, or one on another thread."""
     global _worker, _WORKERS
     if not _WORKERS or count < 2 or not _lock.acquire(blocking=False):
-        yield from map(here, range(count))
+        yield from map(job, range(count))
         return
+    unread = count // 2         # until the request is known not to be sent
     try:
         if _worker is None or _worker.pid is None:
             try:
                 _worker = _Worker()
             except OSError:     # no fork: every item inline from now on
                 _worker, _WORKERS = None, 0
-        first = True
-        for k in range(0, count, 2):
-            sent = k + 1 < count and _worker is not None and _worker.post(there(k + 1, first))
-            first = first and not sent
-            yield here(k)
-            if k + 1 < count:
-                result = _worker.reply() if sent else None
-                yield here(k + 1) if result is None else result
-                del result      # not held while the next items are computed
-    except BaseException:
-        _close_worker()
-        raise
+        if _worker is None or not _worker.post(job, count):
+            unread = 0
+        for k in range(count):
+            result = None       # the last item is not held while this one is computed
+            if k % 2 and unread:
+                result = _worker.reply()
+                unread = unread - 1 if _worker.pid is not None else 0
+            yield job(k) if result is None else result
     finally:
+        if unread:
+            _close_worker()
         _lock.release()
 
 
@@ -577,8 +579,8 @@ class SceneStream:
     ``len`` is the batch size and each chunk comes from one ``make_batch``
     call: perfbench's tracer counts scenes with ``len`` and times synthesis by
     wrapping ``make_batch``, so it sees a stream as a list.  A stream pickles
-    to its arguments, so the scene worker can make any of its chunks: it
-    makes the odd ones while this process makes the even ones (``alternate``)."""
+    to its arguments, so ``chunk`` is a job the scene worker can run: it makes
+    the odd chunks while this process makes the even ones (``alternate``)."""
 
     def __init__(self, cfg: GeneratorConfig, batch_size: int, mode: str, base_seed: int):
         _batch_plan(cfg, batch_size, mode)
@@ -598,10 +600,8 @@ class SceneStream:
         return make_batch(cfg, min(PREDICT_CHUNK, n - lo), mode, base_seed, lo, n)
 
     def __iter__(self) -> Iterator[SceneSample]:
-        parts = alternate(self.chunks, self.chunk, lambda k, _: (SceneStream.chunk, self, k))
-        # chain drops each chunk before it asks for the next, and runs
-        # ``parts`` to its end, so a finished iteration keeps its worker.
-        yield from itertools.chain.from_iterable(parts)
+        # chain drops each chunk before it asks for the next.
+        yield from itertools.chain.from_iterable(alternate(self.chunks, self.chunk))
 
 
 def dump_dataset(samples: Iterable[SceneSample], out_dir: str | Path) -> Path:

@@ -184,7 +184,7 @@ def _case_reshape(rng):
 
 def _case_transpose(rng):
     p = {"a": _rand(rng, 2, 3, 4)}
-    return p, lambda q: _weighted(q["a"].transpose((2, 0, 1)))
+    return p, lambda q: _weighted(ad.transpose(q["a"], (2, 0, 1)))
 
 
 def _case_getitem_slice(rng):

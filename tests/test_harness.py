@@ -7,6 +7,7 @@ full-scale quantitative gates live in the acceptance suite.
 """
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -66,14 +67,21 @@ def _tiny_cfg(out_dir, **overrides) -> RunConfig:
     return RunConfig(**base)
 
 
-def _run_python(code: str, *args: str) -> str:
+def _python_child(code: str, *args: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a new Python process that imports soundloc from this
-    source tree; its standard output."""
+    source tree."""
     src = str(Path(harness.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
-                          stdout=subprocess.PIPE, text=True, timeout=300).stdout
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def _run_python(code: str, *args: str) -> str:
+    """``_python_child``'s standard output; it must succeed."""
+    proc = _python_child(code, *args)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 # -- scoring shared with the scene worker -------------------------------------
@@ -114,6 +122,19 @@ def _chunk_of(cfg: RunConfig, benchmark: str):
     first = {synth._sample_seed(cfg.seed, mode, k * synth.PREDICT_CHUNK): k
              for k in range(harness.benchmark_stream(cfg, benchmark).chunks)}
     return lambda scenes: first[scenes[0].seed]
+
+
+def _in_the_worker(function, k):
+    """``function()`` with the pid that ran it, as item 1 of
+    ``synth.alternate(2, ...)``, the scene worker's; item 0 does nothing."""
+    return (os.getpid(), function()) if k else None
+
+
+def _worker_call(function):
+    """``function()`` run in the scene worker."""
+    pid, result = list(synth.alternate(2, functools.partial(_in_the_worker, function)))[1]
+    assert pid == synth._worker.pid != os.getpid()
+    return result
 
 
 @pytest.fixture
@@ -598,28 +619,28 @@ class TestEvaluate:
         growth = (peak(512) - peak(128)) / (512 - 128)
         assert growth < 32 * 1024, f"{growth / 1024:.1f} KiB per scene"
 
-    @pytest.mark.skipif(not (_SHARES and Path("/proc/self/status").is_file()),
-                        reason="needs a scene worker and /proc")
+    @pytest.mark.skipif(not _SHARES, reason="needs a scene worker")
     def test_worker_peak_memory_does_not_grow_with_the_scenes(self, fresh_worker):
-        """The scene worker's share of a stream does not pile up either: a
-        fresh worker's peak RSS (``VmHWM``) after 16 chunks exceeds its peak
-        after 4 by less than two chunks of scenes (0.0-1.0 MiB measured; a
-        worker that kept each chunk it scored grew by ~18 MiB)."""
+        """The scene worker's share of a stream does not pile up either: its
+        traced peak (``tracemalloc``, run in the worker) while it scores 8 of
+        16 chunks exceeds its peak while it scores 2 of 4 by less than half a
+        MiB (0.015 MiB measured; a worker that kept each chunk's scored
+        result, ~0.2 MiB, grew by 1.27 MiB)."""
         cfg = RunConfig()
         model = build_model(cfg)
 
         def worker_peak(chunks):
-            synth._close_worker()
             run = dataclasses.replace(cfg, eval_samples=chunks * synth.PREDICT_CHUNK)
-            evaluate(model, run, "s4-analog")
-            status = Path(f"/proc/{synth._worker.pid}/status").read_text()
-            synth._close_worker()
-            kib = next(line for line in status.splitlines() if line.startswith("VmHWM:"))
-            return int(kib.split()[1]) * 1024
+            _worker_call(tracemalloc.start)
+            try:
+                evaluate(model, run, "s4-analog")
+                return _worker_call(tracemalloc.get_traced_memory)[1]
+            finally:
+                _worker_call(tracemalloc.stop)
 
         worker_peak(2)                              # fills the generator's caches
         growth = worker_peak(16) - worker_peak(4)
-        assert growth < 6 * 2 ** 20, f"{growth / 2 ** 20:.1f} MiB"
+        assert growth < 2 ** 19, f"{growth / 2 ** 20:.2f} MiB"
 
     @pytest.mark.parametrize("eval_samples", [40, 72])      # chunks of 32 + 8 and 32 + 32 + 8
     @pytest.mark.parametrize("bench", sorted(harness.BENCHMARKS))
@@ -754,27 +775,44 @@ class TestEvaluate:
                     model, harness.benchmark_stream(cfg, bench))))
 
     @pytest.mark.skipif(not _SHARES, reason="needs a scene worker")
-    def test_worker_scores_only_with_its_calls_model(self, tiny_run, monkeypatch,
-                                                     fresh_worker):
-        """A model the worker could not rebuild leaves that call's chunks to
-        this process: the worker never scores them with an earlier call's model."""
-        cfg = _stream_cfg(tiny_run[0], 136)
-        first, second = tiny_run[1], build_model(dataclasses.replace(cfg, seed=1))
-        parent, rebuilds, load = os.getpid(), [], SoundLocalizer.load_state
+    @pytest.mark.parametrize("plant", ["does not unpickle", "does not pickle"])
+    def test_job_the_worker_cannot_take_is_scored_here(self, tiny_run, monkeypatch,
+                                                       fresh_worker, plant):
+        """A model whose unpickling raises in the worker ends the worker; one
+        that does not pickle (it holds a lambda) is never sent, and the worker
+        stays.  Either way this process scores every chunk, without an error
+        or a hang, with inline's rows, and the next call's rows are inline's."""
+        model = tiny_run[1]
+        cfg = _stream_cfg(tiny_run[0], 136)      # five chunks
+        want = _inline(monkeypatch, lambda: predict_eval_samples(
+            model, harness.benchmark_stream(cfg, "s4-analog")))
+        parent, score, scored, got = os.getpid(), harness._score_chunk, [], []
 
-        def load_once(self, state):
+        def set_state(self, state):
             if os.getpid() != parent:
-                rebuilds.append(1)
-                if len(rebuilds) > 1:
-                    raise ValueError("cannot load a second model")
-            return load(self, state)
+                raise ValueError("no model unpickles in the worker")
+            self.__dict__.update(state)
 
-        monkeypatch.setattr(SoundLocalizer, "load_state", load_once)
-        for model in (first, second):
-            _assert_same_rows(
-                predict_eval_samples(model, harness.benchmark_stream(cfg, "s4-analog")),
-                _inline(monkeypatch, lambda: predict_eval_samples(
-                    model, harness.benchmark_stream(cfg, "s4-analog"))))
+        with monkeypatch.context() as patch:
+            if plant == "does not unpickle":
+                patch.setattr(SoundLocalizer, "__setstate__", set_state, raising=False)
+            else:
+                patch.setattr(model, "note", lambda: None, raising=False)
+            patch.setattr(harness, "_score_chunk",
+                          lambda m, scenes: scored.append(len(scenes)) or score(m, scenes))
+            call = threading.Thread(target=lambda: got.append(predict_eval_samples(
+                model, harness.benchmark_stream(cfg, "s4-analog"))))
+            call.start()
+            call.join(timeout=120)
+            assert not call.is_alive() and len(got) == 1
+            assert len(scored) == 5
+            assert (synth._worker.pid is None) == (plant == "does not unpickle")
+        _assert_same_rows(got[0], want)
+        _assert_same_rows(
+            predict_eval_samples(model, harness.benchmark_stream(cfg, "heard")),
+            _inline(monkeypatch, lambda: predict_eval_samples(
+                model, harness.benchmark_stream(cfg, "heard"))))
+        assert synth._worker.pid is not None
 
     @pytest.mark.skipif(not _SHARES, reason="needs a scene worker")
     def test_worker_forked_after_the_block_pool(self, tiny_run, monkeypatch, fresh_worker):
@@ -1083,6 +1121,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("contract violation:"), err
         assert "--count" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("encoder", "embed_dim", 2 ** 40),
+        ("encoder", "image_size", 2 ** 20),
+        ("generator", "image_size", 2 ** 20),
+        ("encoder", "max_text_len", 2 ** 40),
+        ("encoder", "text_layers", 2 ** 40),
+        ("prompt", "context_length", 2 ** 30),
+        (None, "batch_size", 2 ** 40),
+        (None, "train_samples", 2 ** 40),
+    ])
+    def test_oversized_config_exits_2(self, tmp_path, block, key, value):
+        """A size no run could allocate is refused at load: exit 2 and one
+        line, nothing written.  The child's address space is capped at 2 GiB,
+        so a config that gets past the load fails fast instead of paging."""
+        d = RunConfig(out_dir=str(tmp_path / "out")).to_dict()
+        (d if block is None else d[block])[key] = value
+        if block == "encoder" and key == "image_size":      # as a run needs them
+            d["generator"][key] = value
+        (tmp_path / "big.json").write_text(json.dumps(d))
+        proc = _python_child(
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))\n"
+            "from soundloc.cli import main\n"
+            "sys.exit(main(['train', '--config', sys.argv[1]]))\n",
+            str(tmp_path / "big.json"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("contract violation:"), proc.stderr
+        assert key in proc.stderr and proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_retired_keys_exit_2(self, cli_run, tmp_path, capsys):
         """A config.json written before the one-valued knobs were retired

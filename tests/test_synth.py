@@ -68,6 +68,7 @@ class TestGeneratorConfig:
         dict(single_radius=(11, 7)),     # lo > hi
         dict(single_radius=(20, 25)),    # a disc wider than the image
         dict(image_size=16),             # the default single radius no longer fits
+        dict(image_size=2 ** 20),        # over MAX_IMAGE_SIZE
         dict(single_radius=(1, 5)),      # below the minimum radius of 2
         dict(multi_radius=(4, 16)),
     ])
@@ -695,23 +696,45 @@ class TestWorkers:
                                 _inline_stream(monkeypatch, self.CFG, 80, mode, seed))
 
     @pytest.mark.parametrize("taken", [20, 40])     # the worker's chunk 1 in flight; read
-    def test_abandoned_iteration_ends_the_worker(self, monkeypatch, fresh_worker, taken):
-        """A stream read part way and dropped ends the worker, so no reply of
-        it reaches a later stream, and frees it: the next stream forks a new
-        worker, which makes its odd chunks."""
+    def test_abandoned_iteration_ends_the_worker_only_with_a_reply_unread(
+            self, monkeypatch, fresh_worker, taken):
+        """A stream of three chunks read part way and dropped.  At 20 scenes
+        the worker's chunk 1 is unread, so the worker is ended and no reply of
+        it reaches a later stream; at 40 it was read, so the worker is kept.
+        Either way the worker is free: the next stream's odd chunks are the
+        worker's, and its scenes are inline's."""
         want = _inline_stream(monkeypatch, self.CFG, 80, "s4", 12)[:taken]
         stream = iter(SceneStream(self.CFG, 80, "s4", 12))
         _assert_same_scenes(itertools.islice(stream, taken), want)
         pid = synth._worker and synth._worker.pid
         assert (pid is not None) == _SHARES
         del stream
-        assert synth._worker is None and not synth._lock.locked()
+        assert (synth._worker is None) == (taken == 20 or not _SHARES)
+        assert not synth._lock.locked()
         made = _chunks_made_here(monkeypatch)
         again = _streamed(self.CFG, 80, "ms3", 13)
         assert made == ([0, 2] if _SHARES else [0, 1, 2])
         if _SHARES:
-            assert synth._worker.pid not in (None, pid)
+            assert (synth._worker.pid == pid) == (taken == 40)
+            assert _running(synth._worker.pid)
         _assert_same_scenes(again, _inline_stream(monkeypatch, self.CFG, 80, "ms3", 13))
+
+    @pytest.mark.parametrize("scenes", [64, 80])    # the last chunk the worker's; this process's
+    def test_taking_exactly_every_item_keeps_the_worker(self, monkeypatch, fresh_worker,
+                                                        scenes):
+        """A caller that takes exactly ``count`` items of ``alternate`` with
+        ``next()`` and drops it, closing it at its last yield, keeps the worker."""
+        stream = SceneStream(self.CFG, scenes, "s4", 14)
+        want = _inline_stream(monkeypatch, self.CFG, scenes, "s4", 14)
+        pids = []
+        for _ in range(2):
+            parts = synth.alternate(stream.chunks, stream.chunk)
+            got = [s for _ in range(stream.chunks) for s in next(parts)]
+            del parts
+            pids.append(synth._worker and synth._worker.pid)
+            _assert_same_scenes(got, want)
+        assert pids[0] == pids[1] and (pids[0] is not None) == _SHARES
+        assert not synth._lock.locked()
 
     @pytest.mark.skipif(not _SHARES, reason="needs a worker")
     def test_worker_ignores_sigint(self, monkeypatch):
