@@ -27,14 +27,15 @@ hand-derived backward: ``linear(x, w, b)`` for ``x @ w + b`` and
 bit for bit what its composition of primitives computes, so fusing
 changes no checkpoint byte; the saving is in tape nodes and
 temporaries.  ``attention`` scales, masks, shifts, exponentiates and
-normalizes its scores in place in one buffer and keeps only the
-probabilities and the output for backward; ``layer_norm`` normalizes
-into its output and keeps each row's mean and inverse deviation, from
-which backward rebuilds the normalized rows.  Holding the scores
-key-major, ``(..., keys, queries)``, would make the row max ~3x faster
-(numpy reduces a contiguous array's second-to-last axis faster than a
-short last one), but it changes the summation order, and so the
-rounding, of the softmax.
+normalizes its scores in place in one buffer, dropped on return, and
+keeps each row's max and sum, from which backward rebuilds the
+probabilities block by block; ``layer_norm`` normalizes into its output
+and keeps each row's mean and inverse deviation, from which backward
+rebuilds the normalized rows.  Holding the scores key-major,
+``(..., keys, queries)``, would make the row max ~3x faster (numpy
+reduces a contiguous array's second-to-last axis faster than a short
+last one), but it changes the summation order, and so the rounding, of
+the softmax.
 
 The fused primitives split the leading (pair) axis of a batched array
 into ~1 MiB blocks, shared by this thread and a pool with a worker for each
@@ -423,10 +424,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
     result and every gradient are bit for bit those of the composed layer
     (matmul, scale, masked_fill, softmax, matmul), but the scores are
     scaled, masked, max-shifted, exponentiated and normalized in place in
-    one buffer, and only the probabilities and the output are kept.  The
-    output and the gradients are laid out in memory like ``q``, ``k`` and
-    ``v``, so heads split off by a transpose are merged back without a
-    copy.
+    one buffer, which is dropped on return.  Backward keeps only each row's
+    max and sum, and rebuilds each block of probabilities from q and k with
+    the forward's own ops, in the forward's order.  The output and the
+    gradients are laid out in memory like ``q``, ``k`` and ``v``, so heads
+    split off by a transpose are merged back without a copy.
     """
     if (q.ndim < 2 or k.shape != v.shape or q.shape[:-2] != k.shape[:-2]
             or q.shape[-1] != k.shape[-1] or (causal and q.shape[-2] != k.shape[-2])):
@@ -434,17 +436,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
             f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
     qd, kd, vd = q.data, k.data, v.data
     scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
-    p = np.empty(q.shape[:-1] + k.shape[-2:-1], dtype=qd.dtype)
+    shape = q.shape[:-1] + k.shape[-2:-1]
+    above = np.triu(np.ones(shape[-2:], dtype=bool), k=1) if causal else None
+    p = np.empty(shape, dtype=qd.dtype)
+    rowmax, rowsum = (np.empty(shape[:-1] + (1,), dtype=qd.dtype) for _ in range(2))
     out = np.empty_like(qd)
 
-    def fwd(s):
-        ps = np.matmul(qd[s], np.swapaxes(kd[s], -1, -2), out=p[s])
+    def scores(s, into=None):
+        ps = np.matmul(qd[s], np.swapaxes(kd[s], -1, -2), out=into)
         ps *= scale
         if causal:
-            np.copyto(ps, -np.inf, where=np.triu(np.ones(ps.shape[-2:], dtype=bool), k=1))
-        ps -= np.fmax.reduce(ps, axis=-1, keepdims=True)
+            np.copyto(ps, -np.inf, where=above)
+        return ps
+
+    def fwd(s):
+        ps = scores(s, p[s])
+        ps -= np.fmax.reduce(ps, axis=-1, keepdims=True, out=rowmax[s])
         np.exp(ps, out=ps)
-        ps /= ps.sum(axis=-1, keepdims=True)
+        ps /= np.add.reduce(ps, axis=-1, keepdims=True, out=rowsum[s])
         np.matmul(ps, vd[s], out=out[s])
     _blocked(fwd, p)
 
@@ -452,7 +461,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
         gq, gk, gv = (np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v))
 
         def back(s):
-            ps = p[s]
+            ps = scores(s)              # the forward's probabilities, rebuilt bit for bit
+            ps -= rowmax[s]
+            np.exp(ps, out=ps)
+            ps /= rowsum[s]
             if gv is not None:
                 np.matmul(np.swapaxes(ps, -1, -2), g[s], out=gv[s])
             if gq is not None or gk is not None:
@@ -464,7 +476,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
                     np.matmul(ds, kd[s], out=gq[s])
                 if gk is not None:
                     np.matmul(np.swapaxes(qd[s], -1, -2), ds, out=np.swapaxes(gk[s], -1, -2))
-        _blocked(back, p)
+        _blocked(back, np.broadcast_to(rowmax, shape))     # blocks sized as the scores
         return (gq, gk, gv)
     return _make(out, "attention", (q, k, v), bwd)
 

@@ -42,7 +42,7 @@ from . import autodiff as ad
 from . import checkpoint as ckpt_io
 from . import formats, metrics, synth
 from .autodiff import ContractViolation, Tensor
-from .encoders import EncoderConfig
+from .encoders import CHANNELS, EncoderConfig
 from .losses import LossWeights, area_regularization, infonce_symmetric, total_loss
 from .model import SoundLocalizer
 from .optim import Adam
@@ -60,6 +60,9 @@ BENCHMARKS = {
 
 # Validation scenes scored after each epoch (the first ones of the split).
 VALIDATION_SCENES = 32
+
+# The elements of a training step's largest array: 16 times the default's.
+MAX_STEP_ELEMENTS = 1 << 26
 
 REPORT_COLUMNS = ("benchmark", "ciou", "auc", "miou", "fscore", "ap", "max_f1", "loc_acc")
 
@@ -141,6 +144,24 @@ class RunConfig:
             raise ContractViolation(
                 f"context_length {self.prompt.context_length} makes prompts of {prompt_len} "
                 f"tokens, more than encoder max_text_len {self.encoder.max_text_len}")
+        # Each size field has its own ceiling, but several near theirs at once
+        # can still make an array no run could allocate.
+        name, size = max(self._step_arrays(prompt_len).items(), key=lambda kv: kv[1])
+        if size > MAX_STEP_ELEMENTS:
+            raise ContractViolation(
+                f"batch_size {self.batch_size} with this encoder and prompt makes a step's "
+                f"{name} {size} elements, more than {MAX_STEP_ELEMENTS}")
+
+    def _step_arrays(self, prompt_len: int) -> dict[str, int]:
+        """Elements of a training step's largest arrays, each over the B² pairs."""
+        enc, pairs = self.encoder, self.batch_size ** 2
+        cells, heads = enc.n_cells, enc.text_heads
+        prompts = pairs * (prompt_len if self.prompt.fusion_mode == "ensemble" else 1)
+        return {"decoder rows": pairs * cells * enc.embed_dim,
+                "decoder attention scores": pairs * heads * cells * cells,
+                "masked images": pairs * enc.image_size ** 2 * CHANNELS,
+                "text MLP rows": prompts * prompt_len * 4 * enc.embed_dim,
+                "text attention scores": prompts * heads * prompt_len ** 2}
 
     @property
     def n_val(self) -> int:

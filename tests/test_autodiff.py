@@ -409,16 +409,20 @@ class TestFusedPrimitives:
         out = ad.attention(*(ad.constant(a) for a in (q, k, v)), causal=causal)
         assert rel_err(out.data, attention_loops(q, k, v, causal)) < 1e-12
 
-    # dh = 4 scales by 0.5, a power of two; dh = 3 by a scale that rounds.
-    @pytest.mark.parametrize("dh", [4, 3])
+    # Shapes are (items, t, heads, dh).  dh = 4 scales by 0.5, a power of
+    # two; dh = 3 by a scale that rounds.  The last shape's scores (4 or
+    # 8 MiB) are split into ~1 MiB blocks when the pool runs, so backward
+    # rebuilds the probabilities block by block.
+    @pytest.mark.parametrize("shape", [(3, 6, 2, 4), (3, 6, 2, 3), (64, 64, 4, 16)],
+                             ids=["dh4", "dh3", "blocks"])
     @pytest.mark.parametrize("causal", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_attention_is_bit_equal_to_the_composed_layer(self, dtype, causal, dh):
+    def test_attention_is_bit_equal_to_the_composed_layer(self, dtype, causal, shape):
         """Output and every input gradient, with the inputs laid out as the
         attention layer lays them out (heads split off by a transpose)."""
         rng = np.random.default_rng(10)
-        arrays = [rng.standard_normal((3, 6, 2, dh)).astype(dtype) for _ in range(3)]
-        w = ad.constant(rng.standard_normal((3, 2, 6, dh)).astype(dtype))
+        arrays = [rng.standard_normal(shape).astype(dtype) for _ in range(3)]
+        w = ad.constant(rng.standard_normal(np.take(shape, (0, 2, 1, 3))).astype(dtype))
         results = []
         for fn in (ad.attention, _composed_attention):
             leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -480,6 +484,24 @@ class TestFusedPrimitives:
         finally:
             tracemalloc.stop()
         assert out.data.nbytes <= kept < out.data.nbytes + x.data.nbytes // 2
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_attention_keeps_only_row_statistics(self, causal):
+        """Besides its inputs and output, an attention node keeps only each
+        row's max and sum: backward rebuilds the probabilities from q and k."""
+        rng = np.random.default_rng(15)
+        q, k, v = (Tensor(rng.standard_normal((64, 4, 64, 16)), requires_grad=True)
+                   for _ in range(3))
+        scores = 64 * 4 * 64 * 64 * 8           # 8 MiB
+        ad.attention(q, k, v, causal=causal)    # the block pool's first use imports
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.attention(q, k, v, causal=causal)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes <= kept < out.data.nbytes + scores // 8
 
     @pytest.mark.parametrize("shapes", [
         ((2, 3), (4, 5), (5,)), ((2, 4), (4, 5), (4,)), ((2, 4), (2, 4, 5), (5,)),

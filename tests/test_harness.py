@@ -1134,12 +1134,36 @@ class TestCli:
     ])
     def test_oversized_config_exits_2(self, tmp_path, block, key, value):
         """A size no run could allocate is refused at load: exit 2 and one
-        line, nothing written.  The child's address space is capped at 2 GiB,
-        so a config that gets past the load fails fast instead of paging."""
+        line, nothing written."""
         d = RunConfig(out_dir=str(tmp_path / "out")).to_dict()
         (d if block is None else d[block])[key] = value
         if block == "encoder" and key == "image_size":      # as a run needs them
             d["generator"][key] = value
+        self._assert_refused_under_2_gib(tmp_path, d, key)
+
+    @pytest.mark.parametrize("changes", [
+        {"batch_size": 64, "encoder": {"image_size": 128}, "generator": {"image_size": 128}},
+        {"batch_size": 64, "encoder": {"image_size": 128, "patch_size": 32},
+         "generator": {"image_size": 128}},
+        {"encoder": {"max_text_len": 512}, "prompt": {"context_length": 511}},
+    ], ids=["decoder-scores", "masked-images", "text-scores"])
+    def test_oversized_combination_exits_2(self, tmp_path, changes):
+        """Fields each within its ceiling whose combination makes one step
+        array too large (the decoder's scores, the masked images, the text
+        encoder's scores) are refused at load too."""
+        d = RunConfig(out_dir=str(tmp_path / "out")).to_dict()
+        for key, value in changes.items():
+            if isinstance(value, dict):
+                d[key].update(value)
+            else:
+                d[key] = value
+        self._assert_refused_under_2_gib(tmp_path, d, "batch_size")
+
+    @staticmethod
+    def _assert_refused_under_2_gib(tmp_path, d, word):
+        """``soundloc train`` on config ``d`` exits 2 with one line naming
+        ``word`` and writes nothing.  The child's address space is capped at
+        2 GiB, so a config that gets past the load fails fast instead of paging."""
         (tmp_path / "big.json").write_text(json.dumps(d))
         proc = _python_child(
             "import resource, sys\n"
@@ -1149,7 +1173,7 @@ class TestCli:
             str(tmp_path / "big.json"))
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("contract violation:"), proc.stderr
-        assert key in proc.stderr and proc.stderr.count("\n") == 1
+        assert word in proc.stderr and proc.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_retired_keys_exit_2(self, cli_run, tmp_path, capsys):
