@@ -37,13 +37,13 @@ reduces a contiguous array's second-to-last axis faster than a short
 last one), but it changes the summation order, and so the rounding, of
 the softmax.
 
-The fused primitives split the leading (pair) axis of a batched array
-into ~1 MiB blocks, shared by this thread and a pool with a worker for each
-further CPU in the process's affinity.  No byte changes: a block makes the
-calls the whole array would, as numpy runs a batched matmul as one GEMM per
-item, reduces the last axis row by row and applies elementwise ops element by
-element.  A 2-D GEMM's rows are never split: OpenBLAS may round differently
-when the row count changes.
+The fused primitives split the leading (pair) axis of a batched array into
+~1 MiB blocks on any CPU count, so what a step holds does not depend on it; a
+pool with a worker for each further CPU in the process's affinity takes some.
+No byte changes: a block makes the calls the whole array would, as numpy runs
+a batched matmul as one GEMM per item, reduces the last axis row by row and
+applies elementwise ops element by element.  A 2-D array is one block:
+OpenBLAS may round a GEMM differently when its row count changes.
 
 On glibc, importing the module keeps freed memory in the process
 (``FREED_MEMORY_KEPT``): the graph a training step drops is the next step's.
@@ -234,7 +234,7 @@ class _LazyPool:
         return self.executor.submit(fn)
 
 
-# A forked child, whose copy of the pool has no threads, runs inline.
+# A forked child, whose copy of the pool has no threads, runs its blocks itself.
 _pool = _LazyPool() if _WORKERS else None
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
@@ -261,18 +261,16 @@ def _keep_freed_memory() -> bool:
 FREED_MEMORY_KEPT = _keep_freed_memory()
 
 
-def _blocked(fn: Callable[[slice], None], *arrays: np.ndarray, core: int = 2) -> None:
-    """Call ``fn(s)`` on consecutive blocks of the leading axis of ``arrays``,
-    sized by the largest, on this thread and the pool's; ``fn(slice(None))``
-    with no pool, one block, or only ``core`` axes (GEMM rows are never split)."""
+def _blocked(fn: Callable[[slice], None], *arrays: np.ndarray) -> None:
+    """Call ``fn(s)`` on consecutive ~1 MiB blocks of the leading axis of ``arrays``,
+    sized by the largest, some on the pool's threads if any; a 2-D array is one."""
     a = max(arrays, key=lambda a: a.nbytes)
-    step = max(1, _BLOCK_BYTES * len(a) // max(1, a.nbytes) if a.ndim > core else len(a))
-    if _pool is None or len(a) <= step:
-        fn(slice(None))
-        return
+    step = max(1, _BLOCK_BYTES * len(a) // max(1, a.nbytes))
+    blocks = [slice(i, i + step) for i in range(0, len(a), step)] if a.ndim > 2 else [slice(None)]
     # A free thread takes the next block; a list iterator hands each out once.
-    todo = iter([slice(lo, lo + step) for lo in range(0, len(a), step)])
-    futures = [_pool.submit(lambda: [fn(s) for s in todo]) for _ in range(_WORKERS)]
+    todo = iter(blocks)
+    futures = [_pool.submit(lambda: [fn(s) for s in todo]) for _ in range(_WORKERS)
+               if _pool is not None and len(blocks) > 1]
     for s in todo:
         fn(s)
     for f in futures:
@@ -517,7 +515,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         inv[s] = 1.0 / np.sqrt((xs * xs).mean(axis=-1, keepdims=True) + eps)
         xs *= inv[s]
         np.add(np.multiply(xs, gamma.data, out=out[s]), beta.data, out=out[s])
-    _blocked(fwd, x.data, out, core=1)
+    _blocked(fwd, x.data, out)
 
     def bwd(g):
         dx = np.empty_like(g) if x.requires_grad else None
@@ -535,7 +533,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
                 d -= d.mean(axis=-1, keepdims=True)
                 d -= np.multiply(xs, proj_mean, out=proj)
                 d *= inv[s]
-        _blocked(back, g, core=1)
+        _blocked(back, g)
         return (dx, None if gxhat is None else _unbroadcast(gxhat, gamma.shape),
                 _unbroadcast(g, beta.shape) if beta.requires_grad else None)
     return _make(out, "layer_norm", (x, gamma, beta), bwd)

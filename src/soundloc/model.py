@@ -183,4 +183,4 @@ class SoundLocalizer(Module):
         with ad.no_grad():
             percept = self.perceive(images, audios)
             dec = self.decode_pairs(percept, np.arange(percept.grid.shape[0]))
-            return dec.image_masks.data.copy()
+            return dec.image_masks.data

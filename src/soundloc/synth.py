@@ -373,6 +373,8 @@ def make_batch(cfg: GeneratorConfig, batch_size: int, mode: str, base_seed: int,
 
     Every scene comes from its own seed, so a part of a batch equals the
     same slice of the whole, whichever process makes it."""
+    if batch_size < 1:
+        raise ContractViolation(f"batch_size must be >= 1, got {batch_size}")
     pool, kinds = _batch_plan(cfg, batch_size if total is None else total, mode)
     if not 0 <= start <= len(kinds) - batch_size:
         raise ContractViolation(
@@ -391,8 +393,8 @@ def make_batch(cfg: GeneratorConfig, batch_size: int, mode: str, base_seed: int,
 # Synthesis is Python around short numpy calls, so it holds the GIL and threads
 # do not speed it up; a second process does.  The worker is forked at the first
 # call of ``alternate`` that needs it, which costs no import and shares the
-# parent's pages copy-on-write, and serves the rest of the process.  It runs
-# each call's job inline: a forked child has no block pool (see ``autodiff``),
+# parent's pages copy-on-write, and serves the rest of the process.  A forked
+# child has no block pool (see ``autodiff``): it runs each job's blocks itself,
 # which changes no byte.  After an error it is forked again, possibly once the
 # block pool's threads exist: only from the thread that calls ``alternate``,
 # between operations, and the child never touches the pool.

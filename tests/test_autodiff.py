@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soundloc.autodiff as ad
@@ -378,7 +378,8 @@ def _layer_norm_formula(x, gamma, beta, g, eps=1e-5):
     return xhat * gamma + beta, dx, dgamma, dbeta
 
 
-# Each case: a primitive and its operand shapes, mostly with a leading axis of 7.
+# Each case: a primitive and its operand shapes, mostly with a leading axis of 7;
+# the empty ones are an empty batch, whose 3-D arrays split into no block.
 _BLOCKED_CASES = {
     "attention": (ad.attention, ((7, 2, 5, 4),) * 3),
     "attention-causal": (lambda q, k, v: ad.attention(q, k, v, causal=True), ((7, 2, 5, 4),) * 3),
@@ -389,6 +390,10 @@ _BLOCKED_CASES = {
     "linear-3d-one-column": (ad.linear, ((19, 3, 6), (6, 1), (1,))),
     "layer_norm-2d": (ad.layer_norm, ((7, 16), (16,), (16,))),
     "layer_norm-3d": (ad.layer_norm, ((7, 3, 16), (16,), (16,))),
+    "attention-empty": (ad.attention, ((0, 2, 5, 4),) * 3),
+    "linear-2d-empty": (ad.linear, ((0, 6), (6, 5), (5,))),
+    "linear-3d-empty": (ad.linear, ((0, 3, 6), (6, 5), (5,))),
+    "layer_norm-3d-empty": (ad.layer_norm, ((0, 3, 16), (16,), (16,))),
 }
 
 
@@ -411,8 +416,8 @@ class TestFusedPrimitives:
 
     # Shapes are (items, t, heads, dh).  dh = 4 scales by 0.5, a power of
     # two; dh = 3 by a scale that rounds.  The last shape's scores (4 or
-    # 8 MiB) are split into ~1 MiB blocks when the pool runs, so backward
-    # rebuilds the probabilities block by block.
+    # 8 MiB) are split into ~1 MiB blocks, so backward rebuilds the
+    # probabilities block by block.
     @pytest.mark.parametrize("shape", [(3, 6, 2, 4), (3, 6, 2, 3), (64, 64, 4, 16)],
                              ids=["dh4", "dh3", "blocks"])
     @pytest.mark.parametrize("causal", [False, True])
@@ -454,7 +459,7 @@ class TestFusedPrimitives:
         assert x.grad is None and b.grad is None
         assert np.array_equal(w.grad, np.full((3, 4), 2.0))
 
-    # The second shape is split into 2 or 3 blocks of ~1 MiB when the pool runs.
+    # The second shape is split into 2 or 3 blocks of ~1 MiB.
     @pytest.mark.parametrize("shape", [(4, 5, 16), (20, 64, 256)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_layer_norm_is_bit_equal_to_the_formula(self, dtype, shape):
@@ -503,6 +508,44 @@ class TestFusedPrimitives:
             tracemalloc.stop()
         assert out.data.nbytes <= kept < out.data.nbytes + scores // 8
 
+    @staticmethod
+    def _backward_peak(out, g):
+        """The most bytes that backward from ``sum(out * g)`` holds at once."""
+        loss = (out * ad.constant(g)).sum()
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_attention_backward_without_a_pool_runs_in_blocks(self, causal, monkeypatch):
+        """With no block pool (one CPU, a forked child), backward still rebuilds
+        the probabilities ~1 MiB at a time: its peak stays below the gradients
+        and one whole scores array."""
+        monkeypatch.setattr(ad, "_pool", None)
+        rng = np.random.default_rng(16)
+        shape = (64, 4, 64, 16)
+        q, k, v = (Tensor(rng.standard_normal(shape), requires_grad=True) for _ in range(3))
+        out = ad.attention(q, k, v, causal=causal)
+        grads = 3 * out.data.nbytes                 # 6 MiB
+        scores = 64 * 4 * 64 * 64 * 8               # 8 MiB
+        assert self._backward_peak(out, rng.standard_normal(shape)) < grads + scores
+
+    def test_layer_norm_backward_without_a_pool_runs_in_blocks(self, monkeypatch):
+        """With no block pool, backward rebuilds xhat ~1 MiB at a time: besides
+        the output's gradient and the gradients of x and of gamma's rows, it
+        holds less than one more array of x's size (a whole xhat and its
+        product with the gradient would be two)."""
+        monkeypatch.setattr(ad, "_pool", None)
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.standard_normal((256, 64, 64)), requires_grad=True)   # 8 MiB
+        gamma, beta = (Tensor(rng.standard_normal(64), requires_grad=True) for _ in range(2))
+        out = ad.layer_norm(x, gamma, beta)
+        peak = self._backward_peak(out, rng.standard_normal(x.shape))
+        assert peak < 4 * x.data.nbytes
+
     @pytest.mark.parametrize("shapes", [
         ((2, 3), (4, 5), (5,)), ((2, 4), (4, 5), (4,)), ((2, 4), (2, 4, 5), (5,)),
         ((4,), (4, 5), (5,))])
@@ -521,10 +564,11 @@ class TestFusedPrimitives:
     @pytest.mark.parametrize("grads", ["all", "first", "rest"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", sorted(_BLOCKED_CASES))
-    def test_blocked_runs_equal_one_inline_block(self, case, dtype, grads, monkeypatch,
-                                                 three_workers):
-        """Blocks of the leading axis, run on several threads, give the
-        bytes of one inline call: every block makes the same per-item calls."""
+    def test_blocked_runs_equal_one_whole_block(self, case, dtype, grads, monkeypatch,
+                                                three_workers):
+        """Blocks of the leading axis, run one after another on this thread or
+        on several threads, give the bytes of one block of the whole array:
+        every block makes the same per-item calls."""
         fn, shapes = _BLOCKED_CASES[case]
         rng = np.random.default_rng(13)
         arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
@@ -540,14 +584,15 @@ class TestFusedPrimitives:
             ad.backward((out * ad.constant(g)).sum())
             return [out.data] + [t.grad for t in leaves]
 
-        pools = ((ad._pool, ad._WORKERS), (three_workers, 3))
-        monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)        # one leading row per block
+        pools = ((None, 0), (ad._pool, ad._WORKERS), (three_workers, 3))
         monkeypatch.setattr(ad, "_pool", None)
-        inline = run()
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 1 << 40)  # one block of the whole array
+        whole = run()
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)        # one leading row per block
         for pool, workers in pools:
             monkeypatch.setattr(ad, "_pool", pool)
             monkeypatch.setattr(ad, "_WORKERS", workers)
-            for got, want in zip(run(), inline):
+            for got, want in zip(run(), whole):
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert got.dtype == dtype and np.array_equal(got, want)
@@ -574,25 +619,30 @@ class TestFusedPrimitives:
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 300), row_bytes=st.integers(0, 3 << 20),
-           block_bytes=st.integers(1, 1 << 21), workers=st.integers(1, 4))
+           block_bytes=st.integers(1, 1 << 21), workers=st.integers(0, 4))
+    @example(n=0, row_bytes=8, block_bytes=1, workers=0)
+    @example(n=0, row_bytes=8, block_bytes=1, workers=2)
     def test_blocks_cover_range_once_in_order(self, n, row_bytes, block_bytes, workers):
         """Consecutive blocks of at most ~block_bytes cover range(n) once, with
-        the threads switching as often as the interpreter allows."""
+        no pool (``workers`` 0) as with one, whose threads switch as often as
+        the interpreter allows."""
         rows = np.broadcast_to(np.empty((1, 1, 1), np.uint8), (n, 1, row_bytes))
         calls = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(workers) as pool, mock.patch.multiple(
-                    ad, _BLOCK_BYTES=block_bytes, _pool=pool, _WORKERS=workers):
+            with ThreadPoolExecutor(max(1, workers)) as pool, mock.patch.multiple(
+                    ad, _BLOCK_BYTES=block_bytes, _pool=pool if workers else None,
+                    _WORKERS=workers):
                 ad._blocked(lambda s: calls.append(range(n)[s]), rows)
         finally:
             sys.setswitchinterval(interval)
         spans = sorted(calls, key=lambda r: r.start)
         assert [i for r in spans for i in r] == list(range(n))
-        if len(spans) > 1:
-            step = max(1, block_bytes // max(1, row_bytes))
-            assert all(0 < len(r) <= step for r in spans)
+        step = max(1, block_bytes // row_bytes if row_bytes else n)
+        assert [len(r) for r in spans] == [min(step, n - i) for i in range(0, n, step)]
+        if not workers:
+            assert calls == spans       # this thread runs them in order
 
 
 # Each case: a primitive and its operands' shapes.

@@ -817,7 +817,7 @@ class TestEvaluate:
     @pytest.mark.skipif(not _SHARES, reason="needs a scene worker")
     def test_worker_forked_after_the_block_pool(self, tiny_run, monkeypatch, fresh_worker):
         """A worker forked once the block pool's threads run scores the same
-        bytes; it runs the blocked primitives inline."""
+        bytes; it runs every block of the fused primitives itself."""
         model = tiny_run[1]
         cfg = _stream_cfg(tiny_run[0], 72)
         ad._pool.submit(lambda: None).result()
@@ -853,11 +853,11 @@ class TestDeterminism:
     @pytest.mark.skipif(_CPUS < 2, reason="needs two CPUs to compare with one")
     def test_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
         """Criterion 9's run on every CPU here, and in a process pinned to one
-        CPU before it imports soundloc (so its primitives run inline and it
-        makes every scene itself), scored on each benchmark of perfbench's
-        suite.  Here the worker makes the second chunk of the 48 training
-        scenes (32 + 16) and makes and scores the second of each benchmark's
-        40 (32 + 8)."""
+        CPU before it imports soundloc (so it runs every block of its
+        primitives and makes every scene itself), scored on each benchmark of
+        perfbench's suite.  Here the worker makes the second chunk of the 48
+        training scenes (32 + 16) and makes and scores the second of each
+        benchmark's 40 (32 + 8)."""
         suite = ("s4-analog", "ms3-analog", "extended-analog", "heard")
         child = (
             "import os, sys\n"

@@ -658,6 +658,11 @@ class TestWorkers:
         for start, count in ((-1, 2), (12, 2), (14, 1)):
             with pytest.raises(ContractViolation, match="outside a batch of 13"):
                 make_batch(self.CFG, count, "s4", 0, start, 13)
+        for start, count in ((5, -3), (0, 0)):
+            with pytest.raises(ContractViolation, match=f"batch_size must be >= 1, got {count}"):
+                make_batch(self.CFG, count, "s4", 0, start, 13)
+        with pytest.raises(ContractViolation, match="batch_size must be >= 1"):
+            SceneStream(self.CFG, 64, "s4", 0).chunk(100)
 
     @pytest.mark.parametrize("failing,lowest", [
         ((40,), 40),        # only the worker's chunk (scenes 32 to 63) fails
