@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 aborted training run, 2 contract violation
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,11 +20,7 @@ from .harness import RunConfig, TrainingAborted
 
 def _load_config(path: str, seed: int | None) -> RunConfig:
     cfg = RunConfig.load(path)
-    if seed is not None:
-        d = cfg.to_dict()
-        d["seed"] = seed
-        cfg = RunConfig.from_dict(d)
-    return cfg
+    return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
 
 
 def _config_beside(ckpt: str, explicit: str | None) -> Path:

@@ -173,11 +173,7 @@ class RunConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        gen = d["generator"]
-        gen["single_radius"] = list(gen["single_radius"])
-        gen["multi_radius"] = list(gen["multi_radius"])
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -194,10 +190,6 @@ class RunConfig:
             raise ContractViolation(f"unknown key(s) {unknown}")
         for where, kind, obj in levels:
             _check_types(kind, obj, where)
-        gen = blocks["generator"]
-        for key in ("single_radius", "multi_radius"):
-            if key in gen:
-                gen[key] = tuple(gen[key])
         return cls(**{name: kind(**blocks[name]) for name, kind in _BLOCKS.items()}, **top)
 
     def save(self, path: str | Path) -> None:
@@ -613,19 +605,13 @@ def token_order_label(m: int, position: int) -> str:
 
 
 def _variant_config(cfg: RunConfig, dimension: str, value) -> RunConfig:
+    """``cfg`` with one swept field set; ``from_dict`` checks the value."""
     d = cfg.to_dict()
-    if dimension in ("context_length", "va_position", "epochs") and (
-            isinstance(value, bool) or not isinstance(value, int)):
-        raise ContractViolation(f"{dimension} value must be an integer, got {value!r}")
     if dimension == "context_length":
-        d["prompt"]["context_length"] = value
-        d["prompt"]["va_position"] = value + 1
+        d["prompt"].update(context_length=value, va_position=None)
     elif dimension == "va_position":
-        d["prompt"]["context_length"] = 4
-        d["prompt"]["va_position"] = value
+        d["prompt"].update(context_length=4, va_position=value)
     elif dimension == "fusion":
-        if value not in ("none", "fused", "ensemble"):
-            raise ContractViolation(f"fusion value must be none/fused/ensemble, got {value!r}")
         d["prompt"]["fusion_mode"] = value
     elif dimension == "epochs":
         d["epochs"] = value

@@ -82,13 +82,10 @@ class SoundLocalizer(Module):
         return {k: v for k, v in self.parameters().items()
                 if k.split(".", 1)[0] in ENCODERS}
 
-    def prompt_parameters(self) -> dict[str, Tensor]:
-        """Meta-net, audio tokenizer, and decoder: the trainable remainder."""
-        return {k: v for k, v in self.parameters().items()
-                if k.split(".", 1)[0] not in ENCODERS}
-
     def trainable_parameters(self) -> dict[str, Tensor]:
-        out = dict(self.prompt_parameters())
+        """Meta-net, audio tokenizer, and decoder, less what the prompt mode leaves idle."""
+        out = {k: v for k, v in self.parameters().items()
+               if k.split(".", 1)[0] not in ENCODERS}
         if self.prompt_cfg.context_length == 0:     # the meta-net feeds no prompt
             out = {k: v for k, v in out.items() if not k.startswith("meta_net.")}
         if self.prompt_cfg.fusion_mode == "fused":
@@ -99,10 +96,9 @@ class SoundLocalizer(Module):
         return out
 
     def apply_freezing(self) -> None:
-        for p in self.encoder_parameters().values():
-            p.requires_grad = False
-        for p in self.prompt_parameters().values():
-            p.requires_grad = True
+        trainable = self.trainable_parameters()
+        for name, p in self.parameters().items():
+            p.requires_grad = name in trainable
 
     # -- forward stages ------------------------------------------------------
 

@@ -47,15 +47,12 @@ class PromptConfig:
 class MetaNet(Module):
     """Base context vectors plus an image-conditioned additive correction.
 
-    A single bottleneck (d -> d/16 -> d) produces one meta-token that is
-    added to all M rows.
+    A single bottleneck (d -> d/16 -> d, for a d that ``RunConfig`` checks 16
+    divides) produces one meta-token that is added to all M rows.
     """
 
     def __init__(self, n_ctx: int, d: int, rng: np.random.Generator):
         super().__init__()
-        if d % BOTTLENECK_RATIO:
-            raise ContractViolation(
-                f"embed_dim {d} not divisible by {BOTTLENECK_RATIO} (bottleneck width)")
         self.n_ctx = n_ctx
         self.d = d
         self.hidden = d // BOTTLENECK_RATIO

@@ -52,6 +52,8 @@ PALETTE = (
     ((0.95, 0.55, 0.10), (0.55, 0.30, 0.05)),
     ((0.60, 0.30, 0.90), (0.35, 0.15, 0.50)),
 )
+# Each class needs a stripe color pair and a two-band audio signature.
+MAX_CLASSES = min(len(PALETTE), audiofeat.N_BANDS // 2)
 
 MAX_PLACEMENT_TRIES = 200
 OVERLAP_LIMIT = 0.3
@@ -78,24 +80,26 @@ class GeneratorConfig:
     snr_db: float = 30.0
     mismatch_fraction: float = 0.25
     silent_fraction: float = 0.25
-    train_class_count: int = 8
+    train_class_count: int | None = None     # None means num_classes
 
     def __post_init__(self):
-        if not 1 <= self.num_classes <= len(PALETTE):
+        if not 1 <= self.num_classes <= MAX_CLASSES:
             raise ContractViolation(
-                f"num_classes must be in [1, {len(PALETTE)}], got {self.num_classes}")
-        if self.num_classes > audiofeat.N_BANDS // 2:
-            raise ContractViolation(
-                f"at most {audiofeat.N_BANDS // 2} classes have audio signatures")
+                f"num_classes must be in [1, {MAX_CLASSES}], got {self.num_classes}")
+        if self.train_class_count is None:
+            self.train_class_count = self.num_classes
         if not 0 < self.train_class_count <= self.num_classes:
             raise ContractViolation("train_class_count outside [1, num_classes]")
-        if self.mismatch_fraction + self.silent_fraction > 1.0:
-            raise ContractViolation("extended-mode fractions exceed 1")
+        mismatch, silent = self.mismatch_fraction, self.silent_fraction
+        if not (min(mismatch, silent) >= 0 and mismatch + silent <= 1):   # refuses NaN too
+            raise ContractViolation(f"mismatch_fraction {mismatch} and silent_fraction "
+                                    f"{silent} must each be in [0, 1] and sum to at most 1")
         if self.image_size > MAX_IMAGE_SIZE:
             raise ContractViolation(f"image_size must be <= {MAX_IMAGE_SIZE}, got {self.image_size}")
         if not SNR_DB_RANGE[0] <= self.snr_db <= SNR_DB_RANGE[1]:
             raise ContractViolation(f"snr_db {self.snr_db} outside {list(SNR_DB_RANGE)} dB")
         for name in ("single_radius", "multi_radius"):
+            setattr(self, name, tuple(getattr(self, name)))     # JSON gives a list
             lo, hi = getattr(self, name)
             if not 2 <= lo <= hi or 2 * hi >= self.image_size:
                 raise ContractViolation(
@@ -324,9 +328,7 @@ def _build_spec(rng: np.random.Generator, cfg: GeneratorConfig, mode: str,
         others = [c for c in range(cfg.num_classes) if c != target]
         heard = int(rng.choice(others))
         return SceneSpec(seed=seed, objects=objects, audible_class_ids=(heard,))
-    if kind == "silent":
-        return SceneSpec(seed=seed, objects=objects, silent=True)
-    raise ContractViolation(f"unknown sample kind {kind!r}")
+    return SceneSpec(seed=seed, objects=objects, silent=True)
 
 
 def _batch_plan(cfg: GeneratorConfig, batch_size: int,
@@ -597,6 +599,8 @@ class SceneStream:
 
     def chunk(self, k: int) -> list[SceneSample]:
         """Chunk ``k``: up to ``PREDICT_CHUNK`` scenes from scene ``k * PREDICT_CHUNK``."""
+        if not 0 <= k < self.chunks:
+            raise ContractViolation(f"chunk {k} outside [0, {self.chunks})")
         cfg, n, mode, base_seed = self._batch
         lo = k * PREDICT_CHUNK
         return make_batch(cfg, min(PREDICT_CHUNK, n - lo), mode, base_seed, lo, n)

@@ -403,7 +403,7 @@ class TestFusionModes:
         percept = model.perceive(*self._batch(3, seed=62))
         pooled_i = percept.pooled[np.repeat(np.arange(3), 3)]
         w = ad.constant(np.random.default_rng(63).standard_normal((9, 64)).astype(dtype))
-        params = {k: t for k, t in model.prompt_parameters().items()
+        params = {k: t for k, t in model.trainable_parameters().items()
                   if k.startswith(("meta_net.", "tokenizer."))}
         results = []
         for embed in (model.prompt_embeddings, lambda p, a: ensemble_slice_sum(model, p, a)):

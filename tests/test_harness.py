@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soundloc import autodiff as ad
@@ -255,7 +255,8 @@ class TestRunConfig:
 
     # Config fields drawn for the property below: values that fit together,
     # and small ranges around them that include zero and negative values.
-    # "classes" is (num_classes, train_class_count).
+    # "classes" is (num_classes, train_class_count); "fractions" is
+    # (mismatch_fraction, silent_fraction).
     FITTING = {"single_radius": st.tuples(st.integers(2, 3), st.integers(4, 5)),
                "multi_radius": st.tuples(st.integers(2, 3), st.integers(3, 4)),
                "patch_size": st.sampled_from([1, 2, 4]),
@@ -268,7 +269,9 @@ class TestRunConfig:
                    lambda k: st.tuples(st.just(k), st.integers(1, k))),
                "encoder_size": st.sampled_from([12, 16]),
                "generator_size": st.none(),      # as wide as the encoder's
-               "epochs": st.integers(0, 2)}
+               "epochs": st.integers(0, 2),
+               "fractions": st.tuples(st.sampled_from([0.0, 0.25, 0.5]),
+                                      st.sampled_from([0.0, 0.25, 0.5]))}
     ANY = {"single_radius": st.tuples(st.integers(-1, 12), st.integers(-1, 12)),
            "multi_radius": st.tuples(st.integers(-1, 8), st.integers(-1, 8)),
            "patch_size": st.integers(-1, 8),
@@ -280,24 +283,32 @@ class TestRunConfig:
            "classes": st.tuples(st.integers(-1, 9), st.integers(-1, 9)),
            "encoder_size": st.integers(-2, 24),
            "generator_size": st.integers(-2, 24),
-           "epochs": st.integers(-3, 3)}
+           "epochs": st.integers(-3, 3),
+           "fractions": st.tuples(st.floats(-1, 2), st.floats(-1, 2))}
+
+    @st.composite
+    def config_values(draw):
+        """One or two fields from the wide ranges, the rest from fitting values."""
+        wide, fitting = TestRunConfig.ANY, TestRunConfig.FITTING
+        wild = draw(st.sets(st.sampled_from(sorted(wide)), min_size=1, max_size=2))
+        return {k: draw((wide if k in wild else fitting)[k], label=k) for k in sorted(wide)}
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_config_values_build_or_violate_contract(self, data):
+    @given(v=config_values())
+    @example(v={"single_radius": (3, 5), "multi_radius": (2, 3), "patch_size": 4,
+                "text_heads": 4, "embed_dim": 32, "text_layers": 1, "max_text_len": 8,
+                "context_length": 4, "classes": (8, 8), "encoder_size": 16,
+                "generator_size": None, "epochs": 0, "fractions": (1.5, -0.75)})
+    def test_config_values_build_or_violate_contract(self, v):
         """A config either ends in ``ContractViolation`` when it loads, or
         builds the model it describes, makes 4 scenes of every mode its
         generator has classes for, refuses the other modes with
-        ``ContractViolation``, and decodes all pairs of one scene per mode.
-        One or two fields are drawn from the wide ranges, the rest from
-        fitting values."""
-        wild = data.draw(st.sets(st.sampled_from(sorted(self.ANY)), min_size=1, max_size=2))
-        v = {k: data.draw((self.ANY if k in wild else self.FITTING)[k], label=k)
-             for k in sorted(self.ANY)}
+        ``ContractViolation``, and decodes all pairs of one scene per mode."""
         d = RunConfig(out_dir="unused").to_dict()
         d["generator"].update(
             single_radius=list(v["single_radius"]), multi_radius=list(v["multi_radius"]),
             num_classes=v["classes"][0], train_class_count=v["classes"][1],
+            mismatch_fraction=v["fractions"][0], silent_fraction=v["fractions"][1],
             image_size=v["encoder_size"] if v["generator_size"] is None else v["generator_size"])
         d["encoder"].update(patch_size=v["patch_size"], text_heads=v["text_heads"],
                             embed_dim=v["embed_dim"], text_layers=v["text_layers"],
@@ -311,9 +322,10 @@ class TestRunConfig:
         model = build_model(cfg)
         assert len(model.text_encoder.blocks) == cfg.encoder.text_layers
         gen = cfg.generator
-        # extended mode's mismatched-audio scenes (1 of 4 at the default
-        # fraction) need a second class, like ms3's extra sources.
-        has_classes = {"ms3": gen.num_classes >= 2, "extended": gen.num_classes >= 2,
+        # extended mode's mismatched-audio scenes, if 4 scenes hold any,
+        # need a second class, like ms3's extra sources.
+        has_classes = {"ms3": gen.num_classes >= 2,
+                       "extended": gen.num_classes >= 2 or not round(4 * gen.mismatch_fraction),
                        "unheard": bool(gen.test_class_set)}
         firsts = []
         for mode in synth.MODES:
@@ -343,7 +355,7 @@ class TestTraining:
 
     def test_saved_config_matches(self, tiny_run):
         cfg, _, _, out = tiny_run
-        assert json.loads((out / "config.json").read_text()) == cfg.to_dict()
+        assert RunConfig.load(out / "config.json") == cfg
 
     def test_step_log_schema(self, tiny_run):
         _, _, log, out = tiny_run
@@ -455,7 +467,7 @@ class TestTraining:
         assert len(names) == 85
         assert list(model.encoder_parameters()) == [
             n for n in names if n.startswith(("image_encoder.", "text_encoder."))]
-        assert list(model.prompt_parameters()) == [
+        assert list(model.trainable_parameters()) == [
             n for n in names if n.startswith(("meta_net.", "tokenizer.", "decoder."))]
 
     def test_validation_history_recorded(self, tiny_run):
@@ -921,15 +933,14 @@ class TestAblate:
         cfg = _tiny_cfg(tmp_path)
         with pytest.raises(ContractViolation, match="dimension"):
             harness.ablate(cfg, "learning_rate", [1])
-        with pytest.raises(ContractViolation, match="fusion value"):
+        with pytest.raises(ContractViolation, match="fusion_mode"):
             harness.ablate(cfg, "fusion", ["bogus"])
-        # Every value is checked before the first run trains.
+        # Every value is checked, by the config loader, before the first run trains.
         trained = []
         monkeypatch.setattr(harness, "train", lambda sub, **kw: trained.append(sub))
         for dimension in ("context_length", "va_position", "epochs"):
             for value in ("x", "2.5", 2.5, True):
-                with pytest.raises(ContractViolation,
-                                   match=f"{dimension} value must be an integer"):
+                with pytest.raises(ContractViolation, match=f"field '{dimension}' must be int"):
                     harness.ablate(cfg, dimension, [4, value])
         with pytest.raises(ContractViolation, match="va_position"):
             harness.ablate(cfg, "va_position", [1, 9])
@@ -1109,6 +1120,17 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith(f"contract violation: {mode} mode"), err
             assert err.count("\n") == 1 and not data.exists()
+        # Each extended-mode fraction must lie in [0, 1], not only their sum.
+        for mismatch, silent in ((1.5, -0.75), (-0.25, 0.5)):
+            d = RunConfig().to_dict()
+            d["generator"].update(mismatch_fraction=mismatch, silent_fraction=silent)
+            bad.write_text(json.dumps(d))
+            data = tmp_path / "data-fractions"
+            assert main(["gen-data", "--config", str(bad), "--out", str(data),
+                         "--benchmark", "extended-analog", "--count", "8"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("contract violation: mismatch_fraction"), err
+            assert err.count("\n") == 1 and not data.exists()
         # The --seed override is checked like the config's own seed.
         bad.write_text(json.dumps(RunConfig().to_dict()))
         assert main(["--seed", "-1", "train", "--config", str(bad)]) == 2
@@ -1213,13 +1235,19 @@ class TestCli:
         cfg_path, _ = cli_run
         trained = []
         monkeypatch.setattr(harness, "train", lambda sub, **kw: trained.append(sub))
+        # The config loader checks each value and names the field it sets.
         for dimension in ("context_length", "va_position", "epochs"):
             for values in ("x", "2.5", "4,x"):
                 assert main(["ablate", "--config", str(cfg_path), "--dimension", dimension,
                              "--values", values]) == 2
                 err = capsys.readouterr().err
                 assert err.startswith("contract violation:"), err
-                assert dimension in err and err.count("\n") == 1
+                assert f"field '{dimension}'" in err and err.count("\n") == 1
+        assert main(["ablate", "--config", str(cfg_path), "--dimension", "fusion",
+                     "--values", "none,bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("contract violation: fusion_mode"), err
+        assert err.count("\n") == 1
         # A fused config cannot drop its context tokens; the 0 is refused
         # before the 4 trains.
         d = RunConfig.load(cfg_path).to_dict()

@@ -53,10 +53,6 @@ class TestMetaNet:
         assert MetaNet(4, 64, RNG(0)).hidden == 4
         assert MetaNet(4, 32, RNG(0)).hidden == 2
 
-    def test_indivisible_dim_rejected(self):
-        with pytest.raises(ContractViolation, match="divisible"):
-            MetaNet(4, 60, RNG(0))
-
     def test_zero_output_weights_give_base_vectors(self):
         # With the second bottleneck layer zeroed the correction vanishes
         # and the output must equal the base vectors bit for bit.
@@ -275,6 +271,21 @@ class TestGradientFlow:
             assert np.any(p.grad != 0), f"all-zero gradient on {name}"
         for name, p in model.encoder_parameters().items():
             assert p.grad is None, name
+
+    @pytest.mark.parametrize("prompt,idle", [
+        (PromptConfig(fusion_mode="fused"), ("tokenizer.key_w", "tokenizer.key_b",
+                                             "tokenizer.query")),
+        (PromptConfig(context_length=0), ("meta_net.base", "meta_net.w1", "meta_net.b1",
+                                          "meta_net.w2", "meta_net.b2")),
+    ], ids=["fused", "no-context"])
+    def test_idle_parameters_need_no_gradient(self, prompt, idle):
+        """``apply_freezing`` sets ``requires_grad`` on exactly the parameters
+        Adam steps: what the prompt mode leaves idle is frozen too."""
+        model = SoundLocalizer(EncoderConfig(), prompt, seed=60)
+        model.apply_freezing()
+        needs = {name for name, p in model.parameters().items() if p.requires_grad}
+        assert needs == set(model.trainable_parameters())
+        assert set(idle) <= set(model.parameters()) - needs
 
     @pytest.mark.parametrize("fusion", ["none", "fused", "ensemble"])
     def test_pruned_backward_changes_no_bit(self, fusion):

@@ -58,6 +58,11 @@ class TestGeneratorConfig:
         cfg = GeneratorConfig()
         assert cfg.train_class_set == tuple(range(8))
         assert cfg.test_class_set == ()
+        assert GeneratorConfig(num_classes=6).train_class_count == 6
+
+    def test_radius_pairs_are_tuples(self):
+        cfg = GeneratorConfig(single_radius=[7, 11], multi_radius=[4, 6])
+        assert cfg.single_radius == (7, 11) and cfg.multi_radius == (4, 6)
 
     @pytest.mark.parametrize("kwargs", [
         dict(num_classes=0),
@@ -65,6 +70,10 @@ class TestGeneratorConfig:
         dict(train_class_count=0),
         dict(train_class_count=9),
         dict(mismatch_fraction=0.7, silent_fraction=0.7),
+        dict(mismatch_fraction=1.5, silent_fraction=-0.75),   # sums to 0.75
+        dict(mismatch_fraction=-0.25, silent_fraction=0.5),
+        dict(mismatch_fraction=float("nan")),
+        dict(silent_fraction=float("nan")),
         dict(single_radius=(11, 7)),     # lo > hi
         dict(single_radius=(20, 25)),    # a disc wider than the image
         dict(image_size=16),             # the default single radius no longer fits
@@ -661,8 +670,9 @@ class TestWorkers:
         for start, count in ((5, -3), (0, 0)):
             with pytest.raises(ContractViolation, match=f"batch_size must be >= 1, got {count}"):
                 make_batch(self.CFG, count, "s4", 0, start, 13)
-        with pytest.raises(ContractViolation, match="batch_size must be >= 1"):
-            SceneStream(self.CFG, 64, "s4", 0).chunk(100)
+        for k in (-1, 2, 100):
+            with pytest.raises(ContractViolation, match=f"chunk {k} outside \\[0, 2\\)"):
+                SceneStream(self.CFG, 64, "s4", 0).chunk(k)
 
     @pytest.mark.parametrize("failing,lowest", [
         ((40,), 40),        # only the worker's chunk (scenes 32 to 63) fails
