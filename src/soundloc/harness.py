@@ -45,7 +45,7 @@ from .autodiff import ContractViolation, Tensor
 from .encoders import CHANNELS, EncoderConfig
 from .losses import LossWeights, area_regularization, infonce_symmetric, total_loss
 from .model import SoundLocalizer
-from .optim import Adam
+from .optim import Adam, OptimConfig
 from .prompting import BOTTLENECK_RATIO, PromptConfig
 from .synth import PREDICT_CHUNK, GeneratorConfig, SceneSample
 
@@ -64,29 +64,8 @@ VALIDATION_SCENES = 32
 # The elements of a training step's largest array: 16 times the default's.
 MAX_STEP_ELEMENTS = 1 << 26
 
-REPORT_COLUMNS = ("benchmark", "ciou", "auc", "miou", "fscore", "ap", "max_f1", "loc_acc")
-
-
 class TrainingAborted(RuntimeError):
     """Raised when a non-finite loss or gradient stops a run; statistics are on disk."""
-
-
-@dataclass
-class OptimConfig:
-    lr: float = 1e-3
-    weight_decay: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        for name, ok, rule in (("lr", self.lr > 0, "> 0"),
-                               ("weight_decay", self.weight_decay >= 0, ">= 0"),
-                               ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-                               ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-                               ("eps", self.eps > 0, "> 0")):
-            if not ok:
-                raise ContractViolation(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -346,7 +325,8 @@ def warmup_image_encoder(model: SoundLocalizer, samples: list[SceneSample],
                   for n, t in model.image_encoder.parameters().items()}
     for t in enc_params.values():
         t.requires_grad = True
-    opt = Adam({**enc_params, "prototypes": protos}, lr=cfg.warmup_lr)
+    opt = Adam({**enc_params, "prototypes": protos},
+               OptimConfig(lr=cfg.warmup_lr, weight_decay=0.0))
 
     n = len(samples)
     losses: list[float] = []
@@ -388,8 +368,8 @@ def train(cfg: RunConfig, write_artifacts: bool = True
     went non-finite).
     """
     t_start = time.perf_counter()
-    out = Path(cfg.out_dir)
-    if write_artifacts:
+    out = Path(cfg.out_dir) if write_artifacts else None
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         cfg.save(out / "config.json")
 
@@ -407,9 +387,7 @@ def train(cfg: RunConfig, write_artifacts: bool = True
     log.trainable_params = sum(p.size for p in params.values())
     log.total_params = model.num_params()
 
-    opt = Adam(params, lr=cfg.optimizer.lr, weight_decay=cfg.optimizer.weight_decay,
-               beta1=cfg.optimizer.beta1, beta2=cfg.optimizer.beta2,
-               eps=cfg.optimizer.eps)
+    opt = Adam(params, cfg.optimizer)
     batch_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 12]))
 
     step = 0
@@ -422,16 +400,13 @@ def train(cfg: RunConfig, write_artifacts: bool = True
             images, audios = stack_batch([train_scenes[i] for i in idx])
             total, parts = batch_loss(model, images, audios, cfg.loss)
             if not np.isfinite(parts["total"]):
-                _dump_abort_stats(out if write_artifacts else None, step, parts, model)
-                raise TrainingAborted(
-                    f"non-finite loss at step {step}: {parts}")
+                _abort(out, step, parts, model, f"non-finite loss at step {step}: {parts}")
             ad.backward(total)
             bad = [name for name, p in params.items()
                    if p.grad is not None and not np.isfinite(p.grad).all()]
             if bad:
-                _dump_abort_stats(out if write_artifacts else None, step, parts, model)
-                raise TrainingAborted(
-                    f"non-finite gradient at step {step}: {', '.join(bad)}")
+                _abort(out, step, parts, model,
+                       f"non-finite gradient at step {step}: {', '.join(bad)}")
             opt.step()
             opt.zero_grad()
             del total                # the step's graph, before the next is built
@@ -445,7 +420,7 @@ def train(cfg: RunConfig, write_artifacts: bool = True
     log.final_loss = _probe_loss(model, cfg, train_scenes, val_scenes)
     log.wall_clock_sec = time.perf_counter() - t_start
 
-    if write_artifacts:
+    if out is not None:
         save_model(out / "model.splt", model)
         (out / "trainlog.json").write_text(json.dumps(log.as_dict(), indent=1) + "\n")
     return model, log
@@ -475,18 +450,21 @@ def _validation_entry(model: SoundLocalizer, val_scenes: list[SceneSample],
     return {"epoch": epoch, "ciou": metrics.ciou(evs), "miou": miou}
 
 
-def _dump_abort_stats(out: Path | None, step: int, parts: dict,
-                      model: SoundLocalizer) -> None:
-    stats = {"step": step, "loss_parts": parts, "params": {}}
-    for name, p in model.parameters().items():
-        entry = {"data_absmax": float(np.abs(p.data).max()),
-                 "data_finite": bool(np.isfinite(p.data).all())}
-        if p.grad is not None:
-            entry["grad_absmax"] = float(np.abs(p.grad).max())
-            entry["grad_finite"] = bool(np.isfinite(p.grad).all())
-        stats["params"][name] = entry
+def _abort(out: Path | None, step: int, parts: dict, model: SoundLocalizer,
+           what: str) -> typing.NoReturn:
+    """Write the parameters' statistics to ``out / "abort_stats.json"`` when
+    the run has a directory, then stop the run with ``what``."""
     if out is not None:
+        stats = {"step": step, "loss_parts": parts, "params": {}}
+        for name, p in model.parameters().items():
+            entry = {"data_absmax": float(np.abs(p.data).max()),
+                     "data_finite": bool(np.isfinite(p.data).all())}
+            if p.grad is not None:
+                entry["grad_absmax"] = float(np.abs(p.grad).max())
+                entry["grad_finite"] = bool(np.isfinite(p.grad).all())
+            stats["params"][name] = entry
         (out / "abort_stats.json").write_text(json.dumps(stats, indent=1) + "\n")
+    raise TrainingAborted(what)
 
 
 # -- checkpoint plumbing -----------------------------------------------------
@@ -571,13 +549,21 @@ def _fmt(v) -> str:
     return "nan" if v is None else repr(float(v))
 
 
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """``rows`` under a header of the first row's keys; a float or None cell
+    is written by ``_fmt``."""
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(rows[0].keys())
+        for r in rows:
+            w.writerow([_fmt(v) if v is None or isinstance(v, float) else v
+                        for v in r.values()])
+
+
 def write_report(out: Path, benchmark: str, report: metrics.MetricsReport,
                  evs: list[metrics.EvalSample]) -> None:
     row = report.as_dict()
-    with (out / f"report_{benchmark}.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(REPORT_COLUMNS)
-        w.writerow([benchmark] + [_fmt(row[c]) for c in REPORT_COLUMNS[1:]])
+    _write_csv(out / f"report_{benchmark}.csv", [{"benchmark": benchmark, **row}])
     twin = {
         "benchmark": benchmark,
         "metrics": row,
@@ -594,9 +580,6 @@ def write_report(out: Path, benchmark: str, report: metrics.MetricsReport,
 
 # -- ablations ---------------------------------------------------------------
 
-ABLATION_DIMENSIONS = ("context_length", "va_position", "fusion", "epochs")
-
-
 def token_order_label(m: int, position: int) -> str:
     """Printable prompt layout, audio token bracketed at its slot."""
     tokens = [f"[V_{i}]" for i in range(1, m + 1)]
@@ -604,69 +587,51 @@ def token_order_label(m: int, position: int) -> str:
     return "".join(tokens)
 
 
-def _variant_config(cfg: RunConfig, dimension: str, value) -> RunConfig:
-    """``cfg`` with one swept field set; ``from_dict`` checks the value."""
-    d = cfg.to_dict()
-    if dimension == "context_length":
-        d["prompt"].update(context_length=value, va_position=None)
-    elif dimension == "va_position":
-        d["prompt"].update(context_length=4, va_position=value)
-    elif dimension == "fusion":
-        d["prompt"]["fusion_mode"] = value
-    elif dimension == "epochs":
-        d["epochs"] = value
-    else:
-        raise ContractViolation(
-            f"dimension must be one of {ABLATION_DIMENSIONS}, got {dimension!r}")
-    return RunConfig.from_dict(d)
+# Each swept dimension: how a value edits the config's JSON form (which
+# ``RunConfig.from_dict`` then checks), and the label fields of its row.
+ABLATIONS = {
+    "context_length": (lambda d, v: d["prompt"].update(context_length=v, va_position=None),
+                       lambda v, cfg: {"ctx": f"ctx={v}"}),
+    "va_position": (lambda d, v: d["prompt"].update(context_length=4, va_position=v),
+                    lambda v, cfg: {"ctx": "ctx=4", "va_index": f"pos={v}",
+                                    "token_order": token_order_label(4, v)}),
+    "fusion": (lambda d, v: d["prompt"].update(fusion_mode=v),
+               lambda v, cfg: {"method": "soundloc", "fusion": "yes" if v == "fused" else "",
+                               "ensemble": "yes" if v == "ensemble" else ""}),
+    "epochs": (lambda d, v: d.update(epochs=v),
+               lambda v, cfg: {"ctx": f"ctx={cfg.prompt.context_length}", "epochs": v}),
+}
+ABLATION_DIMENSIONS = tuple(ABLATIONS)
 
 
 def ablate(cfg: RunConfig, dimension: str, values: list,
            out_dir: str | Path | None = None) -> list[dict]:
     """One train+evaluate per value; emits a table mirroring the ablation
     tables' layout (rows = values, columns = label fields + ciou + auc).
-    Every variant config is built before the first run, so a bad value
-    fails before any training."""
-    subs = [_variant_config(cfg, dimension, value) for value in values]
+    The dimension, the value list and every variant config are checked
+    before the first run, so a bad sweep fails before any training."""
+    if dimension not in ABLATIONS:
+        raise ContractViolation(
+            f"dimension must be one of {ABLATION_DIMENSIONS}, got {dimension!r}")
+    if not values:
+        raise ContractViolation("an ablation needs at least one value")
+    edit, label = ABLATIONS[dimension]
+    subs = []
+    for value in values:
+        d = cfg.to_dict()
+        edit(d, value)
+        subs.append(RunConfig.from_dict(d))
     rows = []
     for value, sub in zip(values, subs):
         model, _ = train(sub, write_artifacts=False)
         report = evaluate(model, sub, "s4-analog")
-        rows.append(_ablation_row(dimension, value, sub, report))
+        rows.append({**label(value, sub), "ciou": report.ciou, "auc": report.auc})
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_ablation_table(out, dimension, rows)
+        _write_csv(out / f"ablation_{dimension}.csv", rows)
+        (out / f"ablation_{dimension}.json").write_text(json.dumps(rows, indent=1) + "\n")
     return rows
-
-
-def _ablation_row(dimension: str, value, cfg: RunConfig,
-                  report: metrics.MetricsReport) -> dict:
-    if dimension == "context_length":
-        return {"ctx": f"ctx={value}", "ciou": report.ciou, "auc": report.auc}
-    if dimension == "va_position":
-        return {"ctx": "ctx=4", "va_index": f"pos={value}",
-                "token_order": token_order_label(4, value),
-                "ciou": report.ciou, "auc": report.auc}
-    if dimension == "epochs":
-        return {"ctx": f"ctx={cfg.prompt.context_length}", "epochs": value,
-                "ciou": report.ciou, "auc": report.auc}
-    return {"method": "soundloc",
-            "fusion": "yes" if value == "fused" else "",
-            "ensemble": "yes" if value == "ensemble" else "",
-            "ciou": report.ciou, "auc": report.auc}
-
-
-def _write_ablation_table(out: Path, dimension: str, rows: list[dict]) -> None:
-    columns = list(rows[0].keys())
-    with (out / f"ablation_{dimension}.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(columns)
-        for r in rows:
-            w.writerow([r[c] if not isinstance(r[c], float) else _fmt(r[c])
-                        for c in columns])
-    (out / f"ablation_{dimension}.json").write_text(
-        json.dumps(rows, indent=1) + "\n")
 
 
 # -- rendering ---------------------------------------------------------------

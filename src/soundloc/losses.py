@@ -42,7 +42,7 @@ class LossWeights:
     def __post_init__(self):
         if not self.temperature > 0:
             raise ContractViolation(f"temperature must be > 0, got {self.temperature}")
-        if min(self.lambda1, self.lambda2, self.lambda3) < 0:
+        if not all(w >= 0 for w in (self.lambda1, self.lambda2, self.lambda3)):
             raise ContractViolation("loss weights must be nonnegative")
         if not 0.0 <= self.p_minus <= self.p_plus <= 1.0:
             raise ContractViolation(

@@ -33,7 +33,6 @@ from soundloc.checkpoint import load_checkpoint, save_checkpoint
 from soundloc.cli import main
 from soundloc.encoders import EncoderConfig
 from soundloc.harness import (
-    REPORT_COLUMNS,
     OptimConfig,
     RunConfig,
     TrainingAborted,
@@ -55,6 +54,7 @@ from soundloc.prompting import PromptConfig
 
 from _gradcheck import grad_check
 from _oracles import decode_export
+from _workers import SHARES, error_of, inline
 
 
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -86,19 +86,11 @@ def _run_python(code: str, *args: str) -> str:
 
 # -- scoring shared with the scene worker -------------------------------------
 
-_SHARES = synth._WORKERS > 0        # a scene worker scores every other chunk
 _OPEN_SET = synth.GeneratorConfig(train_class_count=5)      # unheard needs held-out classes
 
 
 def _stream_cfg(cfg: RunConfig, eval_samples: int) -> RunConfig:
     return dataclasses.replace(cfg, eval_samples=eval_samples, generator=_OPEN_SET)
-
-
-def _inline(monkeypatch, call):
-    """``call()`` with every scene made and scored in this process."""
-    with monkeypatch.context() as m:
-        m.setattr(synth, "_WORKERS", 0)
-        return call()
 
 
 def _assert_same_rows(got, want):
@@ -108,12 +100,6 @@ def _assert_same_rows(got, want):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
         assert a.flags == b.flags
-
-
-def _error_of(call):
-    with pytest.raises(BaseException) as info:
-        call()
-    return type(info.value), str(info.value)
 
 
 def _chunk_of(cfg: RunConfig, benchmark: str):
@@ -135,14 +121,6 @@ def _worker_call(function):
     pid, result = list(synth.alternate(2, functools.partial(_in_the_worker, function)))[1]
     assert pid == synth._worker.pid != os.getpid()
     return result
-
-
-@pytest.fixture
-def fresh_worker():
-    """A scene worker forked after the test's patches, and ended after the test."""
-    synth._close_worker()
-    yield
-    synth._close_worker()
 
 
 @pytest.fixture(scope="module")
@@ -571,11 +549,12 @@ class TestEvaluate:
         evaluate(model, cfg, "s4-analog", out_dir=tmp_path)
         with (tmp_path / "report_s4-analog.csv").open() as fh:
             header, row = fh.read().splitlines()
-        assert header.split(",") == list(REPORT_COLUMNS)
+        columns = ["benchmark", "ciou", "auc", "miou", "fscore", "ap", "max_f1", "loc_acc"]
+        assert header.split(",") == columns
         assert row.split(",")[0] == "s4-analog"
         twin = json.loads((tmp_path / "report_s4-analog.json").read_text())
         assert twin["benchmark"] == "s4-analog"
-        assert set(twin["metrics"]) >= set(REPORT_COLUMNS[1:])
+        assert set(twin["metrics"]) >= set(columns[1:])
         assert len(twin["per_sample"]) == cfg.eval_samples
         assert {"iou", "confidence", "flags"} == set(twin["per_sample"][0])
 
@@ -631,7 +610,7 @@ class TestEvaluate:
         growth = (peak(512) - peak(128)) / (512 - 128)
         assert growth < 32 * 1024, f"{growth / 1024:.1f} KiB per scene"
 
-    @pytest.mark.skipif(not _SHARES, reason="needs a scene worker")
+    @pytest.mark.skipif(not SHARES, reason="needs a scene worker")
     def test_worker_peak_memory_does_not_grow_with_the_scenes(self, fresh_worker):
         """The scene worker's share of a stream does not pile up either: its
         traced peak (``tracemalloc``, run in the worker) while it scores 8 of
@@ -668,16 +647,16 @@ class TestEvaluate:
                             lambda m, scenes: scored.append(len(scenes)) or score(m, scenes))
         got = predict_eval_samples(model, harness.benchmark_stream(cfg, bench))
         chunks = harness.benchmark_stream(cfg, bench).chunks
-        assert len(scored) == ((chunks + 1) // 2 if _SHARES else chunks)
-        if _SHARES:     # what the worker makes, it makes itself
+        assert len(scored) == ((chunks + 1) // 2 if SHARES else chunks)
+        if SHARES:      # what the worker makes, it makes itself
             pid = synth._worker.pid
             children = Path(f"/proc/{pid}/task/{pid}/children")
             assert not children.is_file() or children.read_text() == ""
-        want = _inline(monkeypatch, lambda: predict_eval_samples(
+        want = inline(monkeypatch, lambda: predict_eval_samples(
             model, harness.benchmark_stream(cfg, bench)))
         _assert_same_rows(got, want)
         evaluate(model, cfg, bench, out_dir=tmp_path / "shared")
-        _inline(monkeypatch, lambda: evaluate(model, cfg, bench, out_dir=tmp_path / "inline"))
+        inline(monkeypatch, lambda: evaluate(model, cfg, bench, out_dir=tmp_path / "inline"))
         for ext in ("csv", "json"):
             name = f"report_{bench}.{ext}"
             assert (tmp_path / "shared" / name).read_bytes() == \
@@ -687,7 +666,7 @@ class TestEvaluate:
         model = tiny_run[1]
         cfg = _stream_cfg(tiny_run[0], 72)
         render_heatmaps(model, harness.benchmark_stream(cfg, "ms3-analog"), tmp_path / "shared")
-        _inline(monkeypatch, lambda: render_heatmaps(
+        inline(monkeypatch, lambda: render_heatmaps(
             model, harness.benchmark_stream(cfg, "ms3-analog"), tmp_path / "inline"))
         names = sorted(p.name for p in (tmp_path / "inline").iterdir())
         assert len(names) == 3 * 72 + 1
@@ -717,16 +696,16 @@ class TestEvaluate:
 
         with monkeypatch.context() as patch:
             patch.setattr(harness, "_score_chunk", failing_score)
-            want = _inline(monkeypatch,
-                           lambda: _error_of(lambda: evaluate(model, cfg, "s4-analog")))
+            want = inline(monkeypatch,
+                          lambda: error_of(lambda: evaluate(model, cfg, "s4-analog")))
             assert want == (ContractViolation, f"chunk {lowest} cannot be scored")
-            assert _error_of(lambda: evaluate(model, cfg, "s4-analog")) == want
+            assert error_of(lambda: evaluate(model, cfg, "s4-analog")) == want
         _assert_same_rows(
             predict_eval_samples(model, harness.benchmark_stream(cfg, "heard")),
-            _inline(monkeypatch, lambda: predict_eval_samples(
+            inline(monkeypatch, lambda: predict_eval_samples(
                 model, harness.benchmark_stream(cfg, "heard"))))
 
-    @pytest.mark.skipif(not _SHARES, reason="needs a scene worker")
+    @pytest.mark.skipif(not SHARES, reason="needs a scene worker")
     @pytest.mark.parametrize("when", ["between calls", "mid-call"])
     def test_killed_worker(self, tiny_run, monkeypatch, fresh_worker, when):
         """A worker killed between calls (the model cannot be sent) or while it
@@ -734,7 +713,7 @@ class TestEvaluate:
         hanging, with inline's reports, and the next call forks a new worker."""
         model = tiny_run[1]
         cfg = _stream_cfg(tiny_run[0], 136)
-        want = _inline(monkeypatch, lambda: evaluate(model, cfg, "extended-analog"))
+        want = inline(monkeypatch, lambda: evaluate(model, cfg, "extended-analog"))
         with monkeypatch.context() as patch:
             if when == "between calls":
                 evaluate(model, cfg, "s4-analog")
@@ -761,7 +740,7 @@ class TestEvaluate:
         assert evaluate(model, cfg, "extended-analog").as_dict() == want.as_dict()
         assert synth._worker.pid is not None
 
-    @pytest.mark.skipif(not _SHARES, reason="needs a scene worker")
+    @pytest.mark.skipif(not SHARES, reason="needs a scene worker")
     def test_interrupt_leaves_no_stale_reply(self, tiny_run, monkeypatch, fresh_worker):
         """A KeyboardInterrupt while this process scores chunk 2 leaves the
         worker's chunk 3 unread; the worker is ended and the next call's rows
@@ -783,10 +762,10 @@ class TestEvaluate:
         for bench in ("ms3-analog", "s4-analog"):
             _assert_same_rows(
                 predict_eval_samples(model, harness.benchmark_stream(cfg, bench)),
-                _inline(monkeypatch, lambda: predict_eval_samples(
+                inline(monkeypatch, lambda: predict_eval_samples(
                     model, harness.benchmark_stream(cfg, bench))))
 
-    @pytest.mark.skipif(not _SHARES, reason="needs a scene worker")
+    @pytest.mark.skipif(not SHARES, reason="needs a scene worker")
     @pytest.mark.parametrize("plant", ["does not unpickle", "does not pickle"])
     def test_job_the_worker_cannot_take_is_scored_here(self, tiny_run, monkeypatch,
                                                        fresh_worker, plant):
@@ -796,7 +775,7 @@ class TestEvaluate:
         or a hang, with inline's rows, and the next call's rows are inline's."""
         model = tiny_run[1]
         cfg = _stream_cfg(tiny_run[0], 136)      # five chunks
-        want = _inline(monkeypatch, lambda: predict_eval_samples(
+        want = inline(monkeypatch, lambda: predict_eval_samples(
             model, harness.benchmark_stream(cfg, "s4-analog")))
         parent, score, scored, got = os.getpid(), harness._score_chunk, [], []
 
@@ -822,11 +801,11 @@ class TestEvaluate:
         _assert_same_rows(got[0], want)
         _assert_same_rows(
             predict_eval_samples(model, harness.benchmark_stream(cfg, "heard")),
-            _inline(monkeypatch, lambda: predict_eval_samples(
+            inline(monkeypatch, lambda: predict_eval_samples(
                 model, harness.benchmark_stream(cfg, "heard"))))
         assert synth._worker.pid is not None
 
-    @pytest.mark.skipif(not _SHARES, reason="needs a scene worker")
+    @pytest.mark.skipif(not SHARES, reason="needs a scene worker")
     def test_worker_forked_after_the_block_pool(self, tiny_run, monkeypatch, fresh_worker):
         """A worker forked once the block pool's threads run scores the same
         bytes; it runs every block of the fused primitives itself."""
@@ -836,7 +815,7 @@ class TestEvaluate:
         assert ad._pool.executor is not None and threading.active_count() > 1
         got = predict_eval_samples(model, harness.benchmark_stream(cfg, "extended-analog"))
         assert synth._worker is not None and synth._worker.pid is not None
-        _assert_same_rows(got, _inline(monkeypatch, lambda: predict_eval_samples(
+        _assert_same_rows(got, inline(monkeypatch, lambda: predict_eval_samples(
             model, harness.benchmark_stream(cfg, "extended-analog"))))
 
 
@@ -945,6 +924,16 @@ class TestAblate:
         with pytest.raises(ContractViolation, match="va_position"):
             harness.ablate(cfg, "va_position", [1, 9])
         assert trained == []
+
+    def test_unknown_dimension_or_no_values_refused(self, tmp_path):
+        """Before any work, and whichever of the two is wrong."""
+        cfg = _tiny_cfg(tmp_path / "base")
+        with pytest.raises(ContractViolation, match="dimension must be one of"):
+            harness.ablate(cfg, "bogus", [])
+        for dimension in harness.ABLATION_DIMENSIONS:
+            with pytest.raises(ContractViolation, match="at least one value"):
+                harness.ablate(cfg, dimension, [], out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestRender:

@@ -53,6 +53,12 @@ class TestLossWeights:
         with pytest.raises(ContractViolation):
             LossWeights(**kwargs)
 
+    @pytest.mark.parametrize("weight", ["lambda1", "lambda2", "lambda3"])
+    def test_nan_weight_rejected(self, weight):
+        """``min`` skips a NaN that is not its first argument; the check does not."""
+        with pytest.raises(ContractViolation, match="nonnegative"):
+            LossWeights(**{weight: float("nan")})
+
 
 class TestInfoNCE:
     def test_saturated_diagonal_vanishes(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soundloc.autodiff import ContractViolation, Tensor
-from soundloc.optim import Adam
+from soundloc.optim import Adam, OptimConfig
 
 
 def _param(values):
@@ -28,7 +28,7 @@ def test_matches_scalar_reference_with_decay():
     rng = np.random.default_rng(10)
     grads = rng.standard_normal(7)
     p = _param([0.8])
-    opt = Adam({"p": p}, lr=0.05, weight_decay=0.01)
+    opt = Adam({"p": p}, OptimConfig(lr=0.05, weight_decay=0.01))
     for g in grads:
         p.grad = np.array([g])
         opt.step()
@@ -41,7 +41,7 @@ def test_first_step_size_is_roughly_lr():
     gradient's magnitude."""
     for scale in (1e-4, 1.0, 1e4):
         p = _param([0.0])
-        opt = Adam({"p": p}, lr=0.01)
+        opt = Adam({"p": p}, OptimConfig(lr=0.01, weight_decay=0.0))
         p.grad = np.array([scale])
         opt.step()
         # update = lr * g / (|g| + eps); eps shaves ~1e-4 off at g = 1e-4
@@ -50,7 +50,7 @@ def test_first_step_size_is_roughly_lr():
 
 def test_zero_gradient_step_only_decays():
     p = _param([2.0])
-    opt = Adam({"p": p}, lr=0.1, weight_decay=0.5)
+    opt = Adam({"p": p}, OptimConfig(lr=0.1, weight_decay=0.5))
     p.grad = np.zeros(1)
     opt.step()
     assert p.data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), abs=1e-15)
@@ -58,7 +58,7 @@ def test_zero_gradient_step_only_decays():
 
 def test_zero_gradient_no_decay_is_identity():
     p = _param([1.5, -2.5])
-    opt = Adam({"p": p}, lr=0.1)
+    opt = Adam({"p": p}, OptimConfig(lr=0.1, weight_decay=0.0))
     p.grad = np.zeros(2)
     opt.step()
     assert np.array_equal(p.data, [1.5, -2.5])
@@ -68,7 +68,7 @@ def test_converges_on_quadratic():
     rng = np.random.default_rng(11)
     target = rng.standard_normal(6)
     p = _param(np.zeros(6))
-    opt = Adam({"p": p}, lr=0.1)
+    opt = Adam({"p": p}, OptimConfig(lr=0.1, weight_decay=0.0))
     for _ in range(500):
         p.grad = 2 * (p.data - target)
         opt.step()
@@ -77,7 +77,7 @@ def test_converges_on_quadratic():
 
 def test_missing_gradient_raises():
     a, b = _param([1.0]), _param([2.0])
-    opt = Adam({"a": a, "b": b}, lr=0.1)
+    opt = Adam({"a": a, "b": b}, OptimConfig(lr=0.1, weight_decay=0.0))
     a.grad = np.ones(1)
     with pytest.raises(ContractViolation, match="b"):
         opt.step()
@@ -87,14 +87,14 @@ def test_zero_grad_clears_all_params():
     a, b = _param([1.0]), _param([2.0])
     a.grad = np.ones(1)
     b.grad = np.ones(1)
-    Adam({"a": a, "b": b}).zero_grad()
+    Adam({"a": a, "b": b}, OptimConfig()).zero_grad()
     assert a.grad is None and b.grad is None
 
 
 def test_trajectory_is_deterministic():
     def run():
         p = _param([1.0, -1.0])
-        opt = Adam({"p": p}, lr=0.03, weight_decay=1e-4)
+        opt = Adam({"p": p}, OptimConfig(lr=0.03, weight_decay=1e-4))
         rng = np.random.default_rng(12)
         for _ in range(50):
             p.grad = rng.standard_normal(2)
@@ -106,7 +106,7 @@ def test_trajectory_is_deterministic():
 
 def test_per_parameter_state_is_independent():
     a, b = _param([1.0]), _param([1.0])
-    opt = Adam({"a": a, "b": b}, lr=0.1)
+    opt = Adam({"a": a, "b": b}, OptimConfig(lr=0.1, weight_decay=0.0))
     a.grad = np.array([1.0])
     b.grad = np.array([-1.0])
     opt.step()

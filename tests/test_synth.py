@@ -38,6 +38,7 @@ from soundloc.synth import (
 )
 
 from _oracles import decode_export
+from _workers import SHARES, error_of, inline
 
 
 def _disc_loops(size, cx, cy, r):
@@ -548,7 +549,6 @@ class TestCachesDoNotLeak:
 
 # -- scenes made by worker processes -------------------------------------------
 
-_SHARES = synth._WORKERS > 0        # a worker makes every other chunk of a stream
 _LINUX_PROC = Path("/proc/self/stat").is_file()
 
 
@@ -559,9 +559,7 @@ def _streamed(*args):
 
 def _inline_stream(monkeypatch, *args):
     """A ``SceneStream``'s scenes, every one made in this process."""
-    with monkeypatch.context() as m:
-        m.setattr(synth, "_WORKERS", 0)
-        return _streamed(*args)
+    return inline(monkeypatch, lambda: _streamed(*args))
 
 
 def _chunks_made_here(monkeypatch):
@@ -589,12 +587,6 @@ def _failing_at(monkeypatch, base_seed, mode, indices):
         return build(rng, cfg, mode, seed, kind, pool)
 
     monkeypatch.setattr(synth, "_build_spec", build_spec)
-
-
-def _error_of(call):
-    with pytest.raises(BaseException) as info:
-        call()
-    return type(info.value), str(info.value)
 
 
 def _scene_digest(scenes):
@@ -633,14 +625,6 @@ def _gone_within(pid, seconds):
     return True
 
 
-@pytest.fixture
-def fresh_worker():
-    """A worker forked after the test's patches, and ended after the test."""
-    synth._close_worker()
-    yield
-    synth._close_worker()
-
-
 class TestWorkers:
     """Streams read with a worker, which makes their odd chunks.  Inline with
     one CPU (the CI step pinned to one CPU runs these too)."""
@@ -658,10 +642,10 @@ class TestWorkers:
             made.clear()
             got = _streamed(self.CFG, count, mode, 21)
             chunks = SceneStream(self.CFG, count, mode, 21).chunks
-            assert made == list(range(0, chunks, 2 if _SHARES else 1))
+            assert made == list(range(0, chunks, 2 if SHARES else 1))
             workers.add(synth._worker and synth._worker.pid)
             _assert_same_scenes(got, _inline_stream(monkeypatch, self.CFG, count, mode, 21))
-        assert len(workers) == 1 and (None in workers) != _SHARES
+        assert len(workers) == 1 and (None in workers) != SHARES
 
     def test_scenes_outside_the_batch_are_refused(self):
         for start, count in ((-1, 2), (12, 2), (14, 1)):
@@ -684,9 +668,9 @@ class TestWorkers:
         """Reading the stream raises the error inline synthesis raises, and the
         next streams' scenes are inline's: no reply from the failed one reaches them."""
         _failing_at(monkeypatch, 3, "s4", failing)
-        want = _error_of(lambda: _inline_stream(monkeypatch, self.CFG, 80, "s4", 3))
+        want = error_of(lambda: _inline_stream(monkeypatch, self.CFG, 80, "s4", 3))
         assert want == (SceneSpecError, f"could not place the objects of scene {lowest}")
-        assert _error_of(lambda: _streamed(self.CFG, 80, "s4", 3)) == want
+        assert error_of(lambda: _streamed(self.CFG, 80, "s4", 3)) == want
         for mode, seed in (("ms3", 4), ("heard", 5)):
             _assert_same_scenes(_streamed(self.CFG, 80, mode, seed),
                                 _inline_stream(monkeypatch, self.CFG, 80, mode, seed))
@@ -722,14 +706,14 @@ class TestWorkers:
         stream = iter(SceneStream(self.CFG, 80, "s4", 12))
         _assert_same_scenes(itertools.islice(stream, taken), want)
         pid = synth._worker and synth._worker.pid
-        assert (pid is not None) == _SHARES
+        assert (pid is not None) == SHARES
         del stream
-        assert (synth._worker is None) == (taken == 20 or not _SHARES)
+        assert (synth._worker is None) == (taken == 20 or not SHARES)
         assert not synth._lock.locked()
         made = _chunks_made_here(monkeypatch)
         again = _streamed(self.CFG, 80, "ms3", 13)
-        assert made == ([0, 2] if _SHARES else [0, 1, 2])
-        if _SHARES:
+        assert made == ([0, 2] if SHARES else [0, 1, 2])
+        if SHARES:
             assert (synth._worker.pid == pid) == (taken == 40)
             assert _running(synth._worker.pid)
         _assert_same_scenes(again, _inline_stream(monkeypatch, self.CFG, 80, "ms3", 13))
@@ -748,10 +732,10 @@ class TestWorkers:
             del parts
             pids.append(synth._worker and synth._worker.pid)
             _assert_same_scenes(got, want)
-        assert pids[0] == pids[1] and (pids[0] is not None) == _SHARES
+        assert pids[0] == pids[1] and (pids[0] is not None) == SHARES
         assert not synth._lock.locked()
 
-    @pytest.mark.skipif(not _SHARES, reason="needs a worker")
+    @pytest.mark.skipif(not SHARES, reason="needs a worker")
     def test_worker_ignores_sigint(self, monkeypatch):
         """A Ctrl-C reaches the whole process group; a caller that goes on
         keeps its worker."""
@@ -763,7 +747,7 @@ class TestWorkers:
                             _inline_stream(monkeypatch, self.CFG, 80, "s4", 9))
         assert synth._worker.pid == pid
 
-    @pytest.mark.skipif(not _SHARES, reason="needs a worker")
+    @pytest.mark.skipif(not SHARES, reason="needs a worker")
     @pytest.mark.parametrize("when", ["between calls", "mid-call"])
     def test_killed_worker(self, monkeypatch, fresh_worker, when):
         """A worker killed between streams (the request cannot be sent) or
@@ -796,7 +780,7 @@ class TestWorkers:
                             _inline_stream(monkeypatch, self.CFG, 80, "ms3", 8))
         assert _running(synth._worker.pid)
 
-    @pytest.mark.skipif(not _SHARES, reason="needs a worker")
+    @pytest.mark.skipif(not SHARES, reason="needs a worker")
     def test_failed_fork_makes_every_scene_here(self, monkeypatch, fresh_worker):
         """A fork that fails turns the worker off: this process makes every
         chunk, the scenes are inline's and it reports one scene process."""
@@ -812,7 +796,7 @@ class TestWorkers:
         _assert_same_scenes(got, _inline_stream(monkeypatch, self.CFG, 80, "ms3", 11))
         assert synth._worker is None and synth.scene_processes() == 1
 
-    @pytest.mark.skipif(not _SHARES, reason="needs a worker")
+    @pytest.mark.skipif(not SHARES, reason="needs a worker")
     def test_forked_child_forks_its_own_worker(self, monkeypatch):
         """A process forked from one with a worker does not use that worker;
         both get their own scenes."""
@@ -837,7 +821,7 @@ class TestWorkers:
         assert _scene_digest(_streamed(self.CFG, 80, "ms3", 10)) == want
         assert synth._worker.pid == pid
 
-    @pytest.mark.skipif(not _SHARES, reason="needs two CPUs to compare with one")
+    @pytest.mark.skipif(not SHARES, reason="needs two CPUs to compare with one")
     def test_scenes_do_not_depend_on_the_cpu_count(self):
         """Streams of three chunks, read here with the worker and in a process
         pinned to one CPU before it imports soundloc."""
@@ -859,7 +843,7 @@ class TestWorkers:
                                for mode in synth.MODES]
 
 
-@pytest.mark.skipif(not (_SHARES and _LINUX_PROC), reason="needs a worker and /proc")
+@pytest.mark.skipif(not (SHARES and _LINUX_PROC), reason="needs a worker and /proc")
 class TestNoOrphanWorker:
     """A process's worker ends with it, however it ends."""
     CHILD = (
