@@ -3,10 +3,12 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see every verdict
 line; without ``-s`` the lines still appear for any failing criterion.
 Criteria 7 and 8 share one full-defaults training run (a few minutes on
-one core); everything else is seconds.
+one core) and score it on the first 1024 scenes of their benchmarks;
+everything else is seconds.
 """
 
 import csv
+import dataclasses
 import math
 import time
 
@@ -20,6 +22,7 @@ from soundloc.harness import (
     RunConfig,
     ablate,
     benchmark_scenes,
+    benchmark_stream,
     build_model,
     evaluate,
     predict_eval_samples,
@@ -375,23 +378,30 @@ def test_criterion_6_prompt_mechanics():
 
 # -- criteria 7 and 8: one full-defaults training run ------------------------
 
+# Scenes scored by criteria 7 and 8, the first of each benchmark.  On 64
+# scenes cIoU moves in steps of 1/64 with a standard error of ~0.05, so one
+# rounding trajectory could decide the verdict; on 1024 it is ~0.0125.
+SCORED_SCENES = 1024
+
+
 @pytest.fixture(scope="module")
 def trained_default(tmp_path_factory):
+    """The default run at seed 0, and its config set to score ``SCORED_SCENES``."""
     cfg = RunConfig(out_dir=str(tmp_path_factory.mktemp("default_run")))
     model, log = train(cfg, write_artifacts=False)
-    return cfg, model, log
+    return dataclasses.replace(cfg, eval_samples=SCORED_SCENES), model, log
 
 
 def test_criterion_7_synthetic_learning(trained_default):
     cfg, model, log = trained_default
-    scenes = benchmark_scenes(cfg, "s4-analog")
-    trained = metrics.compute_report(predict_eval_samples(model, scenes))
+    trained = metrics.compute_report(
+        predict_eval_samples(model, benchmark_stream(cfg, "s4-analog")))
     untrained = metrics.compute_report(
-        predict_eval_samples(build_model(cfg), scenes))
+        predict_eval_samples(build_model(cfg), benchmark_stream(cfg, "s4-analog")))
     diff = trained.ciou - untrained.ciou
     ok = diff >= 0.5 and trained.miou >= 0.6 and log.wall_clock_sec < 600.0
-    _verdict(7, ok, f"s4-analog cIoU {trained.ciou:.4f} vs untrained "
-                    f"{untrained.ciou:.4f} (diff {diff:.4f} >= 0.5), "
+    _verdict(7, ok, f"s4-analog ({cfg.eval_samples} scenes) cIoU {trained.ciou:.4f} vs "
+                    f"untrained {untrained.ciou:.4f} (diff {diff:.4f} >= 0.5), "
                     f"mIoU {trained.miou:.4f} (>= 0.6), "
                     f"train {log.wall_clock_sec:.0f}s (< 600s)")
     assert ok
@@ -399,7 +409,7 @@ def test_criterion_7_synthetic_learning(trained_default):
 
 def test_criterion_8_mismatch_suppression(trained_default):
     cfg, model, _ = trained_default
-    evs = predict_eval_samples(model, benchmark_scenes(cfg, "extended-analog"))
+    evs = predict_eval_samples(model, benchmark_stream(cfg, "extended-analog"))
     conf_matched = np.mean([e.confidence for e in evs if e.flags.matched])
     conf_mis = np.mean([e.confidence for e in evs
                         if e.flags.audible and not e.flags.matched])
@@ -409,8 +419,8 @@ def test_criterion_8_mismatch_suppression(trained_default):
           and ap is not None and ap >= 0.8)
     _verdict(8, ok, f"mean confidence matched {conf_matched:.4f} vs mismatched "
                     f"{conf_mis:.4f} / silent {conf_sil:.4f} (strictly lower); "
-                    f"extended-analog AP {'none' if ap is None else f'{ap:.4f}'} "
-                    f"(>= 0.8)")
+                    f"extended-analog ({cfg.eval_samples} scenes) "
+                    f"AP {'none' if ap is None else f'{ap:.4f}'} (>= 0.8)")
     assert ok
 
 
