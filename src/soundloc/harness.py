@@ -299,14 +299,27 @@ def batch_loss(model: SoundLocalizer, images: np.ndarray, audios: np.ndarray,
 
 # -- encoder warmup ----------------------------------------------------------
 
+def warmup_loss(model: SoundLocalizer, protos: Tensor, images: np.ndarray,
+                labels: np.ndarray) -> tuple[Tensor, int]:
+    """Mean cross-entropy of each image cell's features scored against the
+    (classes + 1, d) ``protos``, on (B, cells) ``labels``; also the number of
+    cells whose best score is their label."""
+    grid = model.image_encoder.forward(ad.constant(images.astype(model.dtype)))[0]
+    logits = grid.reshape(labels.size, protos.shape[1]) @ ad.transpose(protos, (1, 0))
+    logp = ad.log_softmax(logits, axis=-1)
+    y = labels.reshape(-1)
+    nll = -(logp[np.arange(y.size), y].mean())
+    return nll, int((logits.data.argmax(axis=-1) == y).sum())
+
+
 def warmup_image_encoder(model: SoundLocalizer, samples: list[SceneSample],
                          cfg: RunConfig) -> dict:
     """Supervised cell-classification alignment of the image encoder.
 
     Cell features are scored against learnable class prototypes (classes
     plus one background slot); cross-entropy on the cell's center-pixel
-    label shapes the encoder before it is frozen.  Prototypes are
-    discarded afterwards.
+    label (``warmup_loss``) shapes the encoder before it is frozen.
+    Prototypes are discarded afterwards.
     """
     k = cfg.generator.num_classes
     d = cfg.encoder.embed_dim
@@ -337,20 +350,14 @@ def warmup_image_encoder(model: SoundLocalizer, samples: list[SceneSample],
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             images, _ = stack_batch([samples[i] for i in idx])
-            images_t = ad.constant(images.astype(model.dtype))
-            grid = model.image_encoder.forward(images_t)[0]
-            flat = grid.reshape(idx.size * g * g, d)
-            logits = flat @ ad.transpose(protos, (1, 0))
-            logp = ad.log_softmax(logits, axis=-1)
-            y = labels[idx].reshape(-1)
-            nll = -(logp[np.arange(y.size), y].mean())
+            nll, hits = warmup_loss(model, protos, images, labels[idx])
             ad.backward(nll)
             opt.step()
             opt.zero_grad()
             losses.append(nll.item())
-            correct += int((logits.data.argmax(axis=-1) == y).sum())
-            total += y.size
-            del grid, flat, logits, logp, nll    # the step's graph
+            correct += hits
+            total += labels[idx].size
+            del nll                  # the step's graph, before the next is built
         acc = correct / total
     return {"epochs": cfg.warmup_epochs, "final_cell_accuracy": acc,
             "first_loss": losses[0] if losses else None,

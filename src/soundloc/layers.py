@@ -71,20 +71,19 @@ class MultiHeadAttention(Module):
         self.wk = self.param("wk", normal_init(rng, (d, d)))
         self.wv = self.param("wv", normal_init(rng, (d, d)))
         self.wo = self.param("wo", normal_init(rng, (d, d)))
+        # Keys have no bias: softmax cancels the q·bk it would add to each row.
         self.bq = self.param("bq", np.zeros(d))
-        self.bk = self.param("bk", np.zeros(d))
         self.bv = self.param("bv", np.zeros(d))
         self.bo = self.param("bo", np.zeros(d))
 
     def forward(self, x: Tensor, causal: bool = False) -> Tensor:
         b, t, d = x.shape
 
-        def heads(w, bias):
-            h = ad.linear(x, w, bias).reshape(b, t, self.heads, self.dh)
-            return ad.transpose(h, (0, 2, 1, 3))
+        def heads(h):
+            return ad.transpose(h.reshape(b, t, self.heads, self.dh), (0, 2, 1, 3))
 
-        out = ad.attention(heads(self.wq, self.bq), heads(self.wk, self.bk),
-                           heads(self.wv, self.bv), causal=causal)
+        out = ad.attention(heads(ad.linear(x, self.wq, self.bq)), heads(x @ self.wk),
+                           heads(ad.linear(x, self.wv, self.bv)), causal=causal)
         return ad.linear(ad.transpose(out, (0, 2, 1, 3)).reshape(b, t, d), self.wo, self.bo)
 
 

@@ -91,7 +91,7 @@ class SoundLocalizer(Module):
         if self.prompt_cfg.fusion_mode == "fused":
             # Fused prompts bypass attention pooling (only the frame MLP
             # feeds the fused feature), so its parameters never get grads.
-            for k in ("tokenizer.key_w", "tokenizer.key_b", "tokenizer.query"):
+            for k in ("tokenizer.key_w", "tokenizer.query"):
                 del out[k]
         return out
 

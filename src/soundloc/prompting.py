@@ -75,8 +75,9 @@ class AudioTokenizer(Module):
     """Per-frame MLP into embedding space, then attention pooling.
 
     Pooling scores each frame by a learned query against projected frame
-    representations; the output is the softmax-weighted sum of the frame
-    representations themselves, so identical frames pool to themselves.
+    representations (with no bias, which softmax would cancel); the output
+    is the softmax-weighted sum of the frame representations themselves, so
+    identical frames pool to themselves.
     """
 
     def __init__(self, in_dim: int, d: int, rng: np.random.Generator):
@@ -88,7 +89,6 @@ class AudioTokenizer(Module):
         self.w2 = self.param("w2", normal_init(rng, (d, d)))
         self.b2 = self.param("b2", np.zeros(d))
         self.key_w = self.param("key_w", normal_init(rng, (d, d)))
-        self.key_b = self.param("key_b", np.zeros(d))
         self.query = self.param("query", normal_init(rng, (d, 1)))
 
     def frame_repr(self, feats: Tensor) -> Tensor:
@@ -103,7 +103,7 @@ class AudioTokenizer(Module):
         if feats.ndim != 3:
             raise ContractViolation(f"expected (B, frames, in_dim), got {feats.shape}")
         h = self.frame_repr(feats)
-        logits = ad.linear(h, self.key_w, self.key_b) @ self.query
+        logits = h @ self.key_w @ self.query
         w = ad.softmax(logits, axis=-2)                       # (B, frames, 1)
         return (w * h).sum(axis=-2)
 

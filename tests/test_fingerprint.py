@@ -7,7 +7,6 @@ with its golden in ``fingerprint_float64.json`` on four groups of figures:
 the per-step losses; per-tensor norms of the trainable parameters; fixed
 random projections of all of them as one vector; and fixed random
 projections of the masks that ``predict_masks`` gives on four fixed scenes.
-The golden holds no raw bytes, so it should hold on another BLAS too.
 
 In float64, changes that only round differently and real errors lie far
 apart.  Measured on this config, as differences relative to the golden:
@@ -20,9 +19,11 @@ apart.  Measured on this config, as differences relative to the golden:
   projections by at least 2.4e-9 (times 1 + 1e-4: 2.4e-5 and 2.4e-7).
 
 ``TOLERANCE`` sits between the two bands.  The float32 snap at the end of
-``train`` is switched off, as it would round most such errors away.  Key
-biases that softmax cancels (``attn.bk``, ``tokenizer.key_b``) are left out:
-their gradient is rounding noise, which Adam scales up to steps of ``lr``.
+``train`` is switched off, as it would round most such errors away.
+
+The golden holds no raw bytes, so it holds on another summation order too:
+``test_float64_trajectory_holds_on_numpy_loops`` routes every ``matmul`` of
+``autodiff`` through ``np.einsum``'s own loops instead of the BLAS.
 
 The golden changes only when the computation does.  Rewrite it with
 ``PYTHONPATH=src python tests/test_fingerprint.py`` and say why in
@@ -30,11 +31,13 @@ CHANGES.md.
 """
 
 import json
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from soundloc import autodiff as ad
 from soundloc import harness, synth
 from soundloc.harness import RunConfig
 from soundloc.prompting import PromptConfig
@@ -42,7 +45,6 @@ from soundloc.prompting import PromptConfig
 GOLDEN = Path(__file__).with_name("fingerprint_float64.json")
 FUSIONS = ("none", "fused", "ensemble")
 TOLERANCE = 1e-11
-CANCELLED = ("attn.bk", "tokenizer.key_b")
 
 
 def fingerprint(fusion: str) -> dict:
@@ -50,8 +52,7 @@ def fingerprint(fusion: str) -> dict:
     cfg = RunConfig(seed=3, dtype="float64", batch_size=4, train_samples=40, epochs=3,
                     warmup_epochs=1, eval_samples=4, prompt=PromptConfig(fusion_mode=fusion))
     model, log = harness.train(cfg, write_artifacts=False)
-    params = {name: p.data for name, p in sorted(model.trainable_parameters().items())
-              if not name.endswith(CANCELLED)}
+    params = {name: p.data for name, p in sorted(model.trainable_parameters().items())}
     theta = np.concatenate([p.ravel() for p in params.values()])
     masks = model.predict_masks(*harness.stack_batch(
         synth.make_batch(cfg.generator, 4, "s4", base_seed=7))).ravel()
@@ -80,14 +81,31 @@ def relative_differences(got: dict, want: dict) -> dict[str, float]:
     }
 
 
-@pytest.mark.parametrize("fusion", FUSIONS)
-def test_float64_trajectory_matches_golden(fusion, monkeypatch):
+def check_against_golden(fusion: str, monkeypatch) -> None:
     monkeypatch.setattr(harness, "_snap_float32", lambda model: None)
     got, want = fingerprint(fusion), json.loads(GOLDEN.read_text())[fusion]
     assert list(got["norms"]) == list(want["norms"])
     assert len(got["losses"]) == len(want["losses"])
     diffs = relative_differences(got, want)
     assert max(diffs.values()) <= TOLERANCE, diffs
+
+
+@pytest.mark.parametrize("fusion", FUSIONS)
+def test_float64_trajectory_matches_golden(fusion, monkeypatch):
+    check_against_golden(fusion, monkeypatch)
+
+
+def einsum_matmul(a, b, out=None):
+    """``np.matmul`` summed by numpy's own loops, in another order than a BLAS."""
+    return np.einsum("...ij,...jk->...ik", a, b, out=out, optimize=False)
+
+
+@pytest.mark.parametrize("fusion", FUSIONS)
+def test_float64_trajectory_holds_on_numpy_loops(fusion, monkeypatch):
+    loops = types.ModuleType("numpy")
+    loops.__dict__.update(vars(np), matmul=einsum_matmul)
+    monkeypatch.setattr(ad, "np", loops)
+    check_against_golden(fusion, monkeypatch)
 
 
 if __name__ == "__main__":

@@ -413,6 +413,6 @@ class TestFusionModes:
             cond = embed(pooled_i, va)
             ad.backward((cond * w).sum())
             results.append([cond.data] + [params[k].grad for k in sorted(params)])
-        assert len(results[0]) == 1 + 12
+        assert len(results[0]) == 1 + 11
         for got, want in zip(*results):
             assert got.dtype == dtype and np.array_equal(got, want)

@@ -47,6 +47,7 @@ from soundloc.harness import (
     render_heatmaps,
     token_order_label,
     train,
+    warmup_loss,
 )
 from soundloc.losses import LossWeights
 from soundloc.model import SoundLocalizer
@@ -425,8 +426,7 @@ class TestTraining:
     def test_default_parameter_names(self):
         """The default model's parameters by name, in checkpoint order;
         adding or removing one shows up here."""
-        attn = ("attn.wq", "attn.wk", "attn.wv", "attn.wo",
-                "attn.bq", "attn.bk", "attn.bv", "attn.bo")
+        attn = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "attn.bq", "attn.bv", "attn.bo")
         block = ("ln1_g", "ln1_b", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2") + attn
         groups = (
             ("image_encoder", ("patch_w", "patch_b", "pos", "lnf_g", "lnf_b",
@@ -435,14 +435,14 @@ class TestTraining:
             ("text_encoder", ("pos", "lnf_g", "lnf_b", "proj")
              + tuple(f"block{i}.{n}" for i in (0, 1) for n in block)),
             ("meta_net", ("base", "w1", "b1", "w2", "b2")),
-            ("tokenizer", ("w1", "b1", "w2", "b2", "key_w", "key_b", "query")),
+            ("tokenizer", ("w1", "b1", "w2", "b2", "key_w", "query")),
             ("decoder", ("scale_w", "scale_b", "shift_w", "shift_b", "head_w", "head_b")
              + tuple(f"block.{n}" for n in block)),
         )
         names = [f"{part}.{n}" for part, ns in groups for n in ns]
         model = build_model(RunConfig(out_dir="unused"))
         assert list(model.parameters()) == names
-        assert len(names) == 85
+        assert len(names) == 80
         assert list(model.encoder_parameters()) == [
             n for n in names if n.startswith(("image_encoder.", "text_encoder."))]
         assert list(model.trainable_parameters()) == [
@@ -987,6 +987,30 @@ def cli_run(tmp_path_factory):
     return cfg_path, out
 
 
+def _with_audio_projection(state):
+    """``state`` as saved while the audio side had a linear projection
+    (identity weights, zero bias) between the image and text encoders."""
+    names = list(state)
+    at = names.index("text_encoder.pos")
+    old = {n: state[n] for n in names[:at]}
+    old["audio_encoder.proj_w"] = np.eye(16)
+    old["audio_encoder.proj_b"] = np.zeros(16)
+    old.update((n, state[n]) for n in names[at:])
+    return old
+
+
+def _with_key_biases(state):
+    """``state`` as saved while every attention block had a key bias (after
+    ``attn.bq``) and the audio tokenizer a frame-key bias (after
+    ``tokenizer.key_w``), all zero."""
+    old = {}
+    for name, arr in state.items():
+        old[name] = arr
+        if name.endswith(("attn.bq", "tokenizer.key_w")):
+            old[name.replace("bq", "bk").replace("key_w", "key_b")] = np.zeros(len(arr))
+    return old
+
+
 class TestCli:
     def test_train_writes_checkpoint(self, cli_run, capsys):
         _, out = cli_run
@@ -1328,25 +1352,23 @@ class TestCli:
             assert err.startswith("i/o error: ") and err.count("\n") == 1, err
             assert reason in err
 
-    def test_retired_audio_projection_exits_3(self, cli_run, tmp_path, capsys):
-        """A checkpoint saved while the audio side had a linear projection
-        (identity weights, zero bias, between the image and text encoders)
-        does not load: one stderr line names both retired records."""
+    @pytest.mark.parametrize("retire,unexpected", [
+        (_with_audio_projection, "audio_encoder.proj_w, audio_encoder.proj_b"),
+        (_with_key_biases, "image_encoder.block.attn.bk, text_encoder.block0.attn.bk, "
+                           "text_encoder.block1.attn.bk, tokenizer.key_b, decoder.block.attn.bk"),
+    ], ids=["audio-projection", "key-biases"])
+    def test_retired_audio_projection_exits_3(self, cli_run, tmp_path, capsys, retire,
+                                              unexpected):
+        """A checkpoint that still holds records of a retired part does not
+        load: one stderr line names every retired record."""
         cfg_path, out = cli_run
-        state = load_checkpoint(out / "model.splt")
-        names = list(state)
-        at = names.index("text_encoder.pos")
-        old = {n: state[n] for n in names[:at]}
-        old["audio_encoder.proj_w"] = np.eye(16)
-        old["audio_encoder.proj_b"] = np.zeros(16)
-        old.update((n, state[n]) for n in names[at:])
         ckpt = tmp_path / "old.splt"
-        save_checkpoint(ckpt, old)
+        save_checkpoint(ckpt, retire(load_checkpoint(out / "model.splt")))
         assert main(["eval", "--ckpt", str(ckpt), "--config", str(cfg_path),
                      "--benchmark", "s4-analog", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and err.count("\n") == 1, err
-        assert "unexpected: audio_encoder.proj_w, audio_encoder.proj_b" in err
+        assert f"unexpected: {unexpected}" in err
         assert "missing" not in err
         assert not (tmp_path / "report_s4-analog.csv").exists()
 
@@ -1391,6 +1413,33 @@ class TestBatchLossGradient:
 
         def loss(_):
             return batch_loss(model, images, audios, LossWeights())[0]
+
+        report = grad_check(
+            loss, params, h=1e-6, tol=1e-6,
+            coords=lambda name, t: pick.choice(t.size, size=min(4, t.size), replace=False))
+        assert report.ok, report.failures[:3]
+        assert not report.non_finite
+        assert report.max_rel_error.keys() == params.keys()
+
+
+class TestWarmupLossGradient:
+    """Warmup's objective against central differences: the cell-classification
+    loss through every image-encoder tensor and the class prototypes."""
+
+    def test_warmup_loss_matches_central_differences(self):
+        model = SoundLocalizer(EncoderConfig(embed_dim=16, image_size=8, patch_size=4),
+                               PromptConfig(context_length=2), seed=73)
+        rng = np.random.default_rng(74)
+        params = {f"image_encoder.{n}": t for n, t in model.image_encoder.parameters().items()}
+        for p in params.values():   # move off the zero biases and unit gains
+            p.data = p.data + rng.normal(0.0, 0.1, p.shape)
+        params["prototypes"] = ad.Tensor(rng.normal(0.0, 0.1, (4, 16)), requires_grad=True)
+        images = rng.uniform(size=(3, 8, 8, 3))
+        labels = rng.integers(0, 4, size=(3, 4))
+        pick = np.random.default_rng(75)
+
+        def loss(_):
+            return warmup_loss(model, params["prototypes"], images, labels)[0]
 
         report = grad_check(
             loss, params, h=1e-6, tol=1e-6,

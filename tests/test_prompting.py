@@ -113,7 +113,6 @@ def _transparent_tokenizer(d: int, offset: float = 5.0) -> AudioTokenizer:
     tok.w2.data[:] = np.eye(d)
     tok.b2.data[:] = 0.0
     tok.key_w.data[:] = np.eye(d)
-    tok.key_b.data[:] = 0.0
     tok.query.data[:] = 0.0
     tok.query.data[0, 0] = 1.0
     return tok
@@ -255,9 +254,11 @@ class TestFuseFeatures:
 class TestGradientFlow:
     def test_batch_loss_reaches_prompt_parameters(self):
         """With the encoders frozen, backward from the training loss must
-        deposit nonzero gradients on every trainable parameter while
-        leaving every encoder parameter untouched.
-        """
+        give every trainable tensor a gradient that rounding noise cannot
+        account for, while leaving every encoder parameter untouched.  In
+        float64 a gradient that cancels exactly (a key bias under softmax)
+        leaves noise of 1e-16 times the median or less; the floor asks for
+        an RMS above 1e-12 times the median over tensors."""
         model = SoundLocalizer(EncoderConfig(), PromptConfig(), seed=60)
         model.apply_freezing()
         rng = RNG(61)
@@ -266,15 +267,16 @@ class TestGradientFlow:
         loss, _ = batch_loss(model, images, audios, LossWeights())
         ad.backward(loss)
 
-        for name, p in model.trainable_parameters().items():
-            assert p.grad is not None, name
-            assert np.any(p.grad != 0), f"all-zero gradient on {name}"
+        trainable = model.trainable_parameters()
+        assert [n for n, p in trainable.items() if p.grad is None] == []
+        rms = {name: np.sqrt(np.mean(p.grad ** 2)) for name, p in trainable.items()}
+        floor = 1e-12 * np.median(list(rms.values()))
+        assert [name for name, r in rms.items() if not r > floor] == []
         for name, p in model.encoder_parameters().items():
             assert p.grad is None, name
 
     @pytest.mark.parametrize("prompt,idle", [
-        (PromptConfig(fusion_mode="fused"), ("tokenizer.key_w", "tokenizer.key_b",
-                                             "tokenizer.query")),
+        (PromptConfig(fusion_mode="fused"), ("tokenizer.key_w", "tokenizer.query")),
         (PromptConfig(context_length=0), ("meta_net.base", "meta_net.w1", "meta_net.b1",
                                           "meta_net.w2", "meta_net.b2")),
     ], ids=["fused", "no-context"])
