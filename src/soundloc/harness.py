@@ -301,9 +301,8 @@ def batch_loss(model: SoundLocalizer, images: np.ndarray, audios: np.ndarray,
 
 def warmup_loss(model: SoundLocalizer, protos: Tensor, images: np.ndarray,
                 labels: np.ndarray) -> tuple[Tensor, int]:
-    """Mean cross-entropy of each image cell's features scored against the
-    (classes + 1, d) ``protos``, on (B, cells) ``labels``; also the number of
-    cells whose best score is their label."""
+    """Mean cross-entropy of each image cell scored against the (classes + 1, d)
+    ``protos``, on (B, cells) ``labels``; also the count of cells scored right."""
     grid = model.image_encoder.forward(ad.constant(images.astype(model.dtype)))[0]
     logits = grid.reshape(labels.size, protos.shape[1]) @ ad.transpose(protos, (1, 0))
     logp = ad.log_softmax(logits, axis=-1)
@@ -325,11 +324,8 @@ def warmup_image_encoder(model: SoundLocalizer, samples: list[SceneSample],
     d = cfg.encoder.embed_dim
     g, p = cfg.encoder.grid_size, cfg.encoder.patch_size
     centers = np.arange(g) * p + p // 2
-    labels = np.stack([
-        np.where(s.class_map[np.ix_(centers, centers)] < 0, k,
-                 s.class_map[np.ix_(centers, centers)]).reshape(-1)
-        for s in samples
-    ])
+    cell_classes = np.stack([s.class_map[np.ix_(centers, centers)].reshape(-1) for s in samples])
+    labels = np.where(cell_classes < 0, k, cell_classes)
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 21]))
     protos = Tensor(rng.normal(0.0, 0.02, (k + 1, d)).astype(model.dtype),
@@ -346,7 +342,7 @@ def warmup_image_encoder(model: SoundLocalizer, samples: list[SceneSample],
     acc = 0.0
     for _ in range(cfg.warmup_epochs):
         order = rng.permutation(n)
-        correct = total = 0
+        correct = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             images, _ = stack_batch([samples[i] for i in idx])
@@ -356,9 +352,8 @@ def warmup_image_encoder(model: SoundLocalizer, samples: list[SceneSample],
             opt.zero_grad()
             losses.append(nll.item())
             correct += hits
-            total += labels[idx].size
             del nll                  # the step's graph, before the next is built
-        acc = correct / total
+        acc = correct / labels.size          # each epoch visits every cell once
     return {"epochs": cfg.warmup_epochs, "final_cell_accuracy": acc,
             "first_loss": losses[0] if losses else None,
             "last_loss": losses[-1] if losses else None}

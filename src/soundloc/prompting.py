@@ -75,9 +75,8 @@ class AudioTokenizer(Module):
     """Per-frame MLP into embedding space, then attention pooling.
 
     Pooling scores each frame by a learned query against projected frame
-    representations (with no bias, which softmax would cancel); the output
-    is the softmax-weighted sum of the frame representations themselves, so
-    identical frames pool to themselves.
+    representations; the output is the softmax-weighted sum of the frame
+    representations themselves, so identical frames pool to themselves.
     """
 
     def __init__(self, in_dim: int, d: int, rng: np.random.Generator):
@@ -103,7 +102,7 @@ class AudioTokenizer(Module):
         if feats.ndim != 3:
             raise ContractViolation(f"expected (B, frames, in_dim), got {feats.shape}")
         h = self.frame_repr(feats)
-        logits = h @ self.key_w @ self.query
+        logits = h @ self.key_w @ self.query     # no key bias: softmax would cancel it
         w = ad.softmax(logits, axis=-2)                       # (B, frames, 1)
         return (w * h).sum(axis=-2)
 
