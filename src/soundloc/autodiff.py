@@ -1,31 +1,72 @@
 """Dense-tensor substrate with reverse-mode automatic differentiation.
 
 Tensors wrap numpy arrays (float64 by default, float32 behind a config
-switch) and record the operations applied to them on a tape of graph
-nodes.  A graph has one dtype: an operation whose operands' dtype differs
-from its result's raises ``ContractViolation`` naming the operation, and
-a leaf's gradient has the leaf's dtype.  Calling :func:`backward` on a
-scalar result walks the recorded DAG once in reverse topological order
+switch).  An operation on tensors that require gradients records a
+backward node, and the nodes form the graph that :func:`backward` walks.
+A graph has one dtype: an operation whose operands' dtype differs from its
+result's raises ``ContractViolation`` naming the operation, and a leaf's
+gradient has the leaf's dtype.  Calling :func:`backward` on a scalar
+result walks the recorded DAG once in reverse topological order
 (deterministic tie-break by creation index, so runs are bit-reproducible)
 and accumulates gradients additively across fan-out.  ``PRIMITIVES``
-names every operation that can appear on the tape; the test suite checks
+names every operation that can appear in a graph; the test suite checks
 each one against central differences.
+
+The graph is kept apart from the tensors, as autograd keeps it (Paszke et
+al., "PyTorch", arXiv 1912.01703).  A ``Tensor`` holds its data and, if a
+recorded operation made it, that operation's :class:`Node`.  A node holds
+its operands' nodes (a leaf that requires a gradient stands for itself),
+the layout of its output, and the arrays its backward reads (its *saved*
+arrays), and nothing else: no operand ``Tensor``, and no cycle.  So an
+output that neither the caller nor a saved list holds is freed by
+reference count as soon as forward moves on.  ``backward`` drops each
+node's saved arrays once that node's backward has run, and refuses to
+walk a graph a second time.  A node's ``data`` is its output while
+anything holds it, else an empty array of the output's dtype.
 
 Backward does only the work whose result someone reads:
 
-* a primitive computes an operand's gradient only if that operand
-  requires one when backward runs (frozen weights and constant inputs
-  cost nothing);
+* what a primitive saves, and which operand gradients it computes, follow
+  which operands require a gradient when the op is recorded (frozen
+  weights and constant inputs cost nothing).  ``apply_freezing`` runs
+  before any forward, so that is also what they require when backward
+  runs;
 * only leaves (tensors no operation produced) keep ``grad``; an interior
   node's gradient is released as soon as its own backward has run;
 * a stored gradient may share memory with another tensor's gradient, so
   nothing may update ``grad`` in place (the optimizer does not).
 
-The hot layers are fused primitives, one tape node each with a
+What each primitive saves of its operands and its output; ``a if b`` is
+operand ``a``'s array, kept when operand ``b`` requires a gradient.  The
+tests check this table.
+
+    ====================================  ==============================
+    primitive                             saves
+    ====================================  ==============================
+    add, sub, neg, sum, mean              nothing
+    reshape, transpose, getitem, concat   nothing
+    masked_fill, resize_bilinear          nothing
+    mul, matmul                           a if b; b if a
+    div                                   b; a if b
+    linear                                x if w; w if x
+    attention                             q; k; v if q or k
+    layer_norm                            x if x or gamma; gamma if x
+    relu, sigmoid, exp                    out
+    softmax, log_softmax, l2_normalize    out
+    abs, log                              a
+    ====================================  ==============================
+
+Besides these, ``attention`` keeps each row's max and sum, ``layer_norm``
+each row's mean and inverse deviation, ``l2_normalize`` each row's norm,
+``masked_fill`` its mask, ``getitem`` its key and ``resize_bilinear`` its
+interpolation weights.  ``relu`` reads its mask from its output: ``out >
+0`` is ``a > 0``, NaN included.
+
+The hot layers are fused primitives, one graph node each with a
 hand-derived backward: ``linear(x, w, b)`` for ``x @ w + b`` and
 ``attention(q, k, v, causal)`` for softmax attention.  Each computes
 bit for bit what its composition of primitives computes, so fusing
-changes no checkpoint byte; the saving is in tape nodes and
+changes no checkpoint byte; the saving is in graph nodes and
 temporaries.  ``attention`` scales, masks, shifts, exponentiates and
 normalizes its scores in place in one buffer, dropped on return, and
 keeps each row's max and sum, from which backward rebuilds the
@@ -68,6 +109,7 @@ import ctypes
 import itertools
 import os
 import threading
+import weakref
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -84,7 +126,7 @@ _grad_enabled = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (forward-only evaluation)."""
+    """Record no graph inside the block (forward-only evaluation)."""
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False
@@ -104,25 +146,32 @@ def _as_array(data, dtype=None) -> np.ndarray:
 
 
 class Tensor:
-    """A dense n-dimensional array that may participate in the gradient tape.
+    """A dense n-dimensional array, and the node of the operation that made it.
 
-    On a leaf, ``grad`` is populated (as a numpy array of the same shape)
-    by :func:`backward`; it accumulates across calls until
-    :meth:`zero_grad`.  Interior nodes do not keep theirs.
+    A leaf (a tensor no recorded operation made) that requires gradients
+    gets ``grad`` (a numpy array of its shape) from :func:`backward`; it
+    accumulates across calls until :meth:`zero_grad`.  Interior tensors do
+    not keep theirs.  ``op`` and ``parents`` read the node; a leaf has
+    neither.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "parents", "_bwd", "_id")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.op: str | None = None
-        self.parents: tuple[Tensor, ...] = ()
-        self._bwd: Callable | None = None
-        self._id = next(_ids)
+        self.node: Node | None = None
 
     # -- basic introspection -------------------------------------------------
+
+    @property
+    def op(self) -> str | None:
+        return None if self.node is None else self.node.op
+
+    @property
+    def parents(self) -> tuple:
+        return () if self.node is None else self.node.parents
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -189,6 +238,52 @@ class Tensor:
         return tmean(self, axis=axis, keepdims=keepdims)
 
 
+def _layout(a: np.ndarray) -> tuple:
+    """What ``np.empty_like(a)`` and :func:`_first_grad` read of ``a``."""
+    flags = a.flags
+    return a.shape, a.dtype, a.strides, flags.c_contiguous, flags.f_contiguous
+
+
+def _empty(layout: tuple) -> np.ndarray:
+    """``np.empty_like`` of an array of this layout: numpy keeps its order of strides."""
+    shape, dtype, strides, c_contiguous, f_contiguous = layout
+    if c_contiguous or f_contiguous:
+        return np.empty(shape, dtype, order="C" if c_contiguous else "F")
+    axes = sorted(range(len(shape)), key=lambda ax: -abs(strides[ax]))
+    return np.empty([shape[ax] for ax in axes], dtype).transpose(np.argsort(axes))
+
+
+class Node:
+    """The backward of one recorded operation.
+
+    ``_inputs`` lines up with the operation's operands: the operand's node,
+    the operand itself if it is a leaf that requires a gradient, else None.
+    ``_bwd`` maps the output's gradient to the operands' and holds the saved
+    arrays; :func:`backward` drops it once it has run.
+    """
+
+    __slots__ = ("op", "_id", "_inputs", "_bwd", "_layout", "_out")
+
+    def __init__(self, op: str, inputs: tuple, bwd: Callable, out: np.ndarray):
+        self.op = op
+        self._id = next(_ids)
+        self._inputs = inputs
+        self._bwd = bwd
+        self._layout = _layout(out)
+        self._out = weakref.ref(out)
+
+    @property
+    def parents(self) -> tuple:
+        """The nodes and leaves that this node's gradient flows to."""
+        return tuple(p for p in self._inputs if p is not None)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The output while anything holds it, else an empty array of its dtype."""
+        out = self._out()
+        return np.empty(0, self._layout[1]) if out is None else out
+
+
 def _wrap(x, dtype) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -200,15 +295,16 @@ def constant(x, dtype=None) -> Tensor:
     return Tensor(x, requires_grad=False, dtype=dtype)
 
 
-def _make(data: np.ndarray, op: str, parents: Sequence[Tensor], bwd: Callable) -> Tensor:
-    if any(p.dtype != data.dtype for p in parents):
-        raise ContractViolation(f"{op}: operands of dtypes {[str(p.dtype) for p in parents]}")
+def _make(data: np.ndarray, op: str, operands: Sequence[Tensor], bwd: Callable) -> Tensor:
+    """``data`` as a tensor, with a node for ``bwd`` when recording and an
+    operand requires a gradient."""
+    if any(p.dtype != data.dtype for p in operands):
+        raise ContractViolation(f"{op}: operands of dtypes {[str(p.dtype) for p in operands]}")
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in operands):
         out.requires_grad = True
-        out.op = op
-        out.parents = tuple(parents)
-        out._bwd = bwd
+        out.node = Node(op, tuple(p.node if p.node is not None else p if p.requires_grad
+                                  else None for p in operands), bwd, out.data)
     return out
 
 
@@ -293,30 +389,40 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # -- elementwise primitives --------------------------------------------------
+#
+# A backward closure captures arrays, shapes and flags, never an operand
+# ``Tensor``: the arrays it captures are what its node saves.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    sa, sb, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
     return _make(a.data + b.data, "add", (a, b),
-                 lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                            _unbroadcast(g, b.shape) if b.requires_grad else None))
+                 lambda g: (_unbroadcast(g, sa) if ra else None,
+                            _unbroadcast(g, sb) if rb else None))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
+    sa, sb, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
     return _make(a.data - b.data, "sub", (a, b),
-                 lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                            _unbroadcast(-g, b.shape) if b.requires_grad else None))
+                 lambda g: (_unbroadcast(g, sa) if ra else None,
+                            _unbroadcast(-g, sb) if rb else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    sa, sb = a.shape, b.shape
+    ka = a.data if b.requires_grad else None        # each gradient reads the other operand
+    kb = b.data if a.requires_grad else None
     return _make(a.data * b.data, "mul", (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
+                 lambda g: (None if kb is None else _unbroadcast(g * kb, sa),
+                            None if ka is None else _unbroadcast(g * ka, sb)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
+    sa, sb, ra = a.shape, b.shape, a.requires_grad
+    ka, kb = (a.data if b.requires_grad else None), b.data
+
     def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
-        gb = (_unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-              if b.requires_grad else None)
+        ga = _unbroadcast(g / kb, sa) if ra else None
+        gb = None if ka is None else _unbroadcast(-g * ka / (kb * kb), sb)
         return (ga, gb)
     return _make(a.data / b.data, "div", (a, b), bwd)
 
@@ -326,8 +432,8 @@ def neg(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    return _make(np.maximum(a.data, 0), "relu", (a,),
-                 lambda g: (g * (a.data > 0),))
+    out = np.maximum(a.data, 0)
+    return _make(out, "relu", (a,), lambda g: (g * (out > 0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -342,7 +448,8 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def absolute(a: Tensor) -> Tensor:
-    return _make(np.abs(a.data), "abs", (a,), lambda g: (g * np.sign(a.data),))
+    x = a.data
+    return _make(np.abs(x), "abs", (a,), lambda g: (g * np.sign(x),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -351,27 +458,30 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    return _make(np.log(a.data), "log", (a,), lambda g: (g / a.data,))
+    x = a.data
+    return _make(np.log(x), "log", (a,), lambda g: (g / x,))
 
 
 # -- reductions --------------------------------------------------------------
 
-def _spread(g: np.ndarray, a: Tensor, axis, keepdims: bool) -> np.ndarray:
-    """A reduction's gradient ``g`` copied back over the axes it took from ``a``."""
+def _spread(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
+    """A reduction's gradient ``g`` copied back over the axes it took from ``shape``."""
     if axis is not None and not keepdims:
         g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, a.shape).copy()
+    return np.broadcast_to(g, shape).copy()
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    shape = a.shape
     return _make(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a,),
-                 lambda g: (_spread(g, a, axis, keepdims),))
+                 lambda g: (_spread(g, shape, axis, keepdims),))
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    shape = a.shape
     out = a.data.mean(axis=axis, keepdims=keepdims)
     n = a.size // max(out.size, 1)      # entries averaged into each output
-    return _make(out, "mean", (a,), lambda g: (_spread(g / n, a, axis, keepdims),))
+    return _make(out, "mean", (a,), lambda g: (_spread(g / n, shape, axis, keepdims),))
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -381,42 +491,46 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ContractViolation(f"matmul: operands must be >=2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ContractViolation(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
+    sa, sb = a.shape, b.shape
+    ka = a.data if b.requires_grad else None
+    kb = b.data if a.requires_grad else None
 
     def bwd(g):
-        ga = (_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-              if a.requires_grad else None)
-        gb = (_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-              if b.requires_grad else None)
+        ga = None if kb is None else _unbroadcast(np.matmul(g, np.swapaxes(kb, -1, -2)), sa)
+        gb = None if ka is None else _unbroadcast(np.matmul(np.swapaxes(ka, -1, -2), g), sb)
         return (ga, gb)
     return _make(np.matmul(a.data, b.data), "matmul", (a, b), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for a 2-D ``w``, as one tape node, bit for bit."""
+    """``x @ w + b`` for a 2-D ``w``, as one graph node, bit for bit."""
     if x.ndim < 2 or w.ndim != 2 or b.shape != (w.shape[1],) or x.shape[-1] != w.shape[0]:
         raise ContractViolation(
             f"linear: expected (..., n) @ (n, m) + (m,), got {x.shape}, {w.shape}, {b.shape}")
-    xd, wd = x.data, w.data
+    xd, wd, bd = x.data, w.data, b.data
     out = np.empty(x.shape[:-1] + wd.shape[1:], dtype=xd.dtype)
-    _blocked(lambda s: np.add(np.matmul(xd[s], wd, out=out[s]), b.data, out=out[s]), xd, out)
+    _blocked(lambda s: np.add(np.matmul(xd[s], wd, out=out[s]), bd, out=out[s]), xd, out)
+    sx, sw, sb, rb, dtype = x.shape, w.shape, b.shape, b.requires_grad, xd.dtype
+    kx = xd if w.requires_grad else None        # a frozen layer keeps no input
+    kw = wd if x.requires_grad else None
 
     def bwd(g):
         gx = gw = None
-        if x.requires_grad:
-            gx = np.empty(x.shape, dtype=xd.dtype)
-            _blocked(lambda s: np.matmul(g[s], wd.T, out=gx[s]), g, gx)
-        if w.requires_grad:
-            gw = np.empty(x.shape[:-2] + wd.shape, dtype=wd.dtype)
-            _blocked(lambda s: np.matmul(np.swapaxes(xd[s], -1, -2), g[s], out=gw[s]),
-                     xd, g, gw)
-            gw = _unbroadcast(gw, w.shape)
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        if kw is not None:
+            gx = np.empty(sx, dtype=dtype)
+            _blocked(lambda s: np.matmul(g[s], kw.T, out=gx[s]), g, gx)
+        if kx is not None:
+            gw = np.empty(sx[:-2] + sw, dtype=dtype)
+            _blocked(lambda s: np.matmul(np.swapaxes(kx[s], -1, -2), g[s], out=gw[s]),
+                     kx, g, gw)
+            gw = _unbroadcast(gw, sw)
+        gb = _unbroadcast(g, sb) if rb else None
         return (gx, gw, gb)
     return _make(out, "linear", (x, w, b), bwd)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
-    """softmax(q kᵀ / sqrt(dh)) v over (..., t, dh) inputs, as one tape node.
+    """softmax(q kᵀ / sqrt(dh)) v over (..., t, dh) inputs, as one graph node.
 
     With ``causal`` each query sees only the keys at or before it.  The
     result and every gradient are bit for bit those of the composed layer
@@ -454,9 +568,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
         ps /= np.add.reduce(ps, axis=-1, keepdims=True, out=rowsum[s])
         np.matmul(ps, vd[s], out=out[s])
     _blocked(fwd, p)
+    # q and k rebuild the probabilities; v is read by the gradients of q and k.
+    saved_v = vd if q.requires_grad or k.requires_grad else None
+    layouts = [_layout(t.data) if t.requires_grad else None for t in (q, k, v)]
 
     def bwd(g):
-        gq, gk, gv = (np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v))
+        gq, gk, gv = (None if lay is None else _empty(lay) for lay in layouts)
 
         def back(s):
             ps = scores(s)              # the forward's probabilities, rebuilt bit for bit
@@ -466,7 +583,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
             if gv is not None:
                 np.matmul(np.swapaxes(ps, -1, -2), g[s], out=gv[s])
             if gq is not None or gk is not None:
-                ds = np.matmul(g[s], np.swapaxes(vd[s], -1, -2))   # dP, then dS in place
+                ds = np.matmul(g[s], np.swapaxes(saved_v[s], -1, -2))   # dP, then dS in place
                 ds -= (ds * ps).sum(axis=-1, keepdims=True)
                 ds *= ps
                 ds *= scale
@@ -506,36 +623,42 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ContractViolation(
             f"layer_norm: gamma/beta must have shape ({x.shape[-1]},), "
             f"got {gamma.shape} and {beta.shape}")
+    xd, gd, bd = x.data, gamma.data, beta.data
     mean, inv = (np.empty(x.shape[:-1] + (1,), dtype=x.dtype) for _ in range(2))
-    out = np.empty_like(x.data)
+    out = np.empty_like(xd)
 
     def fwd(s):
-        mean[s] = x.data[s].mean(axis=-1, keepdims=True)
-        xs = np.subtract(x.data[s], mean[s], out=out[s])
+        mean[s] = xd[s].mean(axis=-1, keepdims=True)
+        xs = np.subtract(xd[s], mean[s], out=out[s])
         inv[s] = 1.0 / np.sqrt((xs * xs).mean(axis=-1, keepdims=True) + eps)
         xs *= inv[s]
-        np.add(np.multiply(xs, gamma.data, out=out[s]), beta.data, out=out[s])
-    _blocked(fwd, x.data, out)
+        np.add(np.multiply(xs, gd, out=out[s]), bd, out=out[s])
+    _blocked(fwd, xd, out)
+    # x rebuilds xhat for the gradients of x and gamma; gamma scales x's.
+    kx = xd if x.requires_grad or gamma.requires_grad else None
+    kg = gd if x.requires_grad else None
+    sg, sb, rg, rb = gamma.shape, beta.shape, gamma.requires_grad, beta.requires_grad
 
     def bwd(g):
-        dx = np.empty_like(g) if x.requires_grad else None
-        gxhat = np.empty_like(g) if gamma.requires_grad else None
+        dx = np.empty_like(g) if kg is not None else None
+        gxhat = np.empty_like(g) if rg else None
 
         def back(s):
-            xs = x.data[s] - mean[s]        # the forward's xhat, rebuilt bit for bit
+            xs = kx[s] - mean[s]            # the forward's xhat, rebuilt bit for bit
             xs *= inv[s]
             if gxhat is not None:
                 np.multiply(g[s], xs, out=gxhat[s])
             if dx is not None:
-                d = np.multiply(g[s], gamma.data, out=dx[s])    # dxhat
+                d = np.multiply(g[s], kg, out=dx[s])    # dxhat
                 proj = d * xs
                 proj_mean = proj.mean(axis=-1, keepdims=True)
                 d -= d.mean(axis=-1, keepdims=True)
                 d -= np.multiply(xs, proj_mean, out=proj)
                 d *= inv[s]
-        _blocked(back, g)
-        return (dx, None if gxhat is None else _unbroadcast(gxhat, gamma.shape),
-                _unbroadcast(g, beta.shape) if beta.requires_grad else None)
+        if kx is not None:
+            _blocked(back, g)
+        return (dx, None if gxhat is None else _unbroadcast(gxhat, sg),
+                _unbroadcast(g, sb) if rb else None)
     return _make(out, "layer_norm", (x, gamma, beta), bwd)
 
 
@@ -556,8 +679,8 @@ def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
 # -- shape manipulation ------------------------------------------------------
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return _make(a.data.reshape(shape), "reshape", (a,),
-                 lambda g: (g.reshape(a.shape),))
+    sa = a.shape
+    return _make(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(sa),))
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -567,8 +690,11 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def getitem(a: Tensor, key) -> Tensor:
+    layout = _layout(a.data)        # the zeros' shape, dtype and order: no source array
+
     def bwd(g):
-        out = np.zeros_like(a.data)
+        out = _empty(layout)
+        out.fill(0)
         np.add.at(out, key, g)
         return (out,)
     return _make(a.data[key], "getitem", (a,), bwd)
@@ -667,47 +793,58 @@ def backward(root: Tensor) -> None:
     realized as decreasing creation index (parents are always created
     before children), so gradient accumulation order is deterministic.
 
-    Gradients are computed only for operands that require them.  After
-    the call only leaves hold ``grad`` (added to what they held before);
-    every interior node, the root included, is left with ``grad is None``.
-    A leaf's ``grad`` may share memory with another leaf's, so replace it
-    rather than update it in place.
+    Gradients are computed only for operands that required them when their
+    op was recorded.  After the call only leaves hold ``grad`` (added to
+    what they held before); interior gradients live only while backward
+    runs.  A leaf's ``grad`` may share memory with another leaf's, so
+    replace it rather than update it in place.  Each node's saved arrays
+    are dropped once its backward has run, so a graph is walked once: a
+    second call that reaches a walked node raises ``ContractViolation``.
     """
     if root.size != 1:
         raise ContractViolation(f"backward: root must be scalar, got shape {root.shape}")
-    if not root.requires_grad:
+    if root.node is None:
+        if root.requires_grad:
+            _accumulate(root, np.ones_like(root.data))
         return
 
-    nodes: dict[int, Tensor] = {}
-    todo = [root]
+    nodes: dict[int, Node] = {}
+    todo = [root.node]
     while todo:
-        t = todo.pop()
-        if t._id in nodes:
+        n = todo.pop()
+        if n._id in nodes:
             continue
-        nodes[t._id] = t
-        for p in t.parents:
-            if p.requires_grad and p._id not in nodes:
-                todo.append(p)
+        if n._bwd is None:
+            raise ContractViolation(f"backward: the graph through {n.op} was walked already")
+        nodes[n._id] = n
+        todo.extend(p for p in n._inputs if type(p) is Node and p._id not in nodes)
 
-    root.grad = np.ones_like(root.data)
-    for tid in sorted(nodes, reverse=True):
-        t = nodes[tid]
-        if t._bwd is None or t.grad is None:
+    grads = {root.node._id: np.ones_like(root.data)}
+    for nid in sorted(nodes, reverse=True):
+        n = nodes[nid]
+        bwd, n._bwd = n._bwd, None          # the saved arrays go with it
+        if nid not in grads:
             continue
-        grads = t._bwd(t.grad)
-        t.grad = None
-        for p, g in zip(t.parents, grads):
-            if not p.requires_grad or g is None:
+        for p, gp in zip(n._inputs, bwd(grads.pop(nid))):
+            if p is None or gp is None:
                 continue
-            p.grad = _first_grad(p, g) if p.grad is None else p.grad + g
+            if type(p) is Node:
+                have = grads.get(p._id)
+                grads[p._id] = _first_grad(p._layout, gp) if have is None else have + gp
+            else:
+                _accumulate(p, gp)
 
 
-def _first_grad(p: Tensor, g: np.ndarray) -> np.ndarray:
-    """``g`` as ``p``'s first gradient, shaped like ``p`` and laid out like ``p.data``."""
-    if g.shape == p.shape and g.dtype == p.dtype and (
-            g.strides == p.data.strides
-            or (g.flags.c_contiguous and p.data.flags.c_contiguous)):
+def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
+    leaf.grad = _first_grad(_layout(leaf.data), g) if leaf.grad is None else leaf.grad + g
+
+
+def _first_grad(layout: tuple, g: np.ndarray) -> np.ndarray:
+    """``g`` as a first gradient, shaped and laid out like the array of ``layout``."""
+    shape, dtype, strides, c_contiguous, _ = layout
+    if g.shape == shape and g.dtype == dtype and (
+            g.strides == strides or (g.flags.c_contiguous and c_contiguous)):
         return g
-    out = np.empty_like(p.data)
+    out = _empty(layout)
     np.copyto(out, g)
     return out

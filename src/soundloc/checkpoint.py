@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .formats import write_file
+
 MAGIC = b"SPLT"
 VERSION = 1
 
@@ -34,7 +36,7 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<I", data.ndim))
         chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
         chunks.append(data.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    write_file(path, b"".join(chunks))
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

@@ -7,10 +7,16 @@ sample count, followed by exactly that many samples.
 
 The program only writes these files.  A writer raises
 :class:`ContractViolation` for an array of the wrong shape.
+
+Every artifact the program writes (these files, checkpoints, configs, logs
+and reports) goes through :func:`write_file`, so it appears whole or not at
+all.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +26,32 @@ from .autodiff import ContractViolation
 AUDIO_MAGIC = b"SPLA"
 
 
+def write_file(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over
+    ``path``.  A write cut midway (a full disk, a file-size limit) leaves
+    ``path`` as it was and removes the temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, obj) -> None:
+    """``obj`` as indented JSON and a final newline, by :func:`write_file`."""
+    write_file(path, (json.dumps(obj, indent=1) + "\n").encode())
+
+
 def _write_netpbm(path: str | Path, magic: bytes, values: np.ndarray) -> None:
     """Clip to [0, 1], scale to 8 bits and write behind a maxval-255 header."""
     vals = np.rint(255.0 * np.clip(values, 0.0, 1.0)).astype(np.uint8)
     h, w = vals.shape[:2]
     header = magic + f"\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + vals.tobytes())
+    write_file(path, header + vals.tobytes())
 
 
 def write_pgm(path: str | Path, mask: np.ndarray) -> None:
@@ -48,4 +74,4 @@ def write_audio(path: str | Path, samples: np.ndarray) -> None:
         raise ContractViolation(f"audio expects a 1-D array, got shape {samples.shape}")
     data = np.ascontiguousarray(samples, dtype="<f4")
     header = AUDIO_MAGIC + np.uint32(data.size).tobytes()
-    Path(path).write_bytes(header + data.tobytes())
+    write_file(path, header + data.tobytes())

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -172,7 +173,7 @@ class RunConfig:
         return cls(**{name: kind(**blocks[name]) for name, kind in _BLOCKS.items()}, **top)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n")
+        formats.write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
@@ -424,7 +425,7 @@ def train(cfg: RunConfig, write_artifacts: bool = True
 
     if out is not None:
         save_model(out / "model.splt", model)
-        (out / "trainlog.json").write_text(json.dumps(log.as_dict(), indent=1) + "\n")
+        formats.write_json(out / "trainlog.json", log.as_dict())
     return model, log
 
 
@@ -465,7 +466,7 @@ def _abort(out: Path | None, step: int, parts: dict, model: SoundLocalizer,
                 entry["grad_absmax"] = float(np.abs(p.grad).max())
                 entry["grad_finite"] = bool(np.isfinite(p.grad).all())
             stats["params"][name] = entry
-        (out / "abort_stats.json").write_text(json.dumps(stats, indent=1) + "\n")
+        formats.write_json(out / "abort_stats.json", stats)
     raise TrainingAborted(what)
 
 
@@ -554,12 +555,13 @@ def _fmt(v) -> str:
 def _write_csv(path: Path, rows: list[dict]) -> None:
     """``rows`` under a header of the first row's keys; a float or None cell
     is written by ``_fmt``."""
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(rows[0].keys())
-        for r in rows:
-            w.writerow([_fmt(v) if v is None or isinstance(v, float) else v
-                        for v in r.values()])
+    text = io.StringIO()
+    w = csv.writer(text)
+    w.writerow(rows[0].keys())
+    for r in rows:
+        w.writerow([_fmt(v) if v is None or isinstance(v, float) else v
+                    for v in r.values()])
+    formats.write_file(path, text.getvalue().encode())
 
 
 def write_report(out: Path, benchmark: str, report: metrics.MetricsReport,
@@ -577,7 +579,7 @@ def write_report(out: Path, benchmark: str, report: metrics.MetricsReport,
             for i in range(len(evs))
         ],
     }
-    (out / f"report_{benchmark}.json").write_text(json.dumps(twin, indent=1) + "\n")
+    formats.write_json(out / f"report_{benchmark}.json", twin)
 
 
 # -- ablations ---------------------------------------------------------------
@@ -632,7 +634,7 @@ def ablate(cfg: RunConfig, dimension: str, values: list,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / f"ablation_{dimension}.csv", rows)
-        (out / f"ablation_{dimension}.json").write_text(json.dumps(rows, indent=1) + "\n")
+        formats.write_json(out / f"ablation_{dimension}.json", rows)
     return rows
 
 
@@ -656,5 +658,5 @@ def render_heatmaps(model: SoundLocalizer, scenes: Iterable[SceneSample],
         index.append({"id": i, "files": files,
                       "iou": metrics.iou(metrics.binarize_half_max(ev.pred_mask),
                                          ev.gt_mask)})
-    (out / "index.json").write_text(json.dumps(index, indent=1) + "\n")
+    formats.write_json(out / "index.json", index)
     return index

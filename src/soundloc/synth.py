@@ -23,7 +23,6 @@ import atexit
 import contextlib
 import functools
 import itertools
-import json
 import os
 import pickle
 import signal
@@ -629,5 +628,5 @@ def dump_dataset(samples: Iterable[SceneSample], out_dir: str | Path) -> Path:
             "audible_ids": list(s.audible_ids),
             "seed": s.seed,
         })
-    (out / "index.json").write_text(json.dumps(index, indent=1) + "\n")
+    formats.write_json(out / "index.json", index)
     return out

@@ -7,10 +7,14 @@ relative tolerance 1e-4).  Kinked ops (relu, absolute) get inputs
 bounded away from their kinks so the comparison is meaningful.
 """
 
+import gc
+import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -309,17 +313,18 @@ class TestTapeSemantics:
         root = ad.concat([h, h * 2.0], axis=1).mean()
         ad.backward(root)
 
-        nodes, todo = {}, [root]
+        nodes, leaves, todo = {}, {}, [root.node]
         while todo:
-            t = todo.pop()
-            if t._id not in nodes:
-                nodes[t._id] = t
-                todo.extend(t.parents)
-        interior = [t for t in nodes.values() if t.parents]
-        leaves = [t for t in nodes.values() if not t.parents and t.requires_grad]
-        assert len(interior) > 5 and len(leaves) == 3
-        assert all(t.grad is None for t in interior)
-        for t in leaves:
+            n = todo.pop()
+            if isinstance(n, Tensor):
+                leaves[id(n)] = n
+            elif n._id not in nodes:
+                nodes[n._id] = n
+                todo.extend(n.parents)
+        assert len(nodes) > 5 and len(leaves) == 3
+        assert root.grad is None and h.grad is None
+        assert not any(hasattr(n, "grad") for n in nodes.values())
+        for t in leaves.values():
             assert t.grad.shape == t.shape and t.grad.flags.c_contiguous
 
     def test_frozen_operand_costs_no_gradient(self, monkeypatch):
@@ -643,6 +648,159 @@ class TestFusedPrimitives:
         assert [len(r) for r in spans] == [min(step, n - i) for i in range(0, n, step)]
         if not workers:
             assert calls == spans       # this thread runs them in order
+
+
+def _saves_table() -> dict[str, list[tuple[str, list[str] | None]]]:
+    """The ``autodiff`` docstring's table: per primitive, each array it saves
+    with the operands of which one must require a gradient (None: always)."""
+    lines = ad.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.strip().startswith("====")]
+    table = {}
+    for line in lines[rules[1] + 1:rules[2]]:
+        ops, saves = re.split(r"\s{2,}", line.strip())
+        items = [] if saves == "nothing" else saves.split("; ")
+        for op in ops.split(", "):
+            table[op] = [(name, conds.split(" or ") if conds else None)
+                         for name, _, conds in (item.partition(" if ") for item in items)]
+    return table
+
+
+# Each primitive: its operands' names (as the table calls them) and shapes, and
+# a call on them.
+_SAVE_CASES = {
+    "add": ({"a": (3, 4), "b": (4,)}, ad.add),
+    "sub": ({"a": (3, 4), "b": (4,)}, ad.sub),
+    "mul": ({"a": (3, 4), "b": (4,)}, ad.mul),
+    "div": ({"a": (3, 4), "b": (4,)}, ad.div),
+    "neg": ({"a": (3, 4)}, ad.neg),
+    "matmul": ({"a": (2, 3, 4), "b": (4, 5)}, ad.matmul),
+    "linear": ({"x": (2, 3, 4), "w": (4, 5), "b": (5,)}, ad.linear),
+    "attention": ({n: (2, 3, 4) for n in "qkv"}, ad.attention),
+    "relu": ({"a": (3, 4)}, ad.relu),
+    "sigmoid": ({"a": (3, 4)}, ad.sigmoid),
+    "abs": ({"a": (3, 4)}, ad.absolute),
+    "exp": ({"a": (3, 4)}, ad.exp),
+    "log": ({"a": (3, 4)}, ad.log),
+    "sum": ({"a": (3, 4)}, lambda a: ad.tsum(a, axis=0)),
+    "mean": ({"a": (3, 4)}, lambda a: ad.tmean(a, axis=-1, keepdims=True)),
+    "softmax": ({"a": (3, 4)}, ad.softmax),
+    "log_softmax": ({"a": (3, 4)}, ad.log_softmax),
+    "layer_norm": ({"x": (3, 4), "gamma": (4,), "beta": (4,)}, ad.layer_norm),
+    "l2_normalize": ({"a": (3, 4)}, ad.l2_normalize),
+    "reshape": ({"a": (3, 4)}, lambda a: ad.reshape(a, (4, 3))),
+    "transpose": ({"a": (3, 4)}, lambda a: ad.transpose(a, (1, 0))),
+    "getitem": ({"a": (3, 4)}, lambda a: a[np.array([2, 0, 2])]),
+    "concat": ({"a": (2, 4), "b": (3, 4)}, lambda a, b: ad.concat([a, b])),
+    "masked_fill": ({"a": (3, 4)}, lambda a: ad.masked_fill(a, np.eye(3, 4, dtype=bool), -1.0)),
+    "resize_bilinear": ({"a": (2, 3, 4)}, lambda a: ad.resize_bilinear(a, 5, 6)),
+}
+
+
+class TestSavedArrays:
+    """What a node keeps for its backward, and when it lets go."""
+
+    def test_every_primitive_has_a_row_and_a_case(self):
+        assert set(_saves_table()) == set(_SAVE_CASES) == set(ad.PRIMITIVES)
+
+    @pytest.mark.parametrize("op", sorted(ad.PRIMITIVES))
+    def test_a_node_keeps_what_the_table_says(self, op):
+        """For each pattern of operands that require a gradient, the operand
+        and output arrays that outlive the caller's handles are the table's.
+        Backward then frees them, and a second backward is refused.  The
+        collector is off: every array must go by reference count."""
+        spec = _saves_table()[op]
+        shapes, call = _SAVE_CASES[op]
+        rng = np.random.default_rng(zlib.crc32(op.encode()))
+        gc.disable()
+        try:
+            for pattern in itertools.product([False, True], repeat=len(shapes)):
+                needs = dict(zip(shapes, pattern))
+                # An operand that requires a gradient is a node's output, whose
+                # array no leaf holds; one that does not is a constant.
+                operands = {
+                    name: (ad.neg(Tensor(-rng.uniform(0.5, 1.5, s), requires_grad=True))
+                           if needs[name] else ad.constant(rng.uniform(0.5, 1.5, s)))
+                    for name, s in shapes.items()}
+                out = call(*operands.values())
+                refs = {name: weakref.ref(t.data) for name, t in operands.items()}
+                refs["out"] = weakref.ref(out.data)
+                root = out.sum()
+                del operands, out
+                kept = {name for name, ref in refs.items() if ref() is not None}
+                want = {name for name, conds in spec
+                        if any(pattern) and (conds is None or any(needs[c] for c in conds))}
+                assert kept == want, f"{op} with {needs}"
+                if not root.requires_grad:
+                    continue
+                ad.backward(root)
+                assert all(ref() is None for ref in refs.values()), f"{op} with {needs}"
+                with pytest.raises(ContractViolation, match="walked already"):
+                    ad.backward(root)
+        finally:
+            gc.enable()
+
+    def test_parents_are_nodes_and_leaves_that_require_a_gradient(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        h = ad.exp(x)
+        root = (h * ad.constant(np.ones(3))).sum()
+        (mul,) = root.parents
+        assert mul.op == "mul" and mul.parents == (h.node,) and h.parents == (x,)
+
+    def test_a_walked_graph_is_refused_below_its_root(self):
+        """A new root over a node an earlier backward walked is refused
+        rather than given gradients from dropped arrays."""
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        h = ad.exp(x)
+        ad.backward(h.sum())
+        with pytest.raises(ContractViolation, match="walked already"):
+            ad.backward((h * 2.0).sum())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_gradient_reads_its_output(self, dtype):
+        """``out > 0`` is ``a > 0`` at every kind of value, NaN and the zeros
+        included, so the gradient keeps its bytes."""
+        a = np.array([-np.inf, -1.5, -0.0, 0.0, np.nan, 1e-30, 2.0, np.inf], dtype=dtype)
+        g = np.linspace(-2.0, 2.0, a.size).astype(dtype)
+        x = Tensor(a.copy(), requires_grad=True)
+        ad.backward((ad.relu(x) * ad.constant(g)).sum())
+        want = g * (a > 0)
+        assert x.grad.dtype == want.dtype and np.array_equal(x.grad, want)
+        assert x.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("key", [np.s_[1:3, ::2], np.s_[np.array([0, 0, 2])],
+                                     np.s_[np.array([1, 0]), np.array([2, 2])]],
+                             ids=["slice", "rows", "points"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_getitem_gradient_without_its_source(self, dtype, key):
+        """The zeros that a gather's gradient fills are made from the recorded
+        layout: the bytes and strides of ``zeros_like`` of the source, also
+        when the source is a transposed view."""
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((4, 3)).astype(dtype), requires_grad=True)
+        view = ad.transpose(x, (1, 0))
+        picked = view[key]
+        g = rng.standard_normal(picked.shape).astype(dtype)
+        want = np.zeros_like(view.data)
+        np.add.at(want, key, g)
+        (got,) = picked.node._bwd(g)
+        assert (got.dtype, got.strides) == (want.dtype, want.strides)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        ad.backward((picked * ad.constant(g)).sum())
+        assert np.array_equal(x.grad, want.T)
+
+    def test_gradient_layout_is_that_of_empty_like(self):
+        """What a node records of its output's layout rebuilds the strides
+        ``np.empty_like`` gives the output itself, for every kind of view."""
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            nd = int(rng.integers(1, 5))
+            a = np.empty(tuple(rng.integers(1, 5, nd)), rng.choice([np.float32, np.float64]))
+            a = a.transpose(rng.permutation(nd))[
+                tuple(slice(None, None, int(rng.choice([1, 2, -1, -2]))) for _ in range(nd))]
+            if rng.random() < 0.2:
+                a = np.broadcast_to(a[..., :1], a.shape)
+            got, want = ad._empty(ad._layout(a)), np.empty_like(a)
+            assert (got.shape, got.dtype, got.strides) == (want.shape, want.dtype, want.strides)
 
 
 # Each case: a primitive and its operands' shapes.

@@ -68,6 +68,21 @@ def _tiny_cfg(out_dir, **overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+def _held_outputs(root: ad.Tensor) -> list[np.ndarray]:
+    """The outputs in ``root``'s graph that something holds: the caller, or a
+    node that saved one for its backward."""
+    found, seen, todo = [], set(), [root.node]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, ad.Tensor) or n._id in seen:      # a leaf, or met before
+            continue
+        seen.add(n._id)
+        if n.data.size:
+            found.append(n.data)
+        todo.extend(n.parents)
+    return found
+
+
 def _python_child(code: str, *args: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a new Python process that imports soundloc from this
     source tree."""
@@ -486,9 +501,9 @@ class TestTraining:
             todo, seen = [root], set()
             while todo:
                 t = todo.pop()
-                if t._id in seen:
+                if id(t) in seen:
                     continue
-                seen.add(t._id)
+                seen.add(id(t))
                 if not t.parents and t.grad is not None:
                     t.grad = np.full_like(t.grad, np.nan)
                     return
@@ -505,35 +520,59 @@ class TestTraining:
         """No array of a step's graph is alive when the next step's
         ``batch_loss`` starts: two graphs never coexist."""
         cfg = _tiny_cfg(tmp_path, train_samples=48, warmup_epochs=0)
-        real, refs, alive = harness.batch_loss, [], []
+        real, graphs, alive = harness.batch_loss, [], []
 
         def spy(model, images, audios, weights):
-            alive.append(sum(r() is not None for r in refs))
+            alive.append(sum(r() is not None for refs in graphs for r in refs))
             total, parts = real(model, images, audios, weights)
-            if total.parents:                   # not the no-grad probe loss
-                refs.append(weakref.ref(total.parents[0].data))
+            if total.node is not None:          # not the no-grad probe loss
+                graphs.append([weakref.ref(a) for a in _held_outputs(total)])
             return total, parts
 
         monkeypatch.setattr(harness, "batch_loss", spy)
         train(cfg, write_artifacts=False)
-        assert len(refs) == 3 and alive == [0] * 4
+        assert len(graphs) == 3 and all(graphs) and alive == [0] * 4
 
     def test_each_warmup_step_releases_its_graph(self, tmp_path):
         """Likewise for the image encoder's warmup: a step's graph is gone
         before the next step's encoder forward starts."""
         cfg = _tiny_cfg(tmp_path, train_samples=48, warmup_epochs=2)
         model = build_model(cfg)
-        real, refs, alive = model.image_encoder.forward, [], []
+        real, graphs, alive = model.image_encoder.forward, [], []
 
         def spy(images):
-            alive.append(sum(r() is not None for r in refs))
+            alive.append(sum(r() is not None for refs in graphs for r in refs))
             grid, pooled = real(images)
-            refs.append(weakref.ref(grid.data))
+            graphs.append([weakref.ref(a) for a in _held_outputs(grid)])
             return grid, pooled
 
         model.image_encoder.forward = spy
         harness.warmup_image_encoder(model, harness.split_scenes(cfg)[0], cfg)
-        assert len(refs) == 6 and alive == [0] * 6
+        assert len(graphs) == 6 and all(graphs) and alive == [0] * 6
+
+    def test_a_step_holds_only_what_backward_reads(self):
+        """One default float32 step at B = 16, with the encoders frozen as in
+        training, traced above what was held before it.  A graph that kept
+        every forward output until backward ended held 124.6 MiB when the
+        forward ended and peaked at 151.7 MiB in backward; keeping only
+        the saved arrays measured 69.6-70.4 and 89.5-93.3 MiB."""
+        cfg = RunConfig(out_dir="unused")
+        model = build_model(cfg)
+        model.apply_freezing()
+        images, audios = harness.stack_batch(
+            synth.make_batch(cfg.generator, cfg.batch_size, "train", base_seed=cfg.seed))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            total, _ = batch_loss(model, images, audios, cfg.loss)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            ad.backward(total)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (cfg.batch_size, cfg.dtype) == (16, "float32")
+        assert held < 80 << 20 and peak < 105 << 20, (held / 2**20, peak / 2**20)
 
 
 class TestEvaluate:
@@ -1015,6 +1054,30 @@ class TestCli:
     def test_train_writes_checkpoint(self, cli_run, capsys):
         _, out = cli_run
         assert (out / "model.splt").is_file()
+
+    def test_a_retry_cut_midway_keeps_the_last_checkpoint(self, cli_run, tmp_path):
+        """A retry of ``soundloc train`` whose file size is capped halfway
+        through ``model.splt`` (as ``ulimit -f`` caps it) exits 3 with one
+        line.  The last run's checkpoint keeps every byte, and no temporary
+        file is left beside it."""
+        cfg_path, done = cli_run
+        out = tmp_path / "run"
+        out.mkdir()
+        good = (done / "model.splt").read_bytes()
+        (out / "model.splt").write_bytes(good)
+        cfg = dataclasses.replace(RunConfig.load(cfg_path), out_dir=str(out))
+        cfg.save(tmp_path / "config.json")
+        proc = _python_child(
+            "import resource, sys\n"
+            "limit = int(sys.argv[2])\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))\n"
+            "from soundloc.cli import main\n"
+            "sys.exit(main(['train', '--config', sys.argv[1]]))\n",
+            str(tmp_path / "config.json"), str(len(good) // 2))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("i/o error:") and proc.stderr.count("\n") == 1
+        assert (out / "model.splt").read_bytes() == good
+        assert sorted(p.name for p in out.iterdir()) == ["config.json", "model.splt"]
 
     def test_eval_subcommand(self, cli_run, capsys):
         _, out = cli_run
