@@ -16,13 +16,15 @@ The graph is kept apart from the tensors, as autograd keeps it (Paszke et
 al., "PyTorch", arXiv 1912.01703).  A ``Tensor`` holds its data and, if a
 recorded operation made it, that operation's :class:`Node`.  A node holds
 its operands' nodes (a leaf that requires a gradient stands for itself),
-the layout of its output, and the arrays its backward reads (its *saved*
+its output's dtype, and the arrays its backward reads (its *saved*
 arrays), and nothing else: no operand ``Tensor``, and no cycle.  So an
 output that neither the caller nor a saved list holds is freed by
 reference count as soon as forward moves on.  ``backward`` drops each
 node's saved arrays once that node's backward has run, and refuses to
 walk a graph a second time.  A node's ``data`` is its output while
-anything holds it, else an empty array of the output's dtype.
+anything holds it, else an empty array of the output's dtype.  Only a
+leaf's first gradient is laid out like its data, as autograd's leaf
+accumulation does; an interior one is kept as its backward returned it.
 
 Backward does only the work whose result someone reads:
 
@@ -49,7 +51,7 @@ tests check this table.
     mul, matmul                           a if b; b if a
     div                                   b; a if b
     linear                                x if w; w if x
-    attention                             q; k; v if q or k
+    attention                             q; k; v
     layer_norm                            x if x or gamma; gamma if x
     relu, sigmoid, exp                    out
     softmax, log_softmax, l2_normalize    out
@@ -238,38 +240,24 @@ class Tensor:
         return tmean(self, axis=axis, keepdims=keepdims)
 
 
-def _layout(a: np.ndarray) -> tuple:
-    """What ``np.empty_like(a)`` and :func:`_first_grad` read of ``a``."""
-    flags = a.flags
-    return a.shape, a.dtype, a.strides, flags.c_contiguous, flags.f_contiguous
-
-
-def _empty(layout: tuple) -> np.ndarray:
-    """``np.empty_like`` of an array of this layout: numpy keeps its order of strides."""
-    shape, dtype, strides, c_contiguous, f_contiguous = layout
-    if c_contiguous or f_contiguous:
-        return np.empty(shape, dtype, order="C" if c_contiguous else "F")
-    axes = sorted(range(len(shape)), key=lambda ax: -abs(strides[ax]))
-    return np.empty([shape[ax] for ax in axes], dtype).transpose(np.argsort(axes))
-
-
 class Node:
     """The backward of one recorded operation.
 
     ``_inputs`` lines up with the operation's operands: the operand's node,
     the operand itself if it is a leaf that requires a gradient, else None.
     ``_bwd`` maps the output's gradient to the operands' and holds the saved
-    arrays; :func:`backward` drops it once it has run.
+    arrays; :func:`backward` drops it once it has run.  Of its output it
+    keeps the dtype; only a leaf's gradient is laid out like its data.
     """
 
-    __slots__ = ("op", "_id", "_inputs", "_bwd", "_layout", "_out")
+    __slots__ = ("op", "_id", "_inputs", "_bwd", "_dtype", "_out")
 
     def __init__(self, op: str, inputs: tuple, bwd: Callable, out: np.ndarray):
         self.op = op
         self._id = next(_ids)
         self._inputs = inputs
         self._bwd = bwd
-        self._layout = _layout(out)
+        self._dtype = out.dtype
         self._out = weakref.ref(out)
 
     @property
@@ -281,7 +269,7 @@ class Node:
     def data(self) -> np.ndarray:
         """The output while anything holds it, else an empty array of its dtype."""
         out = self._out()
-        return np.empty(0, self._layout[1]) if out is None else out
+        return np.empty(0, self._dtype) if out is None else out
 
 
 def _wrap(x, dtype) -> Tensor:
@@ -339,10 +327,11 @@ if hasattr(os, "register_at_fork"):
 def _keep_freed_memory() -> bool:
     """Ask glibc to keep freed memory in the process; whether it agreed.
 
-    A training step drops its graph (~180 MiB at B = 16) before the next one
-    builds the same shapes.  A fixed 32 MiB mmap threshold (glibc's largest; a
-    step's largest array is 16 MiB) puts them on the heap and a 1 GiB trim
-    threshold keeps it there, so the next step does not fault them in again.
+    A training step drops its graph (at B = 16, ~70 MiB at forward end and a
+    ~93 MiB peak) before the next one builds the same shapes.  A fixed 32 MiB
+    mmap threshold (glibc's largest; a step's largest array is 16 MiB) puts
+    them on the heap and a 1 GiB trim threshold keeps it there, so the next
+    step does not fault them in again.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -568,12 +557,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
         ps /= np.add.reduce(ps, axis=-1, keepdims=True, out=rowsum[s])
         np.matmul(ps, vd[s], out=out[s])
     _blocked(fwd, p)
-    # q and k rebuild the probabilities; v is read by the gradients of q and k.
-    saved_v = vd if q.requires_grad or k.requires_grad else None
-    layouts = [_layout(t.data) if t.requires_grad else None for t in (q, k, v)]
+    # q and k rebuild the probabilities and v feeds their gradients; each lays out its own.
+    needs = [t.requires_grad for t in (q, k, v)]
 
     def bwd(g):
-        gq, gk, gv = (None if lay is None else _empty(lay) for lay in layouts)
+        gq, gk, gv = (np.empty_like(d) if r else None for d, r in zip((qd, kd, vd), needs))
 
         def back(s):
             ps = scores(s)              # the forward's probabilities, rebuilt bit for bit
@@ -583,7 +571,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
             if gv is not None:
                 np.matmul(np.swapaxes(ps, -1, -2), g[s], out=gv[s])
             if gq is not None or gk is not None:
-                ds = np.matmul(g[s], np.swapaxes(saved_v[s], -1, -2))   # dP, then dS in place
+                ds = np.matmul(g[s], np.swapaxes(vd[s], -1, -2))   # dP, then dS in place
                 ds -= (ds * ps).sum(axis=-1, keepdims=True)
                 ds *= ps
                 ds *= scale
@@ -690,11 +678,10 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def getitem(a: Tensor, key) -> Tensor:
-    layout = _layout(a.data)        # the zeros' shape, dtype and order: no source array
+    shape, dtype = a.shape, a.dtype     # the zeros' shape and dtype: no source array
 
     def bwd(g):
-        out = _empty(layout)
-        out.fill(0)
+        out = np.zeros(shape, dtype)
         np.add.at(out, key, g)
         return (out,)
     return _make(a.data[key], "getitem", (a,), bwd)
@@ -830,21 +817,19 @@ def backward(root: Tensor) -> None:
                 continue
             if type(p) is Node:
                 have = grads.get(p._id)
-                grads[p._id] = _first_grad(p._layout, gp) if have is None else have + gp
+                grads[p._id] = gp if have is None else have + gp
             else:
                 _accumulate(p, gp)
 
 
 def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
-    leaf.grad = _first_grad(_layout(leaf.data), g) if leaf.grad is None else leaf.grad + g
-
-
-def _first_grad(layout: tuple, g: np.ndarray) -> np.ndarray:
-    """``g`` as a first gradient, shaped and laid out like the array of ``layout``."""
-    shape, dtype, strides, c_contiguous, _ = layout
-    if g.shape == shape and g.dtype == dtype and (
-            g.strides == strides or (g.flags.c_contiguous and c_contiguous)):
-        return g
-    out = _empty(layout)
-    np.copyto(out, g)
-    return out
+    """Add ``g`` to ``leaf.grad``; a first gradient is laid out like ``leaf.data``."""
+    d = leaf.data
+    if leaf.grad is not None:
+        leaf.grad = leaf.grad + g
+    elif g.shape == d.shape and g.dtype == d.dtype and (
+            g.strides == d.strides or (g.flags.c_contiguous and d.flags.c_contiguous)):
+        leaf.grad = g
+    else:
+        leaf.grad = np.empty_like(d)
+        np.copyto(leaf.grad, g)

@@ -357,6 +357,35 @@ class TestTapeSemantics:
             assert x.grad.strides == want.strides
             assert x.grad.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_interior_gradients_are_not_copied_into_a_layout(self, dtype, monkeypatch):
+        """A column slice and a transpose of an interior ``exp`` feed the loss:
+        their gradients reach ``exp`` in other layouts than its output's, and
+        backward adds them as they come, with no copy.  Only the leaf's
+        gradient is laid out like its data."""
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((3, 4)).astype(dtype), requires_grad=True)
+        ca = rng.standard_normal((3, 2)).astype(dtype)
+        cb = rng.standard_normal((4, 3)).astype(dtype)
+        h = ad.exp(x)
+        loss = ((h[:, 1:3] * ad.constant(ca)).sum()
+                + (ad.transpose(h, (1, 0)) * ad.constant(cb)).sum())
+        copies = []
+        real = np.copyto
+
+        def spy(dst, *args, **kw):
+            copies.append(dst.shape)
+            return real(dst, *args, **kw)
+
+        monkeypatch.setattr(np, "copyto", spy)
+        ad.backward(loss)
+        assert copies == []
+        want = np.zeros((3, 4), dtype)
+        want[:, 1:3] = ca
+        want = (want + cb.T) * np.exp(x.data)
+        assert x.grad.dtype == want.dtype and x.grad.flags.c_contiguous
+        assert x.grad.tobytes() == want.tobytes()
+
 
 def _composed_attention(q, k, v, causal):
     """The attention layer as separate primitives (matmul, scale, mask, softmax, matmul)."""
@@ -772,9 +801,9 @@ class TestSavedArrays:
                              ids=["slice", "rows", "points"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_getitem_gradient_without_its_source(self, dtype, key):
-        """The zeros that a gather's gradient fills are made from the recorded
-        layout: the bytes and strides of ``zeros_like`` of the source, also
-        when the source is a transposed view."""
+        """The zeros that a gather's gradient fills are made from the source's
+        shape and dtype: the bytes of ``zeros_like`` of the source, also when
+        the source is a transposed view."""
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((4, 3)).astype(dtype), requires_grad=True)
         view = ad.transpose(x, (1, 0))
@@ -783,24 +812,10 @@ class TestSavedArrays:
         want = np.zeros_like(view.data)
         np.add.at(want, key, g)
         (got,) = picked.node._bwd(g)
-        assert (got.dtype, got.strides) == (want.dtype, want.strides)
+        assert got.dtype == want.dtype
         assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
         ad.backward((picked * ad.constant(g)).sum())
         assert np.array_equal(x.grad, want.T)
-
-    def test_gradient_layout_is_that_of_empty_like(self):
-        """What a node records of its output's layout rebuilds the strides
-        ``np.empty_like`` gives the output itself, for every kind of view."""
-        rng = np.random.default_rng(5)
-        for _ in range(2000):
-            nd = int(rng.integers(1, 5))
-            a = np.empty(tuple(rng.integers(1, 5, nd)), rng.choice([np.float32, np.float64]))
-            a = a.transpose(rng.permutation(nd))[
-                tuple(slice(None, None, int(rng.choice([1, 2, -1, -2]))) for _ in range(nd))]
-            if rng.random() < 0.2:
-                a = np.broadcast_to(a[..., :1], a.shape)
-            got, want = ad._empty(ad._layout(a)), np.empty_like(a)
-            assert (got.shape, got.dtype, got.strides) == (want.shape, want.dtype, want.strides)
 
 
 # Each case: a primitive and its operands' shapes.
